@@ -51,7 +51,10 @@ def expectation(d, convention: SampleSpace = SampleSpace.FULL_GRID):
     With S the sum of the strictly-upper-triangle entries this is 2S/n^2 on
     the full grid and 2S/(n(n-1)) on the upper triangle (n >= 2 required).
     """
-    D = validate_distance_matrix(d)
+    return _mean(validate_distance_matrix(d), convention)
+
+
+def _mean(D: np.ndarray, convention: SampleSpace):
     n = D.shape[0]
     s = np.triu(D, 1).sum()
     if convention is SampleSpace.FULL_GRID:
@@ -103,11 +106,11 @@ def matrix_correlation(
     B = np.asarray(validate_distance_matrix(b), dtype=float)
     if A.shape != B.shape:
         raise DomainError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    e_a = expectation(A, convention)
-    e_b = expectation(B, convention)
-    cov = expectation(A * B, convention) - e_a * e_b
-    var_a = expectation(A * A, convention) - e_a * e_a
-    var_b = expectation(B * B, convention) - e_b * e_b
+    e_a = _mean(A, convention)
+    e_b = _mean(B, convention)
+    cov = _mean(A * B, convention) - e_a * e_b
+    var_a = _mean(A * A, convention) - e_a * e_a
+    var_b = _mean(B * B, convention) - e_b * e_b
     if var_a <= VARIANCE_FLOOR or var_b <= VARIANCE_FLOOR:
         rho = None
     else:

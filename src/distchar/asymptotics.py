@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .errors import DomainError
 
@@ -161,10 +160,10 @@ def delta_constant(digits: int) -> decimal.Decimal:
     """
     if not 1 <= digits <= _MAX_DELTA_DIGITS:
         raise DomainError(f"digits must be in 1..{_MAX_DELTA_DIGITS}")
-    with mp.workdps(digits + 15):
-        value = mp.exp(-mp.exp(-mp.mpf(EULER_MASCHERONI_22)))
-        text = mp.nstr(value, digits + 10, strip_zeros=False)
-    return decimal.Decimal(text).quantize(
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 15
+        value = (-(-decimal.Decimal(EULER_MASCHERONI_22)).exp()).exp()
+    return value.quantize(
         decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
     )
 

@@ -6,7 +6,8 @@ a true norm (homogeneous, subadditive, zero only at zero, insensitive to zero
 entries, and normalized so that a single 1 has size 1).  ``SquaredEuclidean``
 is L(v) = sum(v_i^2) = N_2(v)^2; it violates homogeneity and the triangle
 inequality but is accepted everywhere a coefficient is, because distance
-matrices and correlations built from it are still well defined.
+matrices and correlations built from it are still well defined.  Every
+value comes from one row kernel, ``row_values``.
 """
 
 from __future__ import annotations
@@ -98,21 +99,56 @@ def coefficient_name(coefficient: Coefficient) -> str:
     return f"p{p:g}"
 
 
-def _validate_vector(v) -> np.ndarray:
-    arr = np.asarray(v)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("coefficient argument must be a nonempty 1-D vector")
+def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` with every entry checked to be a finite real; object dtype
+    (ints, fractions.Fraction) passes through, anything else becomes float64."""
     if arr.dtype == object:
-        for entry in arr:
+        for entry in arr.flat:
             if not isinstance(entry, numbers.Real):
                 raise DomainError(f"non-numeric entry {entry!r}")
             if isinstance(entry, float) and not math.isfinite(entry):
-                raise DomainError("vector entries must be finite")
+                raise DomainError(f"{what} entries must be finite")
         return arr
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise DomainError("vector entries must be finite")
+        raise DomainError(f"{what} entries must be finite")
     return arr
+
+
+def _left_sum(terms: np.ndarray) -> np.ndarray:
+    # not np.sum: its pairwise blocks would regroup terms after prepended zeros
+    total = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        total = total + terms[:, j]
+    return total
+
+
+def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
+    """The coefficient of every row of ``a``, a 2-D array of absolute values.
+
+    Rows are sorted ascending and summed left to right, so results are
+    bitwise independent of column order and of zero entries (they sort to
+    the front and add exactly 0).  Object dtype is exact for p = 1, inf, L.
+    """
+    a = np.sort(a, axis=1)
+    exact = a.dtype == object
+    with np.errstate(over="ignore"):
+        if isinstance(coefficient, SquaredEuclidean):
+            out = _left_sum(a * a)
+        elif math.isinf(coefficient.p):
+            out = a[:, -1]
+        elif coefficient.p == 1.0:
+            out = _left_sum(a)
+        elif exact:
+            raise DomainError("exact evaluation supports only p = 1, p = inf, and L")
+        else:
+            p = coefficient.p
+            m = a[:, -1]
+            scale = np.where(m > 0, m, 1.0)  # an all-zero row stays 0, not 0/0
+            out = m * _left_sum((a / scale[:, None]) ** p) ** (1.0 / p)
+    if not exact and not np.isfinite(out).all():
+        raise DomainError("coefficient value overflows the float range")
+    return out
 
 
 def evaluate(coefficient: Coefficient, v) -> float:
@@ -123,30 +159,15 @@ def evaluate(coefficient: Coefficient, v) -> float:
     is possible for p = 1, p = inf and L; other p require floats.
 
     Finite p > 1 uses the scaled form m * (sum((|w_i|/m)^p))^(1/p) with
-    m = max|w_i|, so large entries and large p cannot overflow.  Sums are
-    correctly rounded (math.fsum), which makes the result independent of
-    entry order and of appended zero entries.
+    m = max|w_i|, so large entries and large p cannot overflow.  Terms are
+    sorted ascending and summed left to right, so the result is bitwise
+    independent of entry order and of zero entries, and bitwise equal to the
+    matching ``build`` entry.  p = inf is exact; for k entries, p = 1, 2 and L
+    are within 2k + 4 ulp of scipy's cdist, p = 3.5 within 2k + 16 (tested).
+    An overflowing value raises DomainError.
     """
-    arr = _validate_vector(v)
-    if arr.dtype == object:
-        entries = [abs(e) for e in arr.tolist()]
-        if isinstance(coefficient, SquaredEuclidean):
-            return sum(e * e for e in entries)
-        if math.isinf(coefficient.p):
-            return max(entries)
-        if coefficient.p == 1.0:
-            return sum(entries)
-        raise DomainError("exact evaluation supports only p = 1, p = inf, and L")
-
-    a = np.abs(arr)
-    if isinstance(coefficient, SquaredEuclidean):
-        return math.fsum(x * x for x in a)
-    p = coefficient.p
-    if math.isinf(p):
-        return float(a.max())
-    if p == 1.0:
-        return math.fsum(a)
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    return m * math.fsum((x / m) ** p for x in a) ** (1.0 / p)
+    arr = np.asarray(v)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("coefficient argument must be a nonempty 1-D vector")
+    arr = checked_entries(arr, "vector")
+    return row_values(coefficient, np.abs(arr)[None]).tolist()[0]

@@ -4,18 +4,15 @@ permutation.
 
 The distance matrix of an n x k data matrix X under a coefficient N has
 entry (i, j) equal to N(x(j) - x(i)).  It is symmetric with zero diagonal and
-nonnegative entries; here symmetry is exact in floating point because each
-unordered pair is evaluated once and mirrored.
+nonnegative entries; symmetry is exact in floating point because
+|a - b| = |b - a| and the coefficient kernel sorts each row before summing.
 """
 
 from __future__ import annotations
 
-import numbers
-import math
-
 import numpy as np
 
-from .coefficients import Coefficient, evaluate
+from .coefficients import Coefficient, checked_entries, row_values
 from .errors import DomainError
 
 __all__ = [
@@ -41,37 +38,28 @@ def as_data_matrix(x) -> np.ndarray:
     n, k = arr.shape
     if n < 1 or k < 1:
         raise DomainError(f"data matrix needs at least one row and one column, got {n}x{k}")
-    if arr.dtype == object:
-        for entry in arr.flat:
-            if not isinstance(entry, numbers.Real):
-                raise DomainError(f"non-numeric entry {entry!r}")
-            if isinstance(entry, float) and not math.isfinite(entry):
-                raise DomainError("data entries must be finite")
-        return arr
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("data entries must be finite")
-    return arr
+    return checked_entries(arr, "data")
 
 
 def build(coefficient: Coefficient, x) -> np.ndarray:
-    """Distance matrix of ``x`` under ``coefficient``.
+    """Distance matrix of ``x`` under ``coefficient``, one row at a time.
 
-    Each unordered pair is computed once and mirrored, so symmetry and the
-    zero diagonal hold exactly.  With object-dtype (rational) input the
-    entries are exact for p = 1, p = inf and L.
+    Entry (i, j) is bitwise ``evaluate(coefficient, x(j) - x(i))`` (sorted
+    ascending, summed left to right), so symmetry, the zero diagonal and
+    invariance under column order and constant columns are exact.  With
+    object-dtype (rational) input the entries are exact for p = 1, p = inf
+    and L.  An overflowing difference or distance raises DomainError.
     """
     X = as_data_matrix(x)
+    if X.dtype != object:
+        with np.errstate(over="ignore"):
+            span = np.ptp(X, axis=0)  # bounds every |x(j) - x(i)|
+        if not np.isfinite(span).all():
+            raise DomainError("row differences overflow the float range")
     n = X.shape[0]
-    if X.dtype == object:
-        D = np.zeros((n, n), dtype=object)
-    else:
-        D = np.zeros((n, n))
+    D = np.empty((n, n), dtype=X.dtype)
     for i in range(n):
-        for j in range(i + 1, n):
-            d = evaluate(coefficient, X[j] - X[i])
-            D[i, j] = d
-            D[j, i] = d
+        D[i] = row_values(coefficient, np.abs(X - X[i]))
     return D
 
 
@@ -85,8 +73,7 @@ def validate_distance_matrix(d) -> np.ndarray:
         raise DomainError(f"distance matrix must be square, got shape {arr.shape}")
     if not (arr == arr.T).all():
         raise DomainError("distance matrix must be symmetric")
-    n = arr.shape[0]
-    if not all(arr[i, i] == 0 for i in range(n)):
+    if not (np.diagonal(arr) == 0).all():
         raise DomainError("distance matrix must have a zero diagonal")
     if not (arr >= 0).all():
         raise DomainError("distance matrix entries must be nonnegative")
@@ -100,17 +87,10 @@ def augment_constant_columns(x, constants) -> np.ndarray:
     within-column differences are zero and zero entries never contribute.
     """
     X = as_data_matrix(x)
-    values = list(constants)
-    if not values:
-        return X.copy()
-    if X.dtype != object:
-        for c in values:
-            if not math.isfinite(float(c)):
-                raise DomainError("constant-column values must be finite")
-    cols = np.empty((X.shape[0], len(values)), dtype=X.dtype)
-    for j, c in enumerate(values):
-        cols[:, j] = c
-    return np.hstack([X, cols])
+    row = np.array(list(constants), dtype=X.dtype)
+    if X.dtype != object and not np.isfinite(row).all():
+        raise DomainError("constant-column values must be finite")
+    return np.hstack([X, np.tile(row, (X.shape[0], 1))])
 
 
 def remove_row(x, i: int) -> np.ndarray:

@@ -96,19 +96,16 @@ def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -
     """
     D = validate_distance_matrix(d)
     n = D.shape[0]
-    sets = []
-    for i in range(n):
-        candidates = [(j, D[i, j]) for j in range(n) if j != i]
-        if positive_only:
-            candidates = [(j, v) for j, v in candidates if v > 0]
-        if not candidates:
-            sets.append(frozenset())
-            continue
-        m = min(v for _, v in candidates)
-        slack = max(tie.absolute_tolerance, tie.relative_tolerance * m)
-        bound = m if slack == 0 else m + slack  # keep exact types exact
-        sets.append(frozenset(j for j, v in candidates if v <= bound))
-    return NeighborSets(order=n, sets=tuple(sets), positive_only=positive_only)
+    candidate = ~np.eye(n, dtype=bool)
+    if positive_only:
+        candidate &= D > 0
+    # a row without candidates gets the matrix maximum; its mask stays empty
+    m = D.min(axis=1, where=candidate, initial=D.max(initial=0))
+    slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
+    bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
+    near = candidate & (D <= bound[:, None])
+    sets = tuple(frozenset(row.nonzero()[0].tolist()) for row in near)
+    return NeighborSets(order=n, sets=sets, positive_only=positive_only)
 
 
 def near_total(sets: NeighborSets) -> int:

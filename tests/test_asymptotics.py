@@ -17,6 +17,7 @@ from distchar import (
     uniform_interval_expected_nn,
     volume_at_expected,
 )
+from distchar.asymptotics import EULER_MASCHERONI_22
 
 
 def integration_cutoff(k, lam, v0):
@@ -165,6 +166,18 @@ class TestDeltaConstant:
             delta_constant(0)
         with pytest.raises(DomainError):
             delta_constant(21)
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for digits in range(1, 21):
+            with mpmath.workdps(digits + 15):
+                value = mpmath.exp(-mpmath.exp(-mpmath.mpf(EULER_MASCHERONI_22)))
+                text = mpmath.nstr(value, digits + 10, strip_zeros=False)
+            want = decimal.Decimal(text).quantize(
+                decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
+            )
+            assert delta_constant(digits) == want
+            assert str(delta_constant(digits)) == str(want)
 
 
 class TestContinuedFraction:

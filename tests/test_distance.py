@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from distchar import (
     DomainError,
@@ -252,3 +256,113 @@ class TestValidation:
             validate_distance_matrix([[1, 1], [1, 0]])  # nonzero diagonal
         with pytest.raises(DomainError):
             validate_distance_matrix([[0, -1], [-1, 0]])  # negative entry
+
+
+# --- the row kernel at sizes beyond the hand examples ----------------------
+
+KERNEL_COEFFS = [P1, PNorm(1.5), P2, PNorm(3.5), PNorm(7), PINF, SquaredEuclidean()]
+
+# (coefficient, cdist metric, cdist options, extra ulps).  cdist sums left to
+# right in column order and the kernel in ascending order, so each side of a
+# k-term sum carries at most k - 1 roundings: 2k + 4 ulps covers both plus
+# the scaling and root.  scipy's minkowski root is itself a few ulps off (up
+# to 10 ulps at k = 1, where the kernel is exact), hence 12 more for p = 3.5.
+CDIST_CASES = [
+    (P1, "cityblock", {}, 0),
+    (P2, "euclidean", {}, 0),
+    (PINF, "chebyshev", {}, 0),
+    (SquaredEuclidean(), "sqeuclidean", {}, 0),
+    (PNorm(3.5), "minkowski", {"p": 3.5}, 12),
+]
+
+
+def ulp_bound(k, extra=0):
+    return 2 * k + 4 + extra
+
+
+def matrices(elements):
+    """n x k float matrices, n <= 40 and k <= 20, with small integers mixed
+    in so that exact ties occur."""
+    shapes = st.tuples(st.integers(1, 40), st.integers(1, 20))
+    values = elements | st.integers(-3, 3).map(float)
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=values))
+
+
+data_matrices = matrices(st.floats(-1e6, 1e6))
+# cdist squares or powers raw differences, which underflow for tiny ones
+moderate_matrices = matrices(st.floats(-1e6, 1e6).map(lambda v: 0.0 if abs(v) < 1e-6 else v))
+
+
+class TestRowKernel:
+    @given(x=moderate_matrices, case=st.sampled_from(CDIST_CASES))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_cdist(self, x, case):
+        c, metric, options, extra = case
+        got = build(c, x)
+        ref = cdist(x, x, metric, **options)
+        scale = np.spacing(np.maximum(got, ref))
+        assert np.all(np.abs(got - ref) <= ulp_bound(x.shape[1], extra) * scale)
+
+    @given(x=data_matrices, c=st.sampled_from(KERNEL_COEFFS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_permutation_is_bitwise(self, x, c, data):
+        perm = data.draw(st.permutations(range(x.shape[1])))
+        assert np.array_equal(build(c, x[:, perm]), build(c, x))
+
+    @given(x=data_matrices, c=st.sampled_from(KERNEL_COEFFS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_constant_columns_anywhere_are_bitwise(self, x, c, data):
+        k = x.shape[1]
+        positions = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=12))
+        values = data.draw(
+            st.lists(
+                st.floats(-1e6, 1e6), min_size=len(positions), max_size=len(positions)
+            )
+        )
+        widened = np.insert(x, positions, values, axis=1)
+        assert np.array_equal(build(c, widened), build(c, x))
+
+    @given(x=data_matrices, c=st.sampled_from(KERNEL_COEFFS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_permutation_conjugates_bitwise(self, x, c, data):
+        perm = data.draw(st.permutations(range(x.shape[0])))
+        d = build(c, x)
+        assert np.array_equal(build(c, permute_rows(x, perm)), d[np.ix_(perm, perm)])
+
+    @given(x=data_matrices, c=st.sampled_from(KERNEL_COEFFS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_deletion_commutes_bitwise(self, x, c, data):
+        if x.shape[0] < 2:
+            return
+        i = data.draw(st.integers(0, x.shape[0] - 1))
+        sliced = np.delete(np.delete(build(c, x), i, axis=0), i, axis=1)
+        assert np.array_equal(build(c, remove_row(x, i)), sliced)
+
+    @given(x=data_matrices, c=st.sampled_from(KERNEL_COEFFS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_matches_build_entry_bitwise(self, x, c, data):
+        n = x.shape[0]
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        d = build(c, x)
+        assert evaluate(c, x[j] - x[i]) == d[i, j]
+        assert np.array_equal(d, d.T)
+        assert not np.diagonal(d).any()
+
+    @pytest.mark.parametrize("c", KERNEL_COEFFS)
+    def test_overflowing_differences_rejected(self, c):
+        with pytest.raises(DomainError):
+            build(c, [[1e308], [-1e308]])
+        with pytest.raises(DomainError):
+            build(c, [[1.7e308, -1.7e308], [-1e308, 1e308]])
+
+    def test_overflowing_distances_rejected(self):
+        x = 1e160 * np.array([[0.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(DomainError):
+            build(SquaredEuclidean(), x)
+        with pytest.raises(DomainError):
+            evaluate(SquaredEuclidean(), x[1])
+        with pytest.raises(DomainError):
+            build(P1, [[1.7e308, 1.7e308], [0.0, 0.0]])
+        # the scaled form keeps large finite distances finite
+        assert math.isfinite(build(P2, x)[0, 1])

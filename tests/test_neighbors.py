@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distchar import (
     DomainError,
@@ -103,6 +105,36 @@ class TestNearestSets:
             d = build(P1, x)
             got = nearest_sets(d, EXACT_TIES).sets
             assert list(got) == brute_force_sets(d)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        tol=st.sampled_from([(0.0, 0.0), (1e-9, 0.0), (0.0, 0.5), (0.05, 0.1)]),
+        positive_only=st.booleans(),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_row_tie_rule(self, seed, n, tol, positive_only, exact):
+        # d <= m + max(abs_tol, rel_tol * m), m the smallest candidate of row i
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(0, 4, size=(n, 2))
+        if exact:
+            x = np.array(ints.tolist(), dtype=object) * [Fraction(1), Fraction(11, 10)]
+        else:
+            x = ints * [1.0, 1.1]
+        d = build(P1, x)
+        policy = TiePolicy(*tol)
+        want = []
+        for i in range(n):
+            row = [(j, d[i, j]) for j in range(n) if j != i and (d[i, j] > 0 or not positive_only)]
+            if not row:
+                want.append(frozenset())
+                continue
+            m = min(v for _, v in row)
+            slack = max(policy.absolute_tolerance, policy.relative_tolerance * m)
+            bound = m if slack == 0 else m + slack
+            want.append(frozenset(j for j, v in row if v <= bound))
+        assert list(nearest_sets(d, policy, positive_only).sets) == want
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(23)
