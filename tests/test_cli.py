@@ -213,3 +213,231 @@ class TestContract:
         with pytest.raises(SystemExit) as excinfo:
             run([])
         assert excinfo.value.code == 2
+
+
+# Small CSV inputs for the golden byte tests, written to a temporary directory.
+GOLDEN_CSV = {
+    "col": "2\n5\n1\n",
+    "pair": EX6,
+    "flat": "1,2\n1,2\n",
+    "same": "0,0\n0,0\n0,0\n",
+    "tri": "2,0\n-1,1.7320508075688772\n-1,-1.7320508075688772\n",
+    "bad": "1,2\n3,oops\n",
+    "one": "1\n2\n",
+}
+
+# (argv, exit status, exact stdout, exact stderr); "{name}" stands for the path
+# of a bundled fixture (ex4 .. ex9) or of a GOLDEN_CSV file.
+GOLDEN = [
+    ('distmat --c p2 --x {ex4}', 0,
+     '0,2,2,2\n'
+     '2,0,3.46410162,3.46410162\n'
+     '2,3.46410162,0,3.46410162\n'
+     '2,3.46410162,3.46410162,0\n',
+     ''),
+    ('distmat --c p2 --x {ex4} --format json', 0,
+     '{"entries":[[0.0,2.0,2.0,2.0],[2.0,0.0,3.4641016151377544,3.4641016151377544],'
+     '[2.0,3.4641016151377544,0.0,3.4641016151377544],[2.0,3.4641016151377544,'
+     '3.4641016151377544,0.0]],"order":4}\n',
+     ''),
+    ('near --c p2 --x {ex5}', 0,
+     'row 1: 2 3 4 5\n'
+     'row 2: 1\n'
+     'row 3: 1\n'
+     'row 4: 1\n'
+     'row 5: 1\n'
+     'total = 8\n',
+     ''),
+    ('near --c p2 --x {ex5} --format json', 0,
+     '{"sets":[[2,3,4,5],[1],[1],[1],[1]],"total":8}\n',
+     ''),
+    ('near --c p1 --x {same} --positive-only', 0,
+     'row 1: -\n'
+     'row 2: -\n'
+     'row 3: -\n'
+     'total = 0\n',
+     ''),
+    ('near --c p1 --x {same} --positive-only --format json', 0,
+     '{"sets":[[],[],[]],"total":0}\n',
+     ''),
+    ('rob-plus --c p2 --x {col} --xp {pair} --positive-only', 0,
+     'robustness = 0/3 = 0\n',
+     ''),
+    ('rob-plus --c p2 --x {col} --xp {pair} --positive-only --format json', 0,
+     '{"den":3,"num":0,"value":0.0}\n',
+     ''),
+    ('rob-minus --c pinf --x {ex7} --positive-only', 0,
+     'robustness = 2/6 = 0.333333333\n',
+     ''),
+    ('rob-minus --c pinf --x {ex7} --positive-only --format json', 0,
+     '{"den":6,"num":2,"value":0.3333333333333333}\n',
+     ''),
+    ('concord --m p1 --l p2 --x {tri}', 0,
+     'concordance = 1/3 = 0.333333333\n',
+     ''),
+    ('concord --m p1 --l p2 --x {tri} --format json', 0,
+     '{"den":3,"num":1,"value":0.3333333333333333}\n',
+     ''),
+    ('corr --m p1 --n L --x {ex8}', 0,
+     'rho = 0.959264194\n'
+     'cov = 2.07407407\n'
+     'var = 1.33333333, 3.50617284\n',
+     ''),
+    ('corr --m p1 --n L --x {ex8} --format json', 0,
+     '{"convention":"grid","cov":2.0740740740740744,"rho":0.9592641937585443,'
+     '"var_m":1.3333333333333335,"var_n":3.5061728395061733}\n',
+     ''),
+    ('corr --m p1 --l pinf --x {ex9} --conv upper', 0,
+     'rho = -1\n'
+     'cov = -0.130768282\n'
+     'var = 0.35726559, 0.0478645131\n',
+     ''),
+    ('corr --m p1 --l pinf --x {ex9} --conv upper --format json', 0,
+     '{"convention":"upper","cov":-0.13076828180441957,"rho":-0.999999999999949,'
+     '"var_m":0.3572655899081667,"var_n":0.04786451314966378}\n',
+     ''),
+    ('corr --m p1 --n p2 --x {flat}', 0,
+     'rho = undefined\n'
+     'cov = 0\n'
+     'var = 0, 0\n',
+     ''),
+    ('corr --m p1 --n p2 --x {flat} --format json', 0,
+     '{"convention":"grid","cov":0.0,"rho":null,"var_m":0.0,"var_n":0.0}\n',
+     ''),
+    ('adversarial --c p1 --x {ex8}', 0,
+     't = 0.5\n'
+     'column = 0.5 1 2\n'
+     'achieved neighbor total = 3\n',
+     ''),
+    ('adversarial --c p1 --x {ex8} --format json', 0,
+     '{"achieved_near_total":3,"augmented":[[1.0,1.0,0.5],[2.0,0.0,1.0],[3.0,0.0,2.0]],'
+     '"column":[0.5,1.0,2.0],"spacing":[1,2,4],"t":0.5}\n',
+     ''),
+    ('explore-near --rows 3 --c p1 --seed 4', 0,
+     'observed totals: 3 4 6\n',
+     ''),
+    ('explore-near --rows 3 --c p1 --seed 4 --format json', 0,
+     '{"rows":3,"totals":[3,4,6]}\n',
+     ''),
+    ('mc-nn --points 3 --samples 2000 --seed 42', 0,
+     'mean = 0.254303657 (stderr 0.00446440431, 2000 samples, seed 42)\n'
+     'conjectured L/(n+1) = 0.25  (proved for n = 1, 2, 3; a guess for larger n)\n',
+     ''),
+    ('mc-nn --points 3 --samples 2000 --seed 42 --format json', 0,
+     '{"conjectured":0.25,"mean":0.25430365685275913,"samples":2000,"seed":42,'
+     '"standard_error":0.004464404305708001}\n',
+     ''),
+    ('delta-cf', 0,
+     'delta = 0.57037600167502303696\n'
+     '  0/1\n'
+     '  1/1\n'
+     '  1/2\n'
+     '  4/7\n'
+     '  77/135\n'
+     '  697/1222\n'
+     '  774/1357\n'
+     '  2245/3936\n'
+     '  9754/17101\n'
+     '  119293/209148\n'
+     '  248340/435397\n'
+     '  367633/644545\n'
+     '  1351239/2369032\n'
+     '  3070111/5382609\n'
+     '  93454569/163847302\n'
+     '  96524680/169229911\n',
+     ''),
+    ('delta-cf --format json', 0,
+     '{"convergents":[{"p":0,"q":1},{"p":1,"q":1},{"p":1,"q":2},{"p":4,"q":7},{"p":77,'
+     '"q":135},{"p":697,"q":1222},{"p":774,"q":1357},{"p":2245,"q":3936},{"p":9754,'
+     '"q":17101},{"p":119293,"q":209148},{"p":248340,"q":435397},{"p":367633,'
+     '"q":644545},{"p":1351239,"q":2369032},{"p":3070111,"q":5382609},{"p":93454569,'
+     '"q":163847302},{"p":96524680,"q":169229911}],"delta":"0.57037600167502303696",'
+     '"digits":20,"truncated":false}\n',
+     ''),
+    ('delta-cf --digits 12', 0,
+     'delta = 0.570376001675\n'
+     '  0/1\n'
+     '  1/1\n'
+     '  1/2\n'
+     '  4/7\n'
+     '  77/135\n'
+     '  697/1222\n'
+     '  774/1357\n'
+     '  2245/3936\n'
+     '  9754/17101\n'
+     '  119293/209148\n'
+     '  248340/435397\n'
+     '  367633/644545\n'
+     '  ... truncated: input precision exhausted\n',
+     ''),
+    ('delta-cf --digits 12 --format json', 0,
+     '{"convergents":[{"p":0,"q":1},{"p":1,"q":1},{"p":1,"q":2},{"p":4,"q":7},{"p":77,'
+     '"q":135},{"p":697,"q":1222},{"p":774,"q":1357},{"p":2245,"q":3936},{"p":9754,'
+     '"q":17101},{"p":119293,"q":209148},{"p":248340,"q":435397},{"p":367633,'
+     '"q":644545}],"delta":"0.570376001675","digits":12,"truncated":true}\n',
+     ''),
+    ('delta-cf --max-q 1000', 0,
+     'delta = 0.57037600167502303696\n'
+     '  0/1\n'
+     '  1/1\n'
+     '  1/2\n'
+     '  4/7\n'
+     '  77/135\n',
+     ''),
+    ('delta-cf --max-q 1000 --format json', 0,
+     '{"convergents":[{"p":0,"q":1},{"p":1,"q":1},{"p":1,"q":2},{"p":4,"q":7},{"p":77,'
+     '"q":135}],"delta":"0.57037600167502303696","digits":20,"truncated":false}\n',
+     ''),
+    ('distmat --c p1 --x {bad}', 1,
+     '',
+     "error: {bad}: line 2, column 2: not a number: 'oops'\n"),
+    ('distmat --c p1 --x {bad} --format json', 1,
+     '',
+     "error: {bad}: line 2, column 2: not a number: 'oops'\n"),
+    ('rob-minus --c p1 --x {one}', 1,
+     '',
+     'error: leave-one-column-out robustness needs k > 1\n'),
+    ('rob-minus --c p1 --x {one} --format json', 1,
+     '',
+     'error: leave-one-column-out robustness needs k > 1\n'),
+    ('verify', 0,
+     'PASS ex1-two-row-matrix\n'
+     'PASS ex2-single-column\n'
+     'PASS ex3-rank-one-scaling\n'
+     'PASS ex4-distance-euclidean\n'
+     'PASS ex5-distance-euclidean\n'
+     'PASS ex6-distance-first-column\n'
+     'PASS ex6-distance-second-column\n'
+     'PASS ex6-distance-max-norm\n'
+     'PASS ex6-neighbor-positions\n'
+     'PASS ex6-augmentation-robustness-zero\n'
+     'PASS ex7-distance-matrices\n'
+     'PASS ex7-column-removal-robustness\n'
+     'PASS triangle-column-removal-robustness\n'
+     'PASS triangle-all-ties-euclidean\n'
+     'PASS ex8-hadamard-square\n'
+     'PASS ex8-expectation\n'
+     'PASS ex8-column-correlation\n'
+     'PASS ex8-matrix-correlations\n'
+     'PASS ex9-expectation\n'
+     'PASS ex9-correlations\n'
+     'PASS concordance-golden-values\n'
+     'PASS delta-constant-15-digits\n'
+     '22/22 checks passed\n',
+     ''),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "command, status, out, err", GOLDEN, ids=[case[0] for case in GOLDEN]
+    )
+    def test_exact_output(self, capsys, tmp_path, command, status, out, err):
+        paths = {f"ex{i}": str(fixture_path(f"ex{i}")) for i in range(4, 10)}
+        for name, text in GOLDEN_CSV.items():
+            paths[name] = str(tmp_path / f"{name}.csv")
+            (tmp_path / f"{name}.csv").write_text(text)
+        assert run([token.format(**paths) for token in command.split()]) == status
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == err.format(**paths)
