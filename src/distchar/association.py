@@ -100,21 +100,26 @@ def matrix_correlation(
     rho = [E(A o B) - E(A)E(B)] / sqrt(var(A) var(B)) with
     var(D) = E(D o D) - E(D)^2 and o the entrywise product.  The formula is
     evaluated symmetrically in A and B, so swapping the arguments gives a
-    bitwise-identical result.
+    bitwise-identical result.  Raises DomainError when the covariance, a
+    variance or their product overflows (distances beyond about 1e77).
     """
     A = np.asarray(validate_distance_matrix(a), dtype=float)
     B = np.asarray(validate_distance_matrix(b), dtype=float)
     if A.shape != B.shape:
         raise DomainError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    e_a = _mean(A, convention)
-    e_b = _mean(B, convention)
-    cov = _mean(A * B, convention) - e_a * e_b
-    var_a = _mean(A * A, convention) - e_a * e_a
-    var_b = _mean(B * B, convention) - e_b * e_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_a = _mean(A, convention)
+        e_b = _mean(B, convention)
+        cov = _mean(A * B, convention) - e_a * e_b
+        var_a = _mean(A * A, convention) - e_a * e_a
+        var_b = _mean(B * B, convention) - e_b * e_b
+        var_ab = var_a * var_b
+    if not np.isfinite([cov, var_a, var_b, var_ab]).all():
+        raise DomainError("distance-matrix moments overflow; rescale the data")
     if var_a <= VARIANCE_FLOOR or var_b <= VARIANCE_FLOOR:
         rho = None
     else:
-        rho = cov / math.sqrt(var_a * var_b)
+        rho = cov / math.sqrt(var_ab)
     return CorrelationResult(
         rho=rho, covariance=cov, variances=(var_a, var_b), convention=convention
     )

@@ -1,18 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: one subcommand per analysis (``distchar --help``
+lists them).
 
-One subcommand per analysis::
-
-    distmat      distance matrix of a CSV data matrix
-    near         nearest-neighbor sets and their total
-    rob-plus     robustness of X with respect to a one-column extension
-    rob-minus    leave-one-column-out robustness
-    concord      concordance of two coefficients' neighbor structures
-    corr         correlation of two distance matrices
-    adversarial  tie-breaking column augmentation
-    explore-near observed neighbor totals over a searched matrix family
-    mc-nn        Monte Carlo expected nearest distance on an interval
-    delta-cf     delta constant and its certified convergents
-    verify       run the built-in golden-example checks
+Each subcommand but ``verify`` is one row of ``_COMMANDS`` whose payload is
+the dict that ``--format json`` prints; the text output is rendered from that
+same payload.  ``verify`` runs the built-in golden-example checks.
 
 Exit status: 0 on success, 1 on a domain error (one-line diagnostic, no
 traceback), 2 on a usage error.  With identical arguments, input files and
@@ -24,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import io as dcio
 from .association import SampleSpace, concordance, correlation
@@ -42,6 +34,45 @@ from .verification import run_golden_checks
 
 __all__ = ["main", "run"]
 
+# Every option, declared once: flag -> add_argument keywords.
+_OPTIONS = {
+    "--c": dict(required=True, help='coefficient: "p1", "p2", "pinf", "p3.5", "L"'),
+    "--m": dict(required=True, help="first coefficient"),
+    "--n": dict(required=True, help="second coefficient"),
+    "--x": dict(required=True, help="CSV data matrix"),
+    "--xp": dict(required=True, help="CSV of x with one appended column"),
+    "--positive-only": dict(action="store_true",
+                            help="neighbors require strictly positive distance"),
+    "--rel-tol": dict(type=float, default=1e-9, help="relative tie tolerance"),
+    "--abs-tol": dict(type=float, default=0.0, help="absolute tie tolerance"),
+    "--conv": dict(choices=("grid", "upper"), default="grid", help="index sample space"),
+    "--rows": dict(type=int, required=True, help="number of rows n"),
+    "--seed": dict(type=int, default=0),
+    "--random-samples": dict(type=int, default=200),
+    "--random-cols": dict(type=int, default=2),
+    "--grid-extent": dict(type=int, default=3),
+    "--points": dict(type=int, required=True, help="number of points n"),
+    "--length": dict(type=float, default=1.0, help="half-length L"),
+    "--samples": dict(type=int, default=1_000_000),
+    "--digits": dict(type=int, default=20, help="decimal places of delta (1..20)"),
+    "--max-q": dict(type=int, default=10**9, help="largest denominator to emit"),
+    "--format": dict(choices=("text", "json"), default="text"),
+}
+_ALIASES = {"--n": ("--n", "--l")}
+_TIES = ("--rel-tol", "--abs-tol")
+
+
+class _Command(NamedTuple):
+    """A subcommand: its help, its flags (keys of _OPTIONS; ``--format`` is
+    added to all), ``payload(args)`` giving the JSON dict, and ``text(payload)``
+    giving the text output.  Payloads call library and io functions by their
+    module-global name at call time, so a tracer can rebind them."""
+
+    help: str
+    options: tuple[str, ...]
+    payload: Callable[[argparse.Namespace], dict]
+    text: Callable[[dict], str]
+
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -51,172 +82,124 @@ def _tie_policy(args) -> TiePolicy:
     return TiePolicy(relative_tolerance=args.rel_tol, absolute_tolerance=args.abs_tol)
 
 
-def _add_tie_flags(parser) -> None:
-    parser.add_argument("--rel-tol", type=float, default=1e-9, help="relative tie tolerance")
-    parser.add_argument("--abs-tol", type=float, default=0.0, help="absolute tie tolerance")
+def _distances(args):
+    return build(parse_coefficient(args.c), dcio.load_data_matrix(args.x))
 
 
-def _add_format_flag(parser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+def _explore_near(args) -> dict:
+    budget = SearchBudget(random_samples=args.random_samples, random_cols=args.random_cols,
+                          grid_extent=args.grid_extent)
+    totals = achievable_near_totals(args.rows, parse_coefficient(args.c), budget, args.seed)
+    return {"rows": args.rows, "totals": sorted(totals)}
 
 
-def _rational_text(label, score) -> str:
-    return f"{label} = {score.numerator}/{score.denominator} = {score.value:.9g}"
-
-
-def _cmd_distmat(args) -> int:
-    d = build(parse_coefficient(args.c), dcio.load_data_matrix(args.x))
-    if args.format == "json":
-        _emit_json(dcio.distance_matrix_dict(d))
-    else:
-        print(dcio.distance_matrix_csv(d))
-    return 0
-
-
-def _cmd_near(args) -> int:
-    d = build(parse_coefficient(args.c), dcio.load_data_matrix(args.x))
-    ns = nearest_sets(d, _tie_policy(args), positive_only=args.positive_only)
-    if args.format == "json":
-        _emit_json(dcio.neighbor_sets_dict(ns))
-    else:
-        for i, indices in enumerate(dcio.neighbor_sets_dict(ns)["sets"], start=1):
-            print(f"row {i}: {' '.join(map(str, indices)) or '-'}")
-        print(f"total = {ns.total}")
-    return 0
-
-
-def _cmd_rob_plus(args) -> int:
-    score = rob_plus(
-        parse_coefficient(args.c),
-        dcio.load_data_matrix(args.x),
-        dcio.load_data_matrix(args.xp),
-        _tie_policy(args),
-        positive_only=args.positive_only,
-    )
-    if args.format == "json":
-        _emit_json(dcio.rational_dict(score))
-    else:
-        print(_rational_text("robustness", score))
-    return 0
-
-
-def _cmd_rob_minus(args) -> int:
-    score = rob_minus(
-        parse_coefficient(args.c),
-        dcio.load_data_matrix(args.x),
-        _tie_policy(args),
-        positive_only=args.positive_only,
-    )
-    if args.format == "json":
-        _emit_json(dcio.rational_dict(score))
-    else:
-        print(_rational_text("robustness", score))
-    return 0
-
-
-def _cmd_concord(args) -> int:
-    score = concordance(
-        parse_coefficient(args.m),
-        parse_coefficient(args.n),
-        dcio.load_data_matrix(args.x),
-        _tie_policy(args),
-    )
-    if args.format == "json":
-        _emit_json(dcio.rational_dict(score))
-    else:
-        print(_rational_text("concordance", score))
-    return 0
-
-
-def _cmd_corr(args) -> int:
-    result = correlation(
-        parse_coefficient(args.m),
-        parse_coefficient(args.n),
-        dcio.load_data_matrix(args.x),
-        SampleSpace(args.conv),
-    )
-    if args.format == "json":
-        _emit_json(dcio.correlation_dict(result))
-    else:
-        rho = "undefined" if result.rho is None else f"{result.rho:.9g}"
-        print(f"rho = {rho}")
-        print(f"cov = {result.covariance:.9g}")
-        print(f"var = {result.variances[0]:.9g}, {result.variances[1]:.9g}")
-    return 0
-
-
-def _cmd_adversarial(args) -> int:
-    result = adversarial_augment(
-        parse_coefficient(args.c), dcio.load_data_matrix(args.x), _tie_policy(args)
-    )
-    if args.format == "json":
-        _emit_json(dcio.adversarial_dict(result))
-    else:
-        payload = dcio.adversarial_dict(result)
-        print(f"t = {result.t:.9g}")
-        print("column =", " ".join(f"{v:.9g}" for v in payload["column"]))
-        print(f"achieved neighbor total = {result.achieved_near_total}")
-    return 0
-
-
-def _cmd_explore_near(args) -> int:
-    budget = SearchBudget(
-        random_samples=args.random_samples,
-        random_cols=args.random_cols,
-        grid_extent=args.grid_extent,
-    )
-    totals = achievable_near_totals(
-        args.rows, parse_coefficient(args.c), budget, seed=args.seed
-    )
-    if args.format == "json":
-        _emit_json({"rows": args.rows, "totals": sorted(totals)})
-    else:
-        print("observed totals:", " ".join(map(str, sorted(totals))))
-    return 0
-
-
-def _cmd_mc_nn(args) -> int:
+def _mc_nn(args) -> dict:
     estimate = uniform_interval_expected_nn(args.points, args.length, args.samples, args.seed)
     guess = conjectured_expected_nn(args.points, args.length)
-    if args.format == "json":
-        payload = dcio.estimate_dict(estimate)
-        payload["conjectured"] = guess
-        _emit_json(payload)
-    else:
-        print(f"mean = {estimate.mean:.9g} (stderr {estimate.standard_error:.9g}, "
-              f"{estimate.samples} samples, seed {estimate.seed})")
-        print(f"conjectured L/(n+1) = {guess:.9g}  "
-              "(proved for n = 1, 2, 3; a guess for larger n)")
-    return 0
+    return {**dcio.estimate_dict(estimate), "conjectured": guess}
 
 
-def _cmd_delta_cf(args) -> int:
+def _delta_cf(args) -> dict:
     value = delta_constant(args.digits)
     sequence = continued_fraction_convergents(value, args.max_q)
-    if args.format == "json":
-        payload = dcio.convergents_dict(sequence)
-        payload["delta"] = str(value)
-        payload["digits"] = args.digits
-        _emit_json(payload)
-    else:
-        print(f"delta = {value}")
-        for conv in sequence:
-            print(f"  {conv.p}/{conv.q}")
-        if sequence.truncated:
-            print("  ... truncated: input precision exhausted")
-    return 0
+    return {**dcio.convergents_dict(sequence), "delta": str(value), "digits": args.digits}
 
 
-def _cmd_verify(args) -> int:
+def _near_text(p) -> str:
+    rows = [f"row {i}: {' '.join(map(str, s)) or '-'}" for i, s in enumerate(p["sets"], 1)]
+    return "\n".join([*rows, f"total = {p['total']}"])
+
+
+def _score_text(label):
+    return lambda p: f"{label} = {p['num']}/{p['den']} = {p['value']:.9g}"
+
+
+def _corr_text(p) -> str:
+    rho = "undefined" if p["rho"] is None else f"{p['rho']:.9g}"
+    return f"rho = {rho}\ncov = {p['cov']:.9g}\nvar = {p['var_m']:.9g}, {p['var_n']:.9g}"
+
+
+def _adversarial_text(p) -> str:
+    column = " ".join(f"{v:.9g}" for v in p["column"])
+    return (f"t = {p['t']:.9g}\ncolumn = {column}\n"
+            f"achieved neighbor total = {p['achieved_near_total']}")
+
+
+def _mc_nn_text(p) -> str:
+    return (f"mean = {p['mean']:.9g} (stderr {p['standard_error']:.9g}, "
+            f"{p['samples']} samples, seed {p['seed']})\n"
+            f"conjectured L/(n+1) = {p['conjectured']:.9g}  "
+            "(proved for n = 1, 2, 3; a guess for larger n)")
+
+
+def _delta_cf_text(p) -> str:
+    lines = [f"delta = {p['delta']}", *(f"  {c['p']}/{c['q']}" for c in p["convergents"])]
+    if p["truncated"]:
+        lines.append("  ... truncated: input precision exhausted")
+    return "\n".join(lines)
+
+
+_COMMANDS = {
+    "distmat": _Command(
+        "distance matrix of a CSV data matrix", ("--c", "--x"),
+        lambda a: dcio.distance_matrix_dict(_distances(a)),
+        lambda p: dcio.distance_matrix_csv(p["entries"])),
+    "near": _Command(
+        "nearest-neighbor sets (1-based) and total", ("--c", "--x", "--positive-only", *_TIES),
+        lambda a: dcio.neighbor_sets_dict(
+            nearest_sets(_distances(a), _tie_policy(a), positive_only=a.positive_only)),
+        _near_text),
+    "rob-plus": _Command(
+        "robustness against a one-column extension",
+        ("--c", "--x", "--xp", "--positive-only", *_TIES),
+        lambda a: dcio.rational_dict(rob_plus(
+            parse_coefficient(a.c), dcio.load_data_matrix(a.x), dcio.load_data_matrix(a.xp),
+            _tie_policy(a), positive_only=a.positive_only)),
+        _score_text("robustness")),
+    "rob-minus": _Command(
+        "leave-one-column-out robustness", ("--c", "--x", "--positive-only", *_TIES),
+        lambda a: dcio.rational_dict(rob_minus(
+            parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a),
+            positive_only=a.positive_only)),
+        _score_text("robustness")),
+    "concord": _Command(
+        "concordance of two coefficients", ("--m", "--n", "--x", *_TIES),
+        lambda a: dcio.rational_dict(concordance(
+            parse_coefficient(a.m), parse_coefficient(a.n), dcio.load_data_matrix(a.x),
+            _tie_policy(a))),
+        _score_text("concordance")),
+    "corr": _Command(
+        "correlation of two distance matrices", ("--m", "--n", "--x", "--conv"),
+        lambda a: dcio.correlation_dict(correlation(
+            parse_coefficient(a.m), parse_coefficient(a.n), dcio.load_data_matrix(a.x),
+            SampleSpace(a.conv))),
+        _corr_text),
+    "adversarial": _Command(
+        "tie-breaking column augmentation (p-norm --c only)", ("--c", "--x", *_TIES),
+        lambda a: dcio.adversarial_dict(adversarial_augment(
+            parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a))),
+        _adversarial_text),
+    "explore-near": _Command(
+        "observed neighbor totals over a searched family",
+        ("--rows", "--c", "--seed", "--random-samples", "--random-cols", "--grid-extent"),
+        _explore_near, lambda p: "observed totals: " + " ".join(map(str, p["totals"]))),
+    "mc-nn": _Command(
+        "expected nearest distance on [-L, L]",
+        ("--points", "--length", "--samples", "--seed"), _mc_nn, _mc_nn_text),
+    "delta-cf": _Command(
+        "delta constant and certified convergents", ("--digits", "--max-q"),
+        _delta_cf, _delta_cf_text),
+}
+
+
+def _verify() -> int:
     checks = run_golden_checks()
-    failed = 0
     for check in checks:
-        status = "PASS" if check.passed else "FAIL"
         suffix = f"  ({check.detail})" if check.detail and not check.passed else ""
-        print(f"{status} {check.name}{suffix}")
-        failed += 0 if check.passed else 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 0 if failed == 0 else 1
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}{suffix}")
+    passed = sum(check.passed for check in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,98 +209,34 @@ def build_parser() -> argparse.ArgumentParser:
         "and distance-matrix correlation under p-norm coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("distmat", _cmd_distmat, "distance matrix of a CSV data matrix")
-    p.add_argument("--c", required=True, help='coefficient: "p1", "p2", "pinf", "p3.5", "L"')
-    p.add_argument("--x", required=True, help="CSV data matrix")
-    _add_format_flag(p)
-
-    p = command("near", _cmd_near, "nearest-neighbor sets (1-based) and total")
-    p.add_argument("--c", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--positive-only", action="store_true",
-                   help="neighbors require strictly positive distance")
-    _add_tie_flags(p)
-    _add_format_flag(p)
-
-    p = command("rob-plus", _cmd_rob_plus, "robustness against a one-column extension")
-    p.add_argument("--c", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--xp", required=True, help="CSV of x with one appended column")
-    p.add_argument("--positive-only", action="store_true")
-    _add_tie_flags(p)
-    _add_format_flag(p)
-
-    p = command("rob-minus", _cmd_rob_minus, "leave-one-column-out robustness")
-    p.add_argument("--c", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--positive-only", action="store_true")
-    _add_tie_flags(p)
-    _add_format_flag(p)
-
-    p = command("concord", _cmd_concord, "concordance of two coefficients")
-    p.add_argument("--m", required=True, help="first coefficient")
-    p.add_argument("--n", "--l", dest="n", required=True, help="second coefficient")
-    p.add_argument("--x", required=True)
-    _add_tie_flags(p)
-    _add_format_flag(p)
-
-    p = command("corr", _cmd_corr, "correlation of two distance matrices")
-    p.add_argument("--m", required=True, help="first coefficient")
-    p.add_argument("--n", "--l", dest="n", required=True, help="second coefficient")
-    p.add_argument("--x", required=True)
-    p.add_argument("--conv", choices=("grid", "upper"), default="grid",
-                   help="index sample space")
-    _add_format_flag(p)
-
-    p = command("adversarial", _cmd_adversarial, "tie-breaking column augmentation")
-    p.add_argument("--c", required=True, help="a p-norm coefficient")
-    p.add_argument("--x", required=True)
-    _add_tie_flags(p)
-    _add_format_flag(p)
-
-    p = command("explore-near", _cmd_explore_near,
-                "observed neighbor totals over a searched family")
-    p.add_argument("--rows", type=int, required=True, help="number of rows n")
-    p.add_argument("--c", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-samples", type=int, default=200)
-    p.add_argument("--random-cols", type=int, default=2)
-    p.add_argument("--grid-extent", type=int, default=3)
-    _add_format_flag(p)
-
-    p = command("mc-nn", _cmd_mc_nn, "expected nearest distance on [-L, L]")
-    p.add_argument("--points", type=int, required=True, help="number of points n")
-    p.add_argument("--length", type=float, default=1.0, help="half-length L")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format_flag(p)
-
-    p = command("delta-cf", _cmd_delta_cf, "delta constant and certified convergents")
-    p.add_argument("--digits", type=int, default=20, help="decimal places of delta (1..20)")
-    p.add_argument("--max-q", type=int, default=10**9, help="largest denominator to emit")
-    _add_format_flag(p)
-
-    command("verify", _cmd_verify, "run the built-in golden-example checks")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in (*command.options, "--format"):
+            p.add_argument(*_ALIASES.get(flag, (flag,)), **_OPTIONS[flag])
+    sub.add_parser("verify", help="run the built-in golden-example checks")
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse arguments and dispatch; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse arguments, compute the payload and print it; returns the exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "verify":
+            return _verify()
+        payload = _COMMANDS[args.command].payload(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        _emit_json(payload)
+    else:
+        print(_COMMANDS[args.command].text(payload))
+    return 0
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

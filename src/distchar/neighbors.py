@@ -11,6 +11,7 @@ whose distances are zero has no neighbors at all.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,9 @@ class TiePolicy:
     absolute_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.relative_tolerance < 0 or self.absolute_tolerance < 0:
-            raise DomainError("tie tolerances must be nonnegative")
+        tolerances = (self.relative_tolerance, self.absolute_tolerance)
+        if not all(math.isfinite(t) and t >= 0 for t in tolerances):
+            raise DomainError("tie tolerances must be finite and nonnegative")
 
 
 EXACT_TIES = TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.0)

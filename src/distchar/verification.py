@@ -20,6 +20,7 @@ from .asymptotics import delta_constant
 from .coefficients import PNorm, SquaredEuclidean, evaluate
 from .distance import build, remove_row
 from .fixtures import load_example
+from .io import neighbor_sets_dict
 from .neighbors import nearest_sets
 from .robustness import rob_minus, rob_plus
 
@@ -46,10 +47,6 @@ def _close(a, b, rel=1e-12) -> bool:
     if a.shape != b.shape:
         return False
     return bool(np.allclose(a, b, rtol=rel, atol=0.0))
-
-
-def _sets_1based(ns) -> list[list[int]]:
-    return [sorted(j + 1 for j in s) for s in ns.sets]
 
 
 def run_golden_checks() -> list[GoldenCheck]:
@@ -110,11 +107,8 @@ def run_golden_checks() -> list[GoldenCheck]:
     add("ex6-distance-second-column", np.array_equal(build(P1, y6), want_y))
     add("ex6-distance-max-norm", np.array_equal(build(PINF, ex6), want_y))
 
-    ns6 = nearest_sets(build(P1, x6))
-    add(
-        "ex6-neighbor-positions",
-        _sets_1based(ns6) == [[3], [1], [1]] and ns6.total == 3,
-    )
+    sets6 = neighbor_sets_dict(nearest_sets(build(P1, x6)))
+    add("ex6-neighbor-positions", sets6 == {"sets": [[3], [1], [1]], "total": 3})
 
     # ex6: appending the second column destroys every neighbor relation
     ok = True

@@ -159,6 +159,25 @@ class TestCorrelation:
         padded = augment_constant_columns(EX8_Y, [5.0, 5.0])
         assert correlation(P1, L, padded).rho == correlation(P1, L, EX8_Y).rho
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_overflowing_moments_raise(self, scale):
+        # at 1e150 var_m * var_n overflows (rho used to print as 0.0);
+        # at 1e160 the entrywise products overflow (rho used to be NaN)
+        x = scale * np.random.default_rng(45).standard_normal((5, 2))
+        with pytest.raises(DomainError, match="overflow"):
+            correlation(P1, P2, x)
+        with pytest.raises(DomainError, match="overflow"):
+            matrix_correlation(build(P2, x), build(P1, x), SampleSpace.UPPER_TRIANGLE)
+
+    def test_power_of_two_scaling_is_bitwise_below_overflow(self):
+        x = np.random.default_rng(45).standard_normal((5, 2))
+        base = correlation(P1, P2, x)
+        # (downward scaling soon meets the absolute VARIANCE_FLOOR instead)
+        for s in (-20, 100, 200, 250):
+            scaled = correlation(P1, P2, 2.0**s * x)
+            assert scaled.rho == base.rho
+            assert scaled.covariance == 2.0 ** (2 * s) * base.covariance
+
 
 class TestConcordance:
     def test_single_row(self):

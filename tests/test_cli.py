@@ -1,11 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distchar.cli import run
 from distchar.fixtures import fixture_path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SUBCOMMANDS = ("distmat", "near", "rob-plus", "rob-minus", "concord", "corr", "adversarial",
+               "explore-near", "mc-nn", "delta-cf", "verify")
 
 EX6 = "2,50\n5,20\n1,10\n"
 EX8_Y = "1,1\n2,0\n3,0\n"
@@ -62,6 +71,14 @@ class TestNear:
         )
         assert payload == {"sets": [[], [], []], "total": 0}
 
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_domain_error(self, capsys, csv_file, flag, value):
+        path = csv_file("dup.csv", "1,2\n1,2\n3,0\n")
+        assert run(["near", "--c", "p2", "--x", path, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tie tolerances must be finite and nonnegative\n"
+
 
 class TestRobustness:
     def test_rob_plus_zero(self, capsys, csv_file):
@@ -105,6 +122,16 @@ class TestAssociation:
             capsys, ["corr", "--m", "p1", "--n", "p2", "--x", path, "--format", "json"]
         )
         assert payload["rho"] is None
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_corr_overflow_is_domain_error(self, capsys, csv_file, scale):
+        x = scale * np.random.default_rng(45).standard_normal((5, 2))
+        path = csv_file("big.csv", "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in x))
+        argv = ["corr", "--m", "p1", "--n", "p2", "--x", path, "--format", "json"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: distance-matrix moments overflow; rescale the data\n"
 
     def test_concord(self, capsys, csv_file):
         path = csv_file("tri.csv", "2,0\n-1,1.7320508075688772\n-1,-1.7320508075688772\n")
@@ -213,6 +240,31 @@ class TestContract:
         with pytest.raises(SystemExit) as excinfo:
             run([])
         assert excinfo.value.code == 2
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)):
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            assert excinfo.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: distchar")
+
+    def test_module_entry_point_matches_run(self, capsys):
+        argv = ["near", "--c", "p2", "--x", str(fixture_path("ex5"))]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "distchar.cli", *argv],
+                              capture_output=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == expected.encode()
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
+                          env=env, cwd=ROOT, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Small CSV inputs for the golden byte tests, written to a temporary directory.

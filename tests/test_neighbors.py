@@ -162,6 +162,11 @@ class TestTiePolicy:
             TiePolicy(relative_tolerance=-1e-9)
         with pytest.raises(DomainError):
             TiePolicy(absolute_tolerance=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                TiePolicy(relative_tolerance=bad)
+            with pytest.raises(DomainError, match="finite"):
+                TiePolicy(absolute_tolerance=bad)
 
     def test_absolute_tolerance_merges(self):
         d = np.array([[0, 1.0, 1.05], [1.0, 0, 2], [1.05, 2, 0]])
