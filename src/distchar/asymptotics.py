@@ -114,8 +114,8 @@ def uniform_interval_expected_nn(
     """
     if n < 1:
         raise DomainError("need at least one point")
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    if samples < 2:
+        raise DomainError("need at least two samples for a standard error")
     _require_positive(length=length)
     rng = np.random.default_rng(seed)
     chunk = max(1, min(samples, 1_000_000 // n))
@@ -129,11 +129,8 @@ def uniform_interval_expected_nn(
         s2 += float((mins * mins).sum())
         done += m
     mean = s1 / samples
-    if samples < 2:
-        stderr = 0.0
-    else:
-        variance = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
-        stderr = math.sqrt(variance / samples)
+    variance = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
+    stderr = math.sqrt(variance / samples)
     return MonteCarloEstimate(mean=mean, standard_error=stderr, samples=samples, seed=seed)
 
 

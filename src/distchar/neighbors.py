@@ -103,8 +103,9 @@ def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -
         candidate &= D > 0
     # a row without candidates gets the matrix maximum; its mask stays empty
     m = D.min(axis=1, where=candidate, initial=D.max(initial=0))
-    slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
-    bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
+    with np.errstate(over="ignore"):  # an infinite slack ties every candidate, as it should
+        slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
+        bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
     near = candidate & (D <= bound[:, None])
     sets = tuple(frozenset(row.nonzero()[0].tolist()) for row in near)
     return NeighborSets(order=n, sets=sets, positive_only=positive_only)
@@ -124,6 +125,12 @@ class SearchBudget:
     grid_extent: int = 3
     grid_limit: int = 20000
     include_probes: bool = True
+
+    def __post_init__(self) -> None:
+        if (self.random_samples < 0 or self.random_cols < 1 or self.grid_extent < 0
+                or self.grid_limit < 0):
+            raise DomainError("search budget needs random_samples >= 0, random_cols >= 1, "
+                              "grid_extent >= 0 and grid_limit >= 0")
 
 
 def achievable_near_totals(

@@ -5,6 +5,11 @@ neighbor positions, a robustness fraction, a concordance, a correlation, or
 the delta constant) from the bundled data and compares at the appropriate
 tolerance: exact for integer and rational results, 1e-12 relative for
 algebraic entries, 1e-6 / 1e-5 for printed correlation decimals.
+
+``CHECKS`` has one row (name, tolerance, thunk) per check.  The thunk maps the
+bundled examples to (computed, expected) pairs, a pair may carry its own
+tolerance third, and library functions are looked up by module-global name at
+call time.  A check passes when every pair agrees; one that raises fails alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .association import SampleSpace, concordance, correlation, expectation, hadamard
+from .association import concordance, correlation, expectation, hadamard
 from .asymptotics import delta_constant
 from .coefficients import PNorm, SquaredEuclidean, evaluate
 from .distance import build, remove_row
@@ -26,12 +31,26 @@ from .robustness import rob_minus, rob_plus
 
 __all__ = ["GoldenCheck", "run_golden_checks"]
 
-P1 = PNorm(1)
-P2 = PNorm(2)
-PINF = PNorm(math.inf)
-L = SquaredEuclidean()
+P1, P2, PINF, L = PNorm(1), PNorm(2), PNorm(math.inf), SquaredEuclidean()
+NORMS = (P1, P2, PINF)
+R2 = math.sqrt(2)  # == 2 ** (1 / 2)
 
-SQRT3 = math.sqrt(3)
+# A tolerance is EXACT (np.array_equal) or (relative, absolute) for np.allclose.
+EXACT = None
+REL = (1e-12, 0.0)
+ABS6 = (0.0, 1e-6)
+ABS5 = (0.0, 1e-5)
+
+EX1 = np.array([[1.0, 4.0], [4.0, 0.0]])
+RANK1_A = np.array([1.0, 3.0, 4.0])
+RANK1_W = np.array([0.5, -2.0, 1.25])
+COL = np.array([[2.0], [5.0], [1.0]])
+COL_GAPS = [[0, 3, 1], [3, 0, 4], [1, 4, 0]]
+EX6_Y = [[0, 30, 40], [30, 0, 10], [40, 10, 0]]
+T = 2 * math.sqrt(3)  # side of the ex4 triangle
+EX4 = [[0, 2, 2, 2], [2, 0, T, T], [2, T, 0, T], [2, T, T, 0]]
+EX5 = [[0, R2, R2, R2, R2], [R2, 0, 2, 2 * R2, 2], [R2, 2, 0, 2, 2 * R2],
+       [R2, 2 * R2, 2, 0, 2], [R2, 2, 2 * R2, 2, 0]]
 
 
 @dataclass(frozen=True)
@@ -41,160 +60,97 @@ class GoldenCheck:
     detail: str = ""
 
 
-def _close(a, b, rel=1e-12) -> bool:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        return False
-    return bool(np.allclose(a, b, rtol=rel, atol=0.0))
+class _Examples(dict):
+    """The bundled examples by name, each loaded on its first use in a run."""
+
+    def __missing__(self, name: str) -> np.ndarray:
+        self[name] = load_example(name)
+        return self[name]
+
+
+def _ex6_augmentation(ex):
+    # appending the second column destroys every neighbor relation
+    chains = [(4**p + 10**p < 3**p + 30**p < 1 + 40**p, True) for p in (1.0, 2.0, 7.0)]
+    norms = (*map(PNorm, (1.0, 2.0, 7.0)), PINF)
+    scores = [rob_plus(c, ex["ex6"][:, :1], ex["ex6"]) for c in norms]
+    return chains + [((r.numerator, r.denominator), (0, 3)) for r in scores]
+
+
+def _ex8_hadamard(ex):
+    d8 = build(P2, ex["ex8"][:, :1])
+    return [(hadamard(d8, d8), build(L, ex["ex8"][:, :1]))]
+
+
+CHECKS = (
+    ("ex1-two-row-matrix", REL,  # always [[0, c], [c, 0]]
+     lambda ex: [(build(P1, EX1), evaluate(P1, EX1[1] - EX1[0]) * (1 - np.eye(2)))]),
+    ("ex2-single-column", EXACT, lambda ex: [(build(c, COL), COL_GAPS) for c in NORMS]),
+    ("ex3-rank-one-scaling", REL, lambda ex: [
+        (build(c, np.outer(RANK1_A, RANK1_W)),
+         evaluate(c, RANK1_W) * np.abs(RANK1_A[:, None] - RANK1_A[None, :])) for c in NORMS]),
+    ("ex4-distance-euclidean", REL, lambda ex: [(build(P2, ex["ex4"]), EX4)]),
+    ("ex5-distance-euclidean", REL, lambda ex: [(build(P2, ex["ex5"]), EX5)]),
+    ("ex6-distance-first-column", EXACT, lambda ex: [(build(P1, ex["ex6"][:, :1]), COL_GAPS)]),
+    ("ex6-distance-second-column", EXACT, lambda ex: [(build(P1, ex["ex6"][:, 1:]), EX6_Y)]),
+    ("ex6-distance-max-norm", EXACT, lambda ex: [(build(PINF, ex["ex6"]), EX6_Y)]),
+    ("ex6-neighbor-positions", EXACT,
+     lambda ex: [(neighbor_sets_dict(nearest_sets(build(P1, ex["ex6"][:, :1]))),
+                  {"sets": [[3], [1], [1]], "total": 3})]),
+    ("ex6-augmentation-robustness-zero", EXACT, _ex6_augmentation),
+    ("ex7-distance-matrices", EXACT, lambda ex: [  # p = 2; the full matrix at 1e-12
+        (build(P2, ex["ex7"]), [[0, 1, R2], [1, 0, 1], [R2, 1, 0]], REL),
+        (build(P2, ex["ex7"][:, 1:]), [[0, 0, 1], [0, 0, 1], [1, 1, 0]]),
+        (build(P2, ex["ex7"][:, :1]), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])]),
+    ("ex7-column-removal-robustness", EXACT, lambda ex: [  # smallest-positive convention
+        (rob_minus(c, ex["ex7"], positive_only=True).as_fraction(), w)
+        for c, w in ((P1, Fraction(0)), (P2, Fraction(0)), (PINF, Fraction(1, 3)))]),
+    ("triangle-column-removal-robustness", EXACT, lambda ex: [  # 1/3 at p = 2: a tie breaks
+        (rob_minus(c, remove_row(ex["ex4"], 0)).as_fraction(), w)
+        for c, w in ((P1, Fraction(2, 3)), (P2, Fraction(1, 3)), (PINF, Fraction(2, 3)))]),
+    ("triangle-all-ties-euclidean", EXACT,  # every off-diagonal distance is 2*sqrt(3)
+     lambda ex: [(nearest_sets(build(P2, remove_row(ex["ex4"], 0))).total, 6)]),
+    ("ex8-hadamard-square", EXACT, _ex8_hadamard),
+    ("ex8-expectation", EXACT, lambda ex: [(expectation(build(P2, ex["ex8"][:, :1])), 8 / 9)]),
+    ("ex8-column-correlation", ABS6, lambda ex: [
+        (correlation(m, L, ex["ex8"][:, :1]).rho, 7 / math.sqrt(55)) for m in (P1, P2)]),
+    ("ex8-matrix-correlations", ABS6, lambda ex: [
+        (correlation(m, L, ex["ex8"]).rho, w)
+        for m, w in ((P1, 14 / math.sqrt(213)), (PINF, 53 / (2 * math.sqrt(781))))]),
+    ("ex9-expectation", REL,
+     lambda ex: [(expectation(build(P1, ex["ex9"])), 2 / 9 * (6 + 4 * math.sqrt(3)))]),
+    ("ex9-correlations", ABS5, lambda ex: [
+        (correlation(m, n, ex["ex9"]).rho, w)
+        for m, n, w in ((P1, P2, 0.972335), (P1, PINF, 0.9375373), (P2, PINF, 0.9928629))]),
+    ("concordance-golden-values", EXACT, lambda ex: [  # forced agreement; the triangle's 1/3
+        (concordance(P1, P2, np.array([[3.0, 1.0]])).as_fraction(), 1),
+        (concordance(P1, PINF, np.array([[0.0, 0.0], [1.0, 2.0]])).as_fraction(), 1),
+        (concordance(P2, PINF, COL).as_fraction(), 1),
+        (concordance(P1, P2, remove_row(ex["ex4"], 0)).as_fraction(), Fraction(1, 3))]),
+    ("delta-constant-15-digits", EXACT,
+     lambda ex: [(str(delta_constant(15)), "0.570376001675023")]),
+)
+
+
+def _agree(got, want, tolerance) -> bool:
+    """The one comparison: exact equality, or allclose at (relative, absolute)."""
+    if tolerance is EXACT:
+        return bool(np.array_equal(got, want))
+    rel, abs_ = tolerance
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)  # None -> nan
+    return got.shape == want.shape and bool(np.allclose(got, want, rtol=rel, atol=abs_))
+
+
+def _run(name: str, tolerance, thunk, examples: _Examples) -> GoldenCheck:
+    try:
+        for got, want, *own in thunk(examples):
+            if not _agree(got, want, own[0] if own else tolerance):
+                shown = [np.asarray(v).tolist() for v in (got, want)]  # one line each
+                return GoldenCheck(name, False, "got {}, want {}".format(*shown))
+    except Exception as exc:  # a raising check fails alone; the others still run
+        return GoldenCheck(name, False, f"{type(exc).__name__}: {exc}")
+    return GoldenCheck(name, True)
 
 
 def run_golden_checks() -> list[GoldenCheck]:
-    checks: list[GoldenCheck] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(GoldenCheck(name=name, passed=bool(passed), detail=detail))
-
-    # ex1: a 2-row matrix always gives [[0, c], [c, 0]]
-    x = np.array([[1.0, 4.0], [4.0, 0.0]])
-    c = evaluate(P1, x[1] - x[0])
-    add("ex1-two-row-matrix", _close(build(P1, x), [[0, c], [c, 0]]))
-
-    # ex2: a single column gives absolute differences, for every coefficient
-    col = np.array([[2.0], [5.0], [1.0]])
-    expected = [[0, 3, 1], [3, 0, 4], [1, 4, 0]]
-    ok = all(np.array_equal(build(cf, col), expected) for cf in (P1, P2, PINF))
-    add("ex2-single-column", ok)
-
-    # ex3: rank-one data, distance matrix is a scaled gap matrix
-    a = np.array([1.0, 3.0, 4.0])
-    w = np.array([0.5, -2.0, 1.25])
-    gaps = np.abs(a[:, None] - a[None, :])
-    ok = all(
-        _close(build(cf, np.outer(a, w)), evaluate(cf, w) * gaps) for cf in (P1, P2, PINF)
-    )
-    add("ex3-rank-one-scaling", ok)
-
-    # ex4: origin + equilateral triangle, Euclidean
-    s = SQRT3
-    ex4 = load_example("ex4")
-    want4 = [
-        [0, 2, 2, 2],
-        [2, 0, 2 * s, 2 * s],
-        [2, 2 * s, 0, 2 * s],
-        [2, 2 * s, 2 * s, 0],
-    ]
-    add("ex4-distance-euclidean", _close(build(P2, ex4), want4))
-
-    # ex5: origin + square vertices, Euclidean
-    r = math.sqrt(2)
-    ex5 = load_example("ex5")
-    want5 = [
-        [0, r, r, r, r],
-        [r, 0, 2, 2 * r, 2],
-        [r, 2, 0, 2, 2 * r],
-        [r, 2 * r, 2, 0, 2],
-        [r, 2, 2 * r, 2, 0],
-    ]
-    add("ex5-distance-euclidean", _close(build(P2, ex5), want5))
-
-    # ex6: the two columns and the max-norm distance matrix of the pair
-    ex6 = load_example("ex6")
-    x6 = ex6[:, :1]
-    y6 = ex6[:, 1:]
-    add("ex6-distance-first-column", np.array_equal(build(P1, x6), expected))
-    want_y = [[0, 30, 40], [30, 0, 10], [40, 10, 0]]
-    add("ex6-distance-second-column", np.array_equal(build(P1, y6), want_y))
-    add("ex6-distance-max-norm", np.array_equal(build(PINF, ex6), want_y))
-
-    sets6 = neighbor_sets_dict(nearest_sets(build(P1, x6)))
-    add("ex6-neighbor-positions", sets6 == {"sets": [[3], [1], [1]], "total": 3})
-
-    # ex6: appending the second column destroys every neighbor relation
-    ok = True
-    details = []
-    for p in (1.0, 2.0, 7.0):
-        chain = 4**p + 10**p < 3**p + 30**p < 1 + 40**p
-        score = rob_plus(PNorm(p), x6, ex6)
-        ok = ok and chain and (score.numerator, score.denominator) == (0, 3)
-        details.append(f"p={p:g}: {score.numerator}/{score.denominator}")
-    score = rob_plus(PINF, x6, ex6)
-    ok = ok and (score.numerator, score.denominator) == (0, 3)
-    add("ex6-augmentation-robustness-zero", ok, "; ".join(details))
-
-    # ex7: distance matrices of the basis-row matrix and its columns (p = 2)
-    ex7 = load_example("ex7")
-    q = 2 ** (1 / 2)
-    add(
-        "ex7-distance-matrices",
-        _close(build(P2, ex7), [[0, 1, q], [1, 0, 1], [q, 1, 0]])
-        and np.array_equal(build(P2, ex7[:, 1:]), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-        and np.array_equal(build(P2, ex7[:, :1]), [[0, 1, 1], [1, 0, 0], [1, 0, 0]]),
-    )
-
-    # ex7: leave-one-column-out robustness, under the smallest-positive-
-    # distance convention used by the worked example
-    ok = True
-    for p, want in ((P1, Fraction(0)), (P2, Fraction(0)), (PINF, Fraction(1, 3))):
-        got = rob_minus(p, ex7, positive_only=True).as_fraction()
-        ok = ok and got == want
-    add("ex7-column-removal-robustness", ok)
-
-    # triangle rows (ex4 without the origin): robustness 2/3 at p = 1, inf;
-    # 1/3 at p = 2, where removing a column breaks the all-pairs tie in 2 rows
-    tri = remove_row(ex4, 0)
-    want = ((P1, Fraction(2, 3)), (P2, Fraction(1, 3)), (PINF, Fraction(2, 3)))
-    ok = all(rob_minus(p, tri).as_fraction() == w for p, w in want)
-    add("triangle-column-removal-robustness", ok)
-
-    # triangle at p = 2: every off-diagonal distance ties at 2*sqrt(3)
-    add("triangle-all-ties-euclidean", nearest_sets(build(P2, tri)).total == 6)
-
-    # ex8: squared-Euclidean interplay on the bundled 3x2 matrix
-    ex8 = load_example("ex8")
-    x8 = ex8[:, :1]
-    d8 = build(P2, x8)
-    add("ex8-hadamard-square", np.array_equal(hadamard(d8, d8), build(L, x8)))
-    add("ex8-expectation", expectation(d8) == 8 / 9)
-    ok = True
-    for m, want in ((P1, 7 / math.sqrt(55)), (P2, 7 / math.sqrt(55))):
-        got = correlation(m, L, x8).rho
-        ok = ok and got is not None and abs(got - want) <= 1e-6
-    add("ex8-column-correlation", ok)
-    ok = (
-        abs(correlation(P1, L, ex8).rho - 14 / math.sqrt(213)) <= 1e-6
-        and abs(correlation(PINF, L, ex8).rho - 53 / (2 * math.sqrt(781))) <= 1e-6
-    )
-    add("ex8-matrix-correlations", ok)
-
-    # ex9: the triangle's expectations and printed correlations
-    ex9 = load_example("ex9")
-    add(
-        "ex9-expectation",
-        _close(expectation(build(P1, ex9)), 2 / 9 * (6 + 4 * SQRT3)),
-    )
-    ok = (
-        abs(correlation(P1, P2, ex9).rho - 0.972335) <= 1e-5
-        and abs(correlation(P1, PINF, ex9).rho - 0.9375373) <= 1e-5
-        and abs(correlation(P2, PINF, ex9).rho - 0.9928629) <= 1e-5
-    )
-    add("ex9-correlations", ok)
-
-    # concordance: the forced-agreement cases and the triangle's 1/3
-    one_row = np.array([[3.0, 1.0]])
-    two_rows = np.array([[0.0, 0.0], [1.0, 2.0]])
-    ok = (
-        concordance(P1, P2, one_row).as_fraction() == 1
-        and concordance(P1, PINF, two_rows).as_fraction() == 1
-        and concordance(P2, PINF, col).as_fraction() == 1
-        and concordance(P1, P2, tri).as_fraction() == Fraction(1, 3)
-    )
-    add("concordance-golden-values", ok)
-
-    # the candidate limiting constant to 15 places
-    add(
-        "delta-constant-15-digits",
-        str(delta_constant(15)) == "0.570376001675023",
-    )
-
-    return checks
+    examples = _Examples()
+    return [_run(*row, examples) for row in CHECKS]

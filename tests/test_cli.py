@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from distchar import verification
 from distchar.cli import run
+from distchar.errors import DomainError
 from distchar.fixtures import fixture_path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +185,18 @@ class TestSearchAndAsymptotics:
         out = capsys.readouterr().out
         assert "conjectured" in out and "guess" in out
 
+    def test_mc_nn_single_sample_is_domain_error(self, capsys):
+        assert run(["mc-nn", "--points", "2", "--samples", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least two samples for a standard error\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-extent", "-1"), ("--random-samples", "-5"), ("--random-cols", "0")])
+    def test_explore_near_bad_budget_is_domain_error(self, capsys, flag, value):
+        assert run(["explore-near", "--rows", "3", "--c", "p1", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: search budget needs")
+
     def test_delta_cf(self, capsys):
         payload = run_json(
             capsys, ["delta-cf", "--digits", "20", "--max-q", "10000000", "--format", "json"]
@@ -191,12 +206,70 @@ class TestSearchAndAsymptotics:
         assert {"p": 3070111, "q": 5382609} in payload["convergents"]
 
 
+EXACT_DISTANCE_CHECKS = {
+    "ex2-single-column", "ex6-distance-first-column", "ex6-distance-second-column",
+    "ex6-distance-max-norm", "ex7-distance-matrices", "ex8-hadamard-square", "ex8-expectation"}
+
+
 class TestVerify:
     def test_all_golden_checks_pass(self, capsys):
         assert run(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.strip().endswith("checks passed")
+
+    def test_raising_check_fails_alone(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise DomainError("boom")
+
+        monkeypatch.setattr(verification, "correlation", boom)
+        assert run(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 23
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == [f"FAIL {name}  (DomainError: boom)" for name in
+                          ("ex8-column-correlation", "ex8-matrix-correlations",
+                           "ex9-correlations")]
+        assert sum(line.startswith("PASS ") for line in lines) == 19
+        assert lines[-1] == "19/22 checks passed"
+
+    def test_wrong_value_shows_got_and_want(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "delta_constant", lambda digits: "0.5")
+        assert run(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL delta-constant-15-digits  (got 0.5, want 0.570376001675023)"]
+        assert lines[-1] == "21/22 checks passed"
+
+    @pytest.mark.parametrize("scale, failing", [
+        (1 + 1e-14, EXACT_DISTANCE_CHECKS), (1 + 1e-9, EXACT_DISTANCE_CHECKS | {
+            "ex1-two-row-matrix", "ex3-rank-one-scaling", "ex4-distance-euclidean",
+            "ex5-distance-euclidean", "ex9-expectation"})])
+    def test_distance_tolerances(self, monkeypatch, scale, failing):
+        # exact checks see a 1e-14 relative error, the 1e-12 relative ones only 1e-9
+        real = verification.build
+        monkeypatch.setattr(verification, "build", lambda c, x: real(c, x) * scale)
+        assert {c.name for c in verification.run_golden_checks() if not c.passed} == failing
+
+    @pytest.mark.parametrize("shift, failing", [
+        (5e-7, set()), (2e-6, {"ex8-column-correlation", "ex8-matrix-correlations"}),
+        (2e-5, {"ex8-column-correlation", "ex8-matrix-correlations", "ex9-correlations"})])
+    def test_correlation_tolerances(self, monkeypatch, shift, failing):
+        # ex8 compares rho at 1e-6 absolute, ex9 at 1e-5 absolute
+        real = verification.correlation
+        monkeypatch.setattr(verification, "correlation", lambda *args: dataclasses.replace(
+            real(*args), rho=real(*args).rho + shift))
+        assert {c.name for c in verification.run_golden_checks() if not c.passed} == failing
+
+    def test_undefined_rho_is_a_fail(self, capsys, monkeypatch):
+        real = verification.correlation
+        monkeypatch.setattr(verification, "correlation",
+                            lambda *args: dataclasses.replace(real(*args), rho=None))
+        assert run(["verify"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed[0].startswith("FAIL ex8-column-correlation  (got None, want 0.94387")
+        assert len(failed) == 3
 
 
 class TestContract:

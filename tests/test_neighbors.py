@@ -175,6 +175,12 @@ class TestTiePolicy:
         assert sorted(strict.sets[0]) == [1]
         assert sorted(loose.sets[0]) == [1, 2]
 
+    def test_huge_relative_tolerance_ties_everything(self):
+        # the slack overflows to inf, which ties every candidate without a warning
+        d = build(P1, np.array([[0.0], [1.0], [3.0], [7.0]]))
+        ns = nearest_sets(d, TiePolicy(relative_tolerance=1e308))
+        assert ns.sets == tuple(frozenset(set(range(4)) - {i}) for i in range(4))
+
     def test_relative_tolerance_scales_with_magnitude(self):
         d = np.array([[0, 1e6, 1e6 * (1 + 1e-10)], [1e6, 0, 1], [1e6 * (1 + 1e-10), 1, 0]])
         d = (d + d.T) / 2
@@ -221,3 +227,13 @@ class TestAchievableTotals:
     def test_requires_two_rows(self):
         with pytest.raises(DomainError):
             achievable_near_totals(1, P1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("random_samples", -5), ("random_cols", 0), ("grid_extent", -1), ("grid_limit", -1)])
+    def test_rejects_bad_budgets(self, field, value):
+        with pytest.raises(DomainError, match="search budget"):
+            SearchBudget(**{field: value})
+
+    def test_accepts_empty_budget(self):
+        budget = SearchBudget(random_samples=0, random_cols=1, grid_extent=0, grid_limit=0)
+        assert achievable_near_totals(3, P1, budget) == {3, 4, 6}
