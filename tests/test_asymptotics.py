@@ -123,6 +123,11 @@ class TestIntervalMonteCarlo:
         combined = math.hypot(2 * small.standard_error, large.standard_error)
         assert abs(large.mean - 2 * small.mean) <= 3 * combined
 
+    def test_single_sample(self):
+        # one draw has no standard error
+        with pytest.raises(DomainError, match="two samples"):
+            uniform_interval_expected_nn(2, 1.0, 1, seed=0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             uniform_interval_expected_nn(0, 1.0, 10, seed=0)
@@ -130,8 +135,6 @@ class TestIntervalMonteCarlo:
             uniform_interval_expected_nn(1, -1.0, 10, seed=0)
         with pytest.raises(DomainError):
             uniform_interval_expected_nn(1, 1.0, 0, seed=0)
-        with pytest.raises(DomainError, match="two samples"):  # one draw has no stderr
-            uniform_interval_expected_nn(2, 1.0, 1, seed=0)
 
 
 class TestConjecturedValue:
