@@ -25,12 +25,12 @@ for v0 in (0.5, 1.0, 7.0):
     assert abs(scaled_volume(v0, expected_nn_distance(2, 1.0, v0), 2)
                - volume_at_expected(2, 1.0)) < 1e-12
 
-# n uniform points on [-L, L]: simulated mean against the guess L/(n+1)
+# n uniform points on [-L, L]: simulated mean against the exact L/(n+1)
 print("\nnearest of n uniform points on [-1, 1]:")
 for n in (1, 2, 3, 9):
     est = uniform_interval_expected_nn(n, 1.0, samples=400_000, seed=42)
     print(f"  n={n}: simulated {est.mean:.5f} +- {est.standard_error:.5f}, "
-          f"guess L/(n+1) = {conjectured_expected_nn(n, 1.0):.5f}")
+          f"exact L/(n+1) = {conjectured_expected_nn(n, 1.0):.5f}")
 est1 = uniform_interval_expected_nn(3, 1.0, samples=200_000, seed=1)
 est2 = uniform_interval_expected_nn(3, 2.0, samples=200_000, seed=2)
 print(f"  doubling L doubles the mean: {est1.mean:.5f} -> {est2.mean:.5f}")

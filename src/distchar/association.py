@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Coefficient
-from .distance import as_data_matrix, build, validate_distance_matrix
+from .coefficients import Coefficient, checked_entries
+from .distance import build, validate_distance_matrix
 from .errors import DomainError
 from .neighbors import TiePolicy, nearest_sets
 from .robustness import RationalScore
@@ -50,8 +50,12 @@ def expectation(d, convention: SampleSpace = SampleSpace.FULL_GRID):
 
     With S the sum of the strictly-upper-triangle entries this is 2S/n^2 on
     the full grid and 2S/(n(n-1)) on the upper triangle (n >= 2 required).
+    Raises DomainError when the sum overflows.
     """
-    return _mean(validate_distance_matrix(d), convention)
+    with np.errstate(over="ignore"):
+        mean = _mean(validate_distance_matrix(d), convention)
+    checked_entries(np.asarray(mean), "distance-matrix expectation")
+    return mean
 
 
 def _mean(D: np.ndarray, convention: SampleSpace):
@@ -65,12 +69,14 @@ def _mean(D: np.ndarray, convention: SampleSpace):
 
 
 def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two distance matrices of the same order."""
+    """Entrywise product of two distance matrices of the same order; exact
+    for exact input.  Raises DomainError when a product overflows."""
     A = validate_distance_matrix(a)
     B = validate_distance_matrix(b)
     if A.shape != B.shape:
         raise DomainError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    return A * B
+    with np.errstate(over="ignore"):
+        return checked_entries(A * B, "Hadamard product")
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,7 @@ def correlation(
     convention: SampleSpace = SampleSpace.FULL_GRID,
 ) -> CorrelationResult:
     """Correlation of the two distance matrices of ``x`` under ``m`` and ``n``."""
-    X = as_data_matrix(x)
-    return matrix_correlation(build(m, X), build(n, X), convention)
+    return matrix_correlation(build(m, x), build(n, x), convention)
 
 
 def concordance(
@@ -149,8 +154,7 @@ def concordance(
     comparison is symmetric in the two coefficients.  A 1-row matrix scores
     1/1 (both neighbor sets are empty).
     """
-    X = as_data_matrix(x)
-    sets_m = nearest_sets(build(m, X), tie, positive_only)
-    sets_n = nearest_sets(build(n, X), tie, positive_only)
+    sets_m = nearest_sets(build(m, x), tie, positive_only)
+    sets_n = nearest_sets(build(n, x), tie, positive_only)
     agree = sum(1 for a, b in zip(sets_m.sets, sets_n.sets) if a == b)
-    return RationalScore(agree, X.shape[0])
+    return RationalScore(agree, sets_m.order)

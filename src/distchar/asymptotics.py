@@ -10,8 +10,8 @@ Three strands:
   the reference volume V0;
 * the finite picture on an interval: the expected distance from the origin
   to the closest of n i.i.d. uniform points on [-L, L], estimated by seeded
-  Monte Carlo, next to the conjectured closed form L/(n+1) (elementary for
-  n = 1, 2, 3) which grows without bound in L;
+  Monte Carlo, next to its exact value L/(n+1), which grows without bound
+  in L (each |x_i| is uniform on [0, L], so P(min > r) = (1 - r/L)^n);
 * high-precision evaluation of delta = exp(-exp(-gamma)) and certified
   continued-fraction convergents, used to bound the denominator of any
   rational number with delta's printed digits.
@@ -110,13 +110,16 @@ def uniform_interval_expected_nn(
     """Monte Carlo estimate of E[min(|x_1|, ..., |x_n|)] for x_i ~ U[-L, L].
 
     The estimate scales linearly in L (substitute x -> x/L), so it grows
-    without bound as L does.  Deterministic for a given seed.
+    without bound as L does.  Deterministic for a given seed.  Raises
+    DomainError when 2L or the sample moments overflow the float range.
     """
     if n < 1:
         raise DomainError("need at least one point")
     if samples < 2:
         raise DomainError("need at least two samples for a standard error")
     _require_positive(length=length)
+    if not math.isfinite(2.0 * length):
+        raise DomainError(f"length {length!r} overflows: 2L must be a finite float")
     rng = np.random.default_rng(seed)
     chunk = max(1, min(samples, 1_000_000 // n))
     done = 0
@@ -125,21 +128,25 @@ def uniform_interval_expected_nn(
     while done < samples:
         m = min(chunk, samples - done)
         mins = np.abs(rng.uniform(-length, length, size=(m, n))).min(axis=1)
-        s1 += float(mins.sum())
-        s2 += float((mins * mins).sum())
+        with np.errstate(over="ignore"):  # an infinite sum fails the spread check below
+            s1 += float(mins.sum())
+            s2 += float((mins * mins).sum())
         done += m
     mean = s1 / samples
-    variance = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
+    spread = (s2 - samples * mean * mean) / (samples - 1)
+    if not math.isfinite(spread):
+        raise DomainError("sample moments overflow the float range; use a smaller length")
+    variance = max(0.0, spread)
     stderr = math.sqrt(variance / samples)
     return MonteCarloEstimate(mean=mean, standard_error=stderr, samples=samples, seed=seed)
 
 
 def conjectured_expected_nn(n: int, length: float) -> float:
-    """The conjectured closed form L/(n+1) for the expectation above.
+    """The exact value L/(n+1) of the expectation above, for every n >= 1.
 
-    Elementary integration confirms it for n = 1, 2, 3; for general n it is
-    an unproved guess and should be quoted as such, paired with the Monte
-    Carlo estimate.
+    Each |x_i| is uniform on [0, L], so P(min > r) = (1 - r/L)^n, the mean is
+    the integral of that over [0, L], L/(n+1), and the variance is
+    n L^2 / ((n+1)^2 (n+2)).  The name predates the proof and is kept.
     """
     if n < 1:
         raise DomainError("need at least one point")

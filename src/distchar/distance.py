@@ -51,24 +51,18 @@ def build(coefficient: Coefficient, x) -> np.ndarray:
     and L.  An overflowing difference or distance raises DomainError.
     """
     X = as_data_matrix(x)
-    if X.dtype != object:
-        with np.errstate(over="ignore"):
-            span = np.ptp(X, axis=0)  # bounds every |x(j) - x(i)|
-        if not np.isfinite(span).all():
-            raise DomainError("row differences overflow the float range")
     n = X.shape[0]
     D = np.empty((n, n), dtype=X.dtype)
-    for i in range(n):
-        D[i] = row_values(coefficient, np.abs(X - X[i]))
+    with np.errstate(over="ignore"):  # an infinite difference makes row_values raise
+        for i in range(n):
+            D[i] = row_values(coefficient, np.abs(X - X[i]))
     return D
 
 
 def validate_distance_matrix(d) -> np.ndarray:
     """Check the distance-matrix invariants: square, symmetric (exactly),
-    zero diagonal, nonnegative entries."""
-    arr = np.asarray(d)
-    if arr.dtype != object:
-        arr = np.asarray(arr, dtype=float)
+    zero diagonal, finite nonnegative entries."""
+    arr = checked_entries(np.asarray(d), "distance matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"distance matrix must be square, got shape {arr.shape}")
     if not (arr == arr.T).all():
@@ -87,9 +81,7 @@ def augment_constant_columns(x, constants) -> np.ndarray:
     within-column differences are zero and zero entries never contribute.
     """
     X = as_data_matrix(x)
-    row = np.array(list(constants), dtype=X.dtype)
-    if X.dtype != object and not np.isfinite(row).all():
-        raise DomainError("constant-column values must be finite")
+    row = checked_entries(np.array(list(constants), dtype=X.dtype), "constant-column")
     return np.hstack([X, np.tile(row, (X.shape[0], 1))])
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import Coefficient, PNorm
-from .distance import as_data_matrix, build, remove_column
+from .distance import as_data_matrix, build
 from .errors import DomainError
 from .neighbors import TiePolicy, nearest_sets
 
@@ -122,7 +122,7 @@ def rob_minus(
     base = nearest_sets(build(coefficient, X), tie, positive_only)
     changed = 0
     for j in range(k):
-        reduced = nearest_sets(build(coefficient, remove_column(X, j)), tie, positive_only)
+        reduced = nearest_sets(build(coefficient, np.delete(X, j, axis=1)), tie, positive_only)
         changed += sum(1 for b, r in zip(base.sets, reduced.sets) if b != r)
     return RationalScore(n * k - changed, n * k)
 

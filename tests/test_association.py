@@ -61,6 +61,21 @@ class TestExpectation:
         with pytest.raises(DomainError):
             expectation(np.zeros((1, 1)), SampleSpace.UPPER_TRIANGLE)
 
+    @pytest.mark.parametrize("conv", list(SampleSpace))
+    def test_overflowing_sum_raises(self, conv):
+        # the entries are finite, but 2S is not
+        d = np.full((3, 3), 1e308)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            expectation(d, conv)
+        with pytest.raises(DomainError, match="finite"):
+            expectation(d.astype(object), conv)
+
+    def test_exact_input_stays_exact(self):
+        d = np.array([[0, Fraction(1, 3)], [Fraction(1, 3), 0]], dtype=object)
+        assert expectation(d) == Fraction(1, 6)
+        assert expectation(d, SampleSpace.UPPER_TRIANGLE) == Fraction(1, 3)
+
 
 class TestHadamard:
     def test_ex8_square(self):
@@ -81,6 +96,20 @@ class TestHadamard:
     def test_order_mismatch(self):
         with pytest.raises(DomainError):
             hadamard(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_overflowing_product_raises(self):
+        # finite entries whose products overflow
+        d = np.array([[0.0, 1e200], [1e200, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            hadamard(d, d)
+        with pytest.raises(DomainError, match="finite"):
+            hadamard(d.astype(object), d.astype(object))
+
+    def test_exact_input_stays_exact(self):
+        big = Fraction(10**200, 3)
+        d = np.array([[0, big], [big, 0]], dtype=object)
+        product = hadamard(d, d)
+        assert product.dtype == object and product[0, 1] == big * big
 
 
 class TestCorrelation:

@@ -128,6 +128,17 @@ class TestIntervalMonteCarlo:
         with pytest.raises(DomainError, match="two samples"):
             uniform_interval_expected_nn(2, 1.0, 1, seed=0)
 
+    @pytest.mark.parametrize("length, message", [
+        (1e307, "moments overflow"),  # the squared minima overflow
+        (8.99e307, "2L"), (1e308, "2L")])  # 2L is not a finite float
+    def test_overflow_raises(self, length, message):
+        with pytest.raises(DomainError, match=message):
+            uniform_interval_expected_nn(2, length, 10, seed=0)
+
+    def test_large_finite_length(self):
+        estimate = uniform_interval_expected_nn(2, 1e150, 10, seed=0)
+        assert math.isfinite(estimate.mean) and estimate.standard_error > 0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             uniform_interval_expected_nn(0, 1.0, 10, seed=0)
@@ -142,8 +153,19 @@ class TestConjecturedValue:
         assert conjectured_expected_nn(1, 2.0) == 1.0
         assert conjectured_expected_nn(3, 4.0) == 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 40])
+    def test_monte_carlo_matches_exact_moments(self, n):
+        # min |x_i| has P(min > r) = (1 - r/L)^n: mean L/(n+1),
+        # variance n L^2 / ((n+1)^2 (n+2))
+        length, samples = 3.0, 40_000
+        estimate = uniform_interval_expected_nn(n, length, samples, seed=n)
+        variance = n * length**2 / ((n + 1) ** 2 * (n + 2))
+        stderr = math.sqrt(variance / samples)
+        assert estimate.standard_error == pytest.approx(stderr, rel=0.05)
+        assert abs(estimate.mean - conjectured_expected_nn(n, length)) <= 5 * stderr
+
     def test_against_monte_carlo(self):
-        # unproved for n = 9; the simulation is the only check offered
+        # the exact value against a large simulation at n = 9
         estimate = uniform_interval_expected_nn(9, 1.0, 200_000, seed=13)
         assert abs(estimate.mean - conjectured_expected_nn(9, 1.0)) <= 3 * estimate.standard_error
 

@@ -191,6 +191,17 @@ class TestSearchAndAsymptotics:
         assert captured.out == ""
         assert captured.err == "error: need at least two samples for a standard error\n"
 
+    @pytest.mark.parametrize("length, message", [
+        ("1e307", "sample moments overflow the float range; use a smaller length"),
+        ("1e308", "length 1e+308 overflows: 2L must be a finite float"),
+    ], ids=["sum", "range"])
+    def test_mc_nn_overflow_is_domain_error(self, capsys, length, message):
+        argv = ["mc-nn", "--points", "2", "--length", length, "--samples", "10"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--grid-extent", "-1"), ("--random-samples", "-5"), ("--random-cols", "0")])
     def test_explore_near_bad_budget_is_domain_error(self, capsys, flag, value):

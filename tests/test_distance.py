@@ -144,6 +144,13 @@ class TestAugmentation:
         with pytest.raises(DomainError):
             augment_constant_columns(EX4, [math.inf])
 
+    def test_non_finite_constant_rejected_for_exact_input(self):
+        exact = np.array([[Fraction(1, 2)], [Fraction(3)]], dtype=object)
+        with pytest.raises(DomainError, match="finite"):
+            augment_constant_columns(exact, [math.nan])
+        padded = augment_constant_columns(exact, [Fraction(7)])
+        assert padded.dtype == object and padded[1, 1] == 7
+
 
 class TestRowAndColumnRemoval:
     def test_ex4_minus_origin_is_the_triangle(self):
@@ -256,6 +263,21 @@ class TestValidation:
             validate_distance_matrix([[1, 1], [1, 0]])  # nonzero diagonal
         with pytest.raises(DomainError):
             validate_distance_matrix([[0, -1], [-1, 0]])  # negative entry
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_distance_matrix_entries_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            validate_distance_matrix([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            nearest_sets(np.array([[0, 1.0, bad], [1.0, 0, 2.0], [bad, 2.0, 0]]))
+
+    def test_exact_distance_matrix_entries_checked(self):
+        d = np.array([[0, Fraction(1, 3)], [Fraction(1, 3), 0]], dtype=object)
+        assert validate_distance_matrix(d) is d
+        with pytest.raises(DomainError, match="finite"):
+            validate_distance_matrix(np.array([[0, math.inf], [math.inf, 0]], dtype=object))
+        with pytest.raises(DomainError, match="non-numeric"):
+            validate_distance_matrix(np.array([[0, "1"], ["1", 0]], dtype=object))
 
 
 # --- the row kernel at sizes beyond the hand examples ----------------------

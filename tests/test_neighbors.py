@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from distchar import (
     DomainError,
     PNorm,
     SearchBudget,
+    SquaredEuclidean,
     TiePolicy,
     achievable_near_totals,
     build,
@@ -233,6 +235,15 @@ class TestAchievableTotals:
     def test_rejects_bad_budgets(self, field, value):
         with pytest.raises(DomainError, match="search budget"):
             SearchBudget(**{field: value})
+
+    @pytest.mark.parametrize("c", [P1, P2, PNorm(math.inf), SquaredEuclidean(), PNorm(3.5)])
+    def test_grid_totals_match_the_full_product(self, c):
+        # one grid per multiset of values sees every total the ordered grids see
+        budget = SearchBudget(random_samples=0, include_probes=False)
+        for n in range(2, 7):
+            ordered = {nearest_sets(build(c, np.array(v, dtype=float).reshape(n, 1))).total
+                       for v in itertools.product(range(budget.grid_extent + 1), repeat=n)}
+            assert achievable_near_totals(n, c, budget) == ordered
 
     def test_accepts_empty_budget(self):
         budget = SearchBudget(random_samples=0, random_cols=1, grid_extent=0, grid_limit=0)
