@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +63,8 @@ def expectation(d, convention: SampleSpace = SampleSpace.FULL_GRID):
 def _mean(D: np.ndarray, convention: SampleSpace):
     n = D.shape[0]
     s = np.triu(D, 1).sum()
+    if isinstance(s, numbers.Integral):
+        s = Fraction(s)  # int / int would be float division
     if convention is SampleSpace.FULL_GRID:
         return 2 * s / (n * n)
     if n < 2:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import decimal
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,27 +56,41 @@ def scaled_volume(v0: float, r: float, k: int) -> float:
     """Volume of a k-dimensional set of volume ``v0`` scaled by factor ``r``."""
     _require_positive(v0=v0, r=r)
     k = _require_dimension(k)
-    return v0 * r**k
+    try:
+        power = r**k
+    except OverflowError:
+        power = math.inf
+    return _normal(v0 * _normal(power, f"r^k = {r!r}^{k}"), "scaled volume")
 
 
 def nn_distance_density(r: float, k: int, lam: float, v0: float) -> float:
     """Density of the nearest-point distance: k*lam*v0*r^(k-1)*exp(-lam*v0*r^k).
 
     This is -d/dr of the void probability exp(-lam*v0*r^k); it integrates to
-    1 over (0, inf).
+    1 over (0, inf).  Evaluated in logarithms, so a density that underflows
+    comes out as 0.0 and one that overflows raises DomainError.
     """
     _require_positive(lam=lam, v0=v0)
     k = _require_dimension(k)
-    if r < 0:
+    if r < 0 or r == math.inf or (r == 0 and k > 1):
         return 0.0
-    return k * lam * v0 * r ** (k - 1) * math.exp(-lam * v0 * r**k)
+    log_density = math.log(k) + math.log(lam) + math.log(v0)
+    if r > 0:
+        log_void = math.log(lam) + math.log(v0) + k * math.log(r)
+        void = math.exp(log_void) if log_void < 709.0 else math.inf  # exp(-void) = 0 anyway
+        log_density += (k - 1) * math.log(r) - void
+    try:
+        return math.exp(log_density)
+    except OverflowError:
+        raise DomainError(f"density at r = {r!r} overflows the float range") from None
 
 
 def expected_nn_distance(k: int, lam: float, v0: float) -> float:
     """Mean of the nearest-point distance: Gamma(1 + 1/k) / (lam*v0)^(1/k)."""
     _require_positive(lam=lam, v0=v0)
     k = _require_dimension(k)
-    return math.gamma(1 + 1 / k) / (lam * v0) ** (1 / k)
+    scale = lam ** (1 / k) * v0 ** (1 / k)  # (lam*v0)^(1/k) without forming lam*v0
+    return _normal(math.gamma(1 + 1 / k) / scale, "expected nearest-neighbor distance")
 
 
 def volume_at_expected(k: int, lam: float) -> float:
@@ -87,7 +102,7 @@ def volume_at_expected(k: int, lam: float) -> float:
     """
     _require_positive(lam=lam)
     k = _require_dimension(k)
-    return math.gamma(1 + 1 / k) ** k / lam
+    return _normal(math.gamma(1 + 1 / k) ** k / lam, "volume at the expected radius")
 
 
 @dataclass(frozen=True)
@@ -109,17 +124,15 @@ def uniform_interval_expected_nn(
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[min(|x_1|, ..., |x_n|)] for x_i ~ U[-L, L].
 
-    The estimate scales linearly in L (substitute x -> x/L), so it grows
-    without bound as L does.  Deterministic for a given seed.  Raises
-    DomainError when 2L or the sample moments overflow the float range.
+    Simulated at L = 1 and scaled by L (substitute x -> x/L), so the
+    reported values are exactly L times the unit-scale ones.  Deterministic
+    for a given seed.  Raises DomainError when a reported value underflows.
     """
     if n < 1:
         raise DomainError("need at least one point")
     if samples < 2:
         raise DomainError("need at least two samples for a standard error")
     _require_positive(length=length)
-    if not math.isfinite(2.0 * length):
-        raise DomainError(f"length {length!r} overflows: 2L must be a finite float")
     rng = np.random.default_rng(seed)
     chunk = max(1, min(samples, 1_000_000 // n))
     done = 0
@@ -127,17 +140,14 @@ def uniform_interval_expected_nn(
     s2 = 0.0
     while done < samples:
         m = min(chunk, samples - done)
-        mins = np.abs(rng.uniform(-length, length, size=(m, n))).min(axis=1)
-        with np.errstate(over="ignore"):  # an infinite sum fails the spread check below
-            s1 += float(mins.sum())
-            s2 += float((mins * mins).sum())
+        mins = np.abs(rng.uniform(-1.0, 1.0, size=(m, n))).min(axis=1)
+        s1 += float(mins.sum())
+        s2 += float((mins * mins).sum())
         done += m
     mean = s1 / samples
-    spread = (s2 - samples * mean * mean) / (samples - 1)
-    if not math.isfinite(spread):
-        raise DomainError("sample moments overflow the float range; use a smaller length")
-    variance = max(0.0, spread)
-    stderr = math.sqrt(variance / samples)
+    variance = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
+    mean, stderr = length * mean, length * math.sqrt(variance / samples)
+    _normal(min(mean, stderr), f"estimate at length {length!r}")
     return MonteCarloEstimate(mean=mean, standard_error=stderr, samples=samples, seed=seed)
 
 
@@ -151,7 +161,7 @@ def conjectured_expected_nn(n: int, length: float) -> float:
     if n < 1:
         raise DomainError("need at least one point")
     _require_positive(length=length)
-    return length / (n + 1)
+    return _normal(length / (n + 1), f"L/(n+1) at length {length!r}")
 
 
 def delta_constant(digits: int) -> decimal.Decimal:
@@ -217,9 +227,7 @@ def _to_fraction_with_uncertainty(x) -> tuple[Fraction, Fraction]:
     printed place; Fraction and int-ratio inputs are exact; float inputs are
     exact dyadic rationals.
     """
-    if isinstance(x, Fraction):
-        return x, Fraction(0)
-    if isinstance(x, decimal.Decimal) or isinstance(x, str):
+    if isinstance(x, (decimal.Decimal, str)):
         d = decimal.Decimal(x)
         exponent = d.as_tuple().exponent
         if not isinstance(exponent, int):
@@ -227,10 +235,11 @@ def _to_fraction_with_uncertainty(x) -> tuple[Fraction, Fraction]:
         places = max(0, -exponent)
         unc = Fraction(1, 2 * 10**places) if places else Fraction(1, 2)
         return Fraction(d), unc
-    if isinstance(x, float):
-        return Fraction(x), Fraction(0)
-    if isinstance(x, numbers.Rational):
-        return Fraction(x), Fraction(0)
+    if isinstance(x, (float, numbers.Rational)):
+        try:
+            return Fraction(x), Fraction(0)
+        except (ValueError, OverflowError):  # nan, inf
+            raise DomainError(f"not a finite number: {x!r}") from None
     raise DomainError(f"unsupported value type for continued fractions: {type(x)!r}")
 
 
@@ -280,6 +289,14 @@ def continued_fraction_convergents(
         lo, hi = 1 / rem_hi, 1 / rem_lo
         p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
     return ConvergentSequence(convergents=tuple(out), truncated=truncated)
+
+
+def _normal(value: float, what: str) -> float:
+    # every value checked here is positive: 0, a subnormal or inf means that
+    # the true value left the float range
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DomainError(f"{what} is outside the normal float range (got {value!r})")
+    return value
 
 
 def _require_positive(**named: float) -> None:

@@ -75,14 +75,11 @@ def load_data_matrix(path) -> np.ndarray:
     return parse_data_matrix(text, name=str(p))
 
 
-def _float9(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def distance_matrix_csv(d: np.ndarray) -> str:
     """CSV text of a distance matrix, 9 significant digits per entry."""
     arr = np.asarray(d, dtype=float)
-    return "\n".join(",".join(_float9(v) for v in row) for row in arr)
+    row_format = ",".join(["%.9g"] * arr.shape[1])
+    return "\n".join(row_format % tuple(row) for row in arr.tolist())
 
 
 def distance_matrix_dict(d: np.ndarray) -> dict:

@@ -163,8 +163,9 @@ def adversarial_augment(
     """Append a column t * (1, 2, 4, ...) that gives every row a unique neighbor.
 
     Defined for p-norms only.  The scale t is found by verified search: start
-    at t = 1 and double (p = inf, where the new column must dominate) or
-    halve (finite p, where it must merely break ties) until the recomputed
+    at t = 1 and double (p = inf, where the new column must dominate), or for
+    finite p first halve (a small column merely breaks ties) and then double
+    (a large column dominates, which always works), until the recomputed
     neighbor total equals n.  That certifies rob_plus(x, augmented) <=
     n / near_total(x) by counting: with b_i, a_i the neighbor sets of row i
     before and after, the kept relations sum |b_i & a_i| <= sum |a_i| = n.
@@ -182,10 +183,10 @@ def adversarial_augment(
 
     spacing = tuple(2**i for i in range(n))
     column = np.array(spacing, dtype=float)
-    grow = math.isinf(coefficient.p)
-
-    t = 1.0
-    for _ in range(200):
+    scales = [2.0**i for i in range(200)]
+    if not math.isinf(coefficient.p):
+        scales = [2.0**-i for i in range(200)] + scales[1:]
+    for t in scales:
         candidate = np.hstack([X, (t * column).reshape(n, 1)])
         achieved = nearest_sets(build(coefficient, candidate), tie)
         if achieved.total == n:
@@ -195,5 +196,4 @@ def adversarial_augment(
                 spacing=spacing,
                 achieved_near_total=achieved.total,
             )
-        t = t * 2.0 if grow else t / 2.0
     raise DomainError("no scale t found within 200 doublings/halvings")

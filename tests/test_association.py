@@ -76,6 +76,11 @@ class TestExpectation:
         assert expectation(d) == Fraction(1, 6)
         assert expectation(d, SampleSpace.UPPER_TRIANGLE) == Fraction(1, 3)
 
+    def test_integer_input_stays_exact(self):
+        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=object)
+        assert expectation(d) == Fraction(8, 9)
+        assert expectation(d, SampleSpace.UPPER_TRIANGLE) == Fraction(4, 3)
+
 
 class TestHadamard:
     def test_ex8_square(self):

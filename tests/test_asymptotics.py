@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 from fractions import Fraction
@@ -106,6 +107,33 @@ class TestVolumeAtExpected:
         assert via_expectation == pytest.approx(volume_at_expected(k, lam), rel=1e-12)
 
 
+class TestExtremeScales:
+    # each closed form returns the right value or raises DomainError
+
+    def test_expected_distance_at_huge_intensity(self):
+        want = math.gamma(1.5) / 1e200
+        assert expected_nn_distance(2, 1e200, 1e200) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_expected_distance_at_tiny_intensity(self):
+        want = math.gamma(1.5) * 1e200
+        assert expected_nn_distance(2, 1e-200, 1e-200) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_overflowing_scaled_volume_raises(self):
+        with pytest.raises(DomainError, match="r\\^k"):
+            scaled_volume(1.0, 1e200, 3)
+
+    def test_density_far_out_underflows_to_zero(self):
+        assert nn_distance_density(1e200, 3, 1.0, 1.0) == 0.0
+
+    def test_overflowing_volume_at_expected_raises(self):
+        with pytest.raises(DomainError, match="volume at the expected radius"):
+            volume_at_expected(2, 1e-320)
+
+    def test_underflowing_exact_value_raises(self):
+        with pytest.raises(DomainError, match="L/\\(n\\+1\\)"):
+            conjectured_expected_nn(3, 5e-324)
+
+
 class TestIntervalMonteCarlo:
     @pytest.mark.parametrize("n,want", [(1, 0.5), (2, 1 / 3), (3, 0.25)])
     def test_small_cases(self, n, want):
@@ -128,12 +156,25 @@ class TestIntervalMonteCarlo:
         with pytest.raises(DomainError, match="two samples"):
             uniform_interval_expected_nn(2, 1.0, 1, seed=0)
 
-    @pytest.mark.parametrize("length, message", [
-        (1e307, "moments overflow"),  # the squared minima overflow
-        (8.99e307, "2L"), (1e308, "2L")])  # 2L is not a finite float
-    def test_overflow_raises(self, length, message):
-        with pytest.raises(DomainError, match=message):
-            uniform_interval_expected_nn(2, length, 10, seed=0)
+    # drawn at scale L, these lengths overflow the squared minima or the range 2L
+    @pytest.mark.parametrize("length, overflowed", [
+        (1e307, "moments overflow"), (8.99e307, "2L"), (1e308, "2L")])
+    def test_overflow_raises(self, length, overflowed):
+        estimate = uniform_interval_expected_nn(2, length, 10, seed=0)
+        assert 0 < estimate.standard_error < estimate.mean < math.inf, overflowed
+        error = abs(estimate.mean - conjectured_expected_nn(2, length))
+        assert error <= 5 * estimate.standard_error
+
+    @pytest.mark.parametrize("length", [3.0, 1e-300, 1e307, 1e308, 2.0**-60, 2.0**500])
+    def test_every_field_is_length_times_unit_estimate(self, length):
+        unit = uniform_interval_expected_nn(3, 1.0, 1000, seed=5)
+        estimate = uniform_interval_expected_nn(3, length, 1000, seed=5)
+        assert estimate == dataclasses.replace(
+            unit, mean=length * unit.mean, standard_error=length * unit.standard_error)
+
+    def test_underflowing_estimate_raises(self):
+        with pytest.raises(DomainError, match="estimate at length 5e-324"):
+            uniform_interval_expected_nn(2, 5e-324, 10, seed=0)
 
     def test_large_finite_length(self):
         estimate = uniform_interval_expected_nn(2, 1e150, 10, seed=0)
@@ -249,6 +290,23 @@ class TestContinuedFraction:
             Fraction(1, 2), 10**6, uncertainty=Fraction(1, 10)
         )
         assert run.truncated
+
+    def test_float_is_its_exact_dyadic_value(self):
+        # 0.1 is 3602879701896397/2^55: certain quotients, none truncated
+        run = continued_fraction_convergents(0.1, 1000)
+        assert [(c.p, c.q) for c in run] == [(0, 1), (1, 9), (1, 10)]
+        assert not run.truncated
+
+    def test_one_exhausted_endpoint_truncates(self):
+        # [2/5, 1/2]: the upper endpoint ends at 1/2, the lower one goes on
+        run = continued_fraction_convergents(Fraction(9, 20), 1000, uncertainty=Fraction(1, 20))
+        assert [(c.p, c.q) for c in run] == [(0, 1), (1, 2)]
+        assert run.truncated
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(DomainError, match="not a finite number"):
+            continued_fraction_convergents(value, 10)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):

@@ -161,6 +161,13 @@ class TestAdversarial:
         path = csv_file("x.csv", "0\n1\n")
         assert run(["adversarial", "--c", "L", "--x", path]) == 1
 
+    def test_wide_column_found_by_doubling(self, capsys, csv_file):
+        # no halving of t separates the neighbors at this spacing; t = 4 does
+        path = csv_file("wide.csv", "0\n1e5\n2e5\n")
+        payload = run_json(capsys, ["adversarial", "--c", "p2", "--x", path, "--format", "json"])
+        assert payload["t"] == 4.0
+        assert payload["achieved_near_total"] == 3
+
 
 class TestSearchAndAsymptotics:
     def test_explore_near(self, capsys):
@@ -191,16 +198,27 @@ class TestSearchAndAsymptotics:
         assert captured.out == ""
         assert captured.err == "error: need at least two samples for a standard error\n"
 
-    @pytest.mark.parametrize("length, message", [
-        ("1e307", "sample moments overflow the float range; use a smaller length"),
-        ("1e308", "length 1e+308 overflows: 2L must be a finite float"),
-    ], ids=["sum", "range"])
-    def test_mc_nn_overflow_is_domain_error(self, capsys, length, message):
-        argv = ["mc-nn", "--points", "2", "--length", length, "--samples", "10"]
-        assert run(argv) == 1
+    @pytest.mark.parametrize("length", ["1e307", "1e308"], ids=["sum", "range"])
+    def test_mc_nn_overflow_is_domain_error(self, capsys, length):
+        # at scale L the squared minima (1e307) or the range 2L (1e308) overflow
+        payload = run_json(capsys, ["mc-nn", "--points", "2", "--length", length,
+                                    "--samples", "10", "--format", "json"])
+        assert 0 < payload["standard_error"] < payload["mean"] < math.inf
+        assert abs(payload["mean"] - payload["conjectured"]) <= 5 * payload["standard_error"]
+
+    def test_mc_nn_tiny_length_prints_nonzero_stderr(self, capsys):
+        # at scale L the squared minima flush to 0
+        assert run(["mc-nn", "--points", "2", "--length", "1e-300", "--samples", "10"]) == 0
+        out = capsys.readouterr().out
+        stderr = float(out.split("(stderr ", 1)[1].split(",", 1)[0])
+        assert stderr > 0
+
+    def test_mc_nn_underflowing_length_is_domain_error(self, capsys):
+        assert run(["mc-nn", "--points", "2", "--length", "5e-324", "--samples", "10"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == ("error: estimate at length 5e-324 is outside the normal "
+                                "float range (got 0.0)\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--grid-extent", "-1"), ("--random-samples", "-5"), ("--random-cols", "0")])

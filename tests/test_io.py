@@ -84,6 +84,15 @@ class TestSerialization:
         assert "3.46410162" in text
         assert len(text.splitlines()) == 3
 
+    def test_distance_matrix_csv_matches_per_value_format(self):
+        # one "%.9g" format per row prints each entry exactly as f"{v:.9g}"
+        values = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3,
+                  123456789.5, 999999999.5, 1e16, 1.7976931348623157e308,
+                  *np.logspace(-323, 308, 91)]
+        d = np.array(values[:100]).reshape(10, 10)
+        want = "\n".join(",".join(f"{v:.9g}" for v in row) for row in d)
+        assert distance_matrix_csv(d) == want
+
     def test_distance_matrix_dict(self):
         payload = distance_matrix_dict(np.zeros((2, 2)))
         assert payload == {"order": 2, "entries": [[0.0, 0.0], [0.0, 0.0]]}

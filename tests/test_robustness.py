@@ -222,6 +222,14 @@ class TestAdversarialAugment:
             near = nearest_sets(build(PNorm(p), x)).total
             assert rob_plus(PNorm(p), x, result.augmented).as_fraction() <= Fraction(n, near)
 
+    @pytest.mark.parametrize("p, spacing, t", [(2.0, 1e5, 4.0), (3.5, 1e3, 2.0)])
+    def test_large_data_scale_doubles_after_halving(self, p, spacing, t):
+        # the column must dominate the data here: halving t never succeeds
+        x = np.array([[0.0], [spacing], [2 * spacing]])
+        result = adversarial_augment(PNorm(p), x)
+        assert result.t == t
+        assert result.achieved_near_total == 3
+
     def test_rejects_squared_euclidean(self):
         with pytest.raises(DomainError):
             adversarial_augment(SquaredEuclidean(), TRIANGLE)
