@@ -1,8 +1,9 @@
 """Nearest-neighbor sets, ties, and which neighbor totals are reachable.
 
-The neighbor total of an n-row matrix always lies in {n, ..., n(n-1)} and
-can never equal n(n-1) - 1; beyond that, the reachable values are an open
-question which `achievable_near_totals` probes empirically.
+The neighbor total of an n-row matrix always lies in {n, ..., n(n-1)}.
+Under exact ties it can never equal n(n-1) - 1; a tolerance decides each
+row on its own, so there it can.  Beyond that, the reachable values are an
+open question which `achievable_near_totals` probes empirically.
 """
 
 import math
@@ -50,4 +51,4 @@ print("strict ties:", strict.total, " lenient ties:", lenient.total)
 # which totals appear for 4-row matrices under the Euclidean norm?
 totals = achievable_near_totals(4, p2, SearchBudget(random_samples=300), seed=0)
 print("\nobserved neighbor totals for n=4:", sorted(totals))
-print("(5 rows of searching will never show 11 = n(n-1) - 1)")
+print("(11 = n(n-1) - 1 needs a tie that the tolerance grants to one row only)")

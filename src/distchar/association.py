@@ -21,7 +21,7 @@ import numpy as np
 from .coefficients import Coefficient, checked_entries
 from .distance import build, validate_distance_matrix
 from .errors import DomainError
-from .neighbors import TiePolicy, nearest_sets
+from .neighbors import TiePolicy, near_mask
 from .robustness import RationalScore
 
 __all__ = [
@@ -158,7 +158,6 @@ def concordance(
     comparison is symmetric in the two coefficients.  A 1-row matrix scores
     1/1 (both neighbor sets are empty).
     """
-    sets_m = nearest_sets(build(m, x), tie, positive_only)
-    sets_n = nearest_sets(build(n, x), tie, positive_only)
-    agree = sum(1 for a, b in zip(sets_m.sets, sets_n.sets) if a == b)
-    return RationalScore(agree, sets_m.order)
+    near_m = near_mask(build(m, x), tie, positive_only)
+    near_n = near_mask(build(n, x), tie, positive_only)
+    return RationalScore(int((near_m == near_n).all(axis=1).sum()), len(near_m))

@@ -20,6 +20,7 @@ Three strands:
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import numbers
 import sys
@@ -243,6 +244,16 @@ def _to_fraction_with_uncertainty(x) -> tuple[Fraction, Fraction]:
     raise DomainError(f"unsupported value type for continued fractions: {type(x)!r}")
 
 
+def _quotients(x: Fraction):
+    """The partial quotients of the exact rational x, until its expansion ends."""
+    while True:
+        a = math.floor(x)
+        yield a
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
 def continued_fraction_convergents(
     x, max_q: int, uncertainty=None
 ) -> ConvergentSequence:
@@ -263,32 +274,18 @@ def continued_fraction_convergents(
     if not 0 < x0 < 1:
         raise DomainError(f"value must lie strictly between 0 and 1, got {x0}")
 
-    lo, hi = x0 - unc, x0 + unc
-    p_prev, q_prev = 1, 0
-    p_prev2, q_prev2 = 0, 1
+    p_prev, q_prev, p_prev2, q_prev2 = 1, 0, 0, 1
     out: list[Convergent] = []
-    truncated = False
-    while True:
-        a_lo = lo.numerator // lo.denominator
-        a_hi = hi.numerator // hi.denominator
-        if a_lo != a_hi:
-            truncated = True
-            break
-        a = a_lo
+    for a, a_hi in itertools.zip_longest(_quotients(x0 - unc), _quotients(x0 + unc)):
+        if a != a_hi:  # the endpoints disagree, or only one expansion has ended
+            return ConvergentSequence(convergents=tuple(out), truncated=True)
         p = a * p_prev + p_prev2
         q = a * q_prev + q_prev2
         if q > max_q:
             break
         out.append(Convergent(p, q))
-        rem_lo, rem_hi = lo - a, hi - a
-        if rem_lo == 0 and rem_hi == 0:
-            break  # exact rational: expansion complete
-        if rem_lo == 0 or rem_hi == 0:
-            truncated = True  # one endpoint exhausted; next quotient unbounded
-            break
-        lo, hi = 1 / rem_hi, 1 / rem_lo
         p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
-    return ConvergentSequence(convergents=tuple(out), truncated=truncated)
+    return ConvergentSequence(convergents=tuple(out), truncated=False)
 
 
 def _normal(value: float, what: str) -> float:

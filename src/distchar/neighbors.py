@@ -59,8 +59,7 @@ class NeighborSets:
 
     Invariants checked on construction: each row's set lies in 0..n-1 minus
     the row and, with the default convention, is nonempty when n > 1 (hence
-    n <= total <= n(n-1)); total = n(n-1) - 1 contradicts the symmetry of the
-    distance matrix and is rejected.
+    n <= total <= n(n-1)).
     """
 
     order: int
@@ -76,21 +75,18 @@ class NeighborSets:
                 raise DomainError(f"invalid neighbor set for row {i}: {sorted(s)}")
             if not self.positive_only and n > 1 and not s:
                 raise DomainError(f"row {i} must have at least one neighbor")
-        if self.total == n * (n - 1) - 1:
-            raise DomainError("neighbor total n(n-1)-1 contradicts symmetry")
 
     @property
     def total(self) -> int:
         return sum(len(s) for s in self.sets)
 
 
-def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> NeighborSets:
-    """Nearest-neighbor sets of a distance matrix.
+def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> np.ndarray:
+    """Boolean n x n mask, True at (i, j) when j is a nearest neighbor of row i.
 
-    ``positive_only=True`` restricts candidates to strictly positive
-    distances, the variant in which duplicate rows are not neighbors.
+    The one tie decision behind every neighbor set and score.  ``D`` must be
+    a valid distance matrix, such as ``build`` returns; it is not re-checked.
     """
-    D = validate_distance_matrix(d)
     n = D.shape[0]
     candidate = ~np.eye(n, dtype=bool)
     if positive_only:
@@ -100,9 +96,18 @@ def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -
     with np.errstate(over="ignore"):  # an infinite slack ties every candidate, as it should
         slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
         bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
-    near = candidate & (D <= bound[:, None])
+    return candidate & (D <= bound[:, None])
+
+
+def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> NeighborSets:
+    """Nearest-neighbor sets of a distance matrix.
+
+    ``positive_only=True`` restricts candidates to strictly positive
+    distances, the variant in which duplicate rows are not neighbors.
+    """
+    near = near_mask(validate_distance_matrix(d), tie, positive_only)
     sets = tuple(frozenset(row.nonzero()[0].tolist()) for row in near)
-    return NeighborSets(order=n, sets=sets, positive_only=positive_only)
+    return NeighborSets(order=len(sets), sets=sets, positive_only=positive_only)
 
 
 def near_total(sets: NeighborSets) -> int:
@@ -139,7 +144,7 @@ def achievable_near_totals(
     set of distinct totals seen across random matrices, small 1-D integer
     grids, and structured probes (duplicate rows, simplex vertices, evenly
     spaced points).  Deterministic for a given seed.  Every observed value
-    lies in {n, ..., n(n-1)} minus {n(n-1)-1}.
+    lies in {n, ..., n(n-1)}.
     """
     if n < 2:
         raise DomainError("search requires n >= 2")
@@ -147,7 +152,7 @@ def achievable_near_totals(
     totals: set[int] = set()
 
     def observe(x) -> None:
-        totals.add(nearest_sets(build(coefficient, x)).total)
+        totals.add(int(near_mask(build(coefficient, x)).sum()))
 
     if budget.include_probes:
         observe(np.zeros((n, 1)))          # all rows equal: total n(n-1)

@@ -27,7 +27,7 @@ import numpy as np
 from .coefficients import Coefficient, PNorm
 from .distance import as_data_matrix, build
 from .errors import DomainError
-from .neighbors import TiePolicy, nearest_sets
+from .neighbors import TiePolicy, near_mask
 
 __all__ = [
     "AdversarialResult",
@@ -96,10 +96,9 @@ def rob_plus(
     matrices; the denominator is the neighbor total of ``x``.
     """
     X, Xp = _one_column_extension(x, x_aug)
-    base = nearest_sets(build(coefficient, X), tie, positive_only)
-    aug = nearest_sets(build(coefficient, Xp), tie, positive_only)
-    kept = sum(len(b & a) for b, a in zip(base.sets, aug.sets))
-    return RationalScore(kept, base.total)
+    base = near_mask(build(coefficient, X), tie, positive_only)
+    aug = near_mask(build(coefficient, Xp), tie, positive_only)
+    return RationalScore(int((base & aug).sum()), int(base.sum()))
 
 
 def rob_minus(
@@ -119,11 +118,11 @@ def rob_minus(
         raise DomainError("robustness needs n > 1 so that neighbors exist")
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
-    base = nearest_sets(build(coefficient, X), tie, positive_only)
+    base = near_mask(build(coefficient, X), tie, positive_only)
     changed = 0
     for j in range(k):
-        reduced = nearest_sets(build(coefficient, np.delete(X, j, axis=1)), tie, positive_only)
-        changed += sum(1 for b, r in zip(base.sets, reduced.sets) if b != r)
+        reduced = near_mask(build(coefficient, np.delete(X, j, axis=1)), tie, positive_only)
+        changed += int((reduced != base).any(axis=1).sum())
     return RationalScore(n * k - changed, n * k)
 
 
@@ -132,7 +131,9 @@ def spacing_values(n: int) -> np.ndarray:
 
     All off-diagonal values over unordered pairs are pairwise distinct: two
     equal values would share both their lowest and highest powers of two.
-    Python integers are arbitrary precision, so any n is exact.
+    These are twice the gaps of the column ``adversarial_augment`` appends,
+    whose entries are 2^i rather than 2^(i+1).  Python integers are
+    arbitrary precision, so any n is exact.
     """
     if n < 2:
         raise DomainError("spacing values need n >= 2")
@@ -178,8 +179,9 @@ def adversarial_augment(
     n, _ = X.shape
     if n < 2:
         raise DomainError("augmentation needs n > 1 so that neighbors exist")
-    if n > 62:
-        raise DomainError("appended column 2^(n-1) exceeds exact float range for n > 62")
+    if n > 825:
+        raise DomainError("augmentation needs n <= 825: the largest column entry tried, "
+                          "2^199 * 2^(n-1), must be a finite float")
 
     spacing = tuple(2**i for i in range(n))
     column = np.array(spacing, dtype=float)
@@ -188,12 +190,6 @@ def adversarial_augment(
         scales = [2.0**-i for i in range(200)] + scales[1:]
     for t in scales:
         candidate = np.hstack([X, (t * column).reshape(n, 1)])
-        achieved = nearest_sets(build(coefficient, candidate), tie)
-        if achieved.total == n:
-            return AdversarialResult(
-                augmented=candidate,
-                t=t,
-                spacing=spacing,
-                achieved_near_total=achieved.total,
-            )
+        if near_mask(build(coefficient, candidate), tie).sum() == n:
+            return AdversarialResult(candidate, t, spacing, achieved_near_total=n)
     raise DomainError("no scale t found within 200 doublings/halvings")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from distchar import (
@@ -19,6 +21,19 @@ from distchar import (
     volume_at_expected,
 )
 from distchar.asymptotics import EULER_MASCHERONI_22
+
+
+def euclid_convergents(r: Fraction) -> list[tuple[int, int]]:
+    """Convergents (p, q) of an exact rational by Euclid's algorithm."""
+    num, den = r.numerator, r.denominator
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    out = []
+    while den:
+        a, rem = divmod(num, den)
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        out.append((p, q))
+        num, den = den, rem
+    return out
 
 
 def integration_cutoff(k, lam, v0):
@@ -302,6 +317,19 @@ class TestContinuedFraction:
         run = continued_fraction_convergents(Fraction(9, 20), 1000, uncertainty=Fraction(1, 20))
         assert [(c.p, c.q) for c in run] == [(0, 1), (1, 2)]
         assert run.truncated
+
+    @given(x=st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+           uncertainty=st.fractions(min_value=0, max_value=Fraction(1, 10),
+                                    max_denominator=10**15),
+           max_q=st.integers(1, 10**15))
+    @settings(max_examples=300, deadline=None)
+    def test_every_convergent_belongs_to_both_endpoints(self, x, uncertainty, max_q):
+        assume(0 < x < 1)
+        run = continued_fraction_convergents(x, max_q, uncertainty)
+        emitted = [(c.p, c.q) for c in run]
+        for endpoint in (x - uncertainty, x + uncertainty):
+            assert emitted == euclid_convergents(endpoint)[:len(emitted)]
+        assert all(q <= max_q for _, q in emitted)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, value):

@@ -21,6 +21,9 @@ SUBCOMMANDS = ("distmat", "near", "rob-plus", "rob-minus", "concord", "corr", "a
 
 EX6 = "2,50\n5,20\n1,10\n"
 EX8_Y = "1,1\n2,0\n3,0\n"
+# p2 distances 1.0000000006, 1.0 and 1.0000000015: under the default tolerance
+# rows 1 and 2 tie their other two rows and row 3 does not (total 5 = n(n-1) - 1)
+TOLERANCE_TRIANGLE = "0,0\n0.49999999910000015,0.8660254049968742\n1,0\n"
 
 
 @pytest.fixture
@@ -142,6 +145,27 @@ class TestAssociation:
             capsys, ["concord", "--m", "p1", "--n", "p2", "--x", path, "--format", "json"]
         )
         assert payload == {"num": 1, "den": 3, "value": pytest.approx(1 / 3)}
+
+
+class TestToleranceTies:
+    """A tolerance decides each row on its own, so the tie relation need not
+    be symmetric and a total of n(n-1) - 1 is valid."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["near", "--c", "p2"], "row 1: 2 3\nrow 2: 1 3\nrow 3: 1\ntotal = 5\n"),
+        (["rob-minus", "--c", "p2"], "robustness = 2/6 = 0.333333333\n"),
+        (["concord", "--m", "p1", "--n", "p2"], "concordance = 1/3 = 0.333333333\n"),
+    ])
+    def test_scores(self, capsys, csv_file, argv, expected):
+        assert run([*argv, "--x", csv_file("x.csv", TOLERANCE_TRIANGLE)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_rob_plus(self, capsys, csv_file):
+        x = csv_file("x.csv", TOLERANCE_TRIANGLE)
+        rows = TOLERANCE_TRIANGLE.splitlines()
+        xp = csv_file("xp.csv", "".join(f"{r},{v}\n" for r, v in zip(rows, (0, 1, 5))))
+        assert run(["rob-plus", "--c", "p2", "--x", x, "--xp", xp]) == 0
+        assert capsys.readouterr().out == "robustness = 2/5 = 0.4\n"
 
 
 class TestAdversarial:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,19 +11,41 @@ from hypothesis import strategies as st
 from distchar import (
     DomainError,
     PNorm,
+    RationalScore,
     SearchBudget,
     SquaredEuclidean,
     TiePolicy,
     achievable_near_totals,
     build,
+    concordance,
     near_total,
     nearest_sets,
     permute_rows,
+    rob_minus,
+    rob_plus,
 )
 from distchar.neighbors import EXACT_TIES, NeighborSets
 
 P1, P2 = PNorm(1), PNorm(2)
 SQRT3 = math.sqrt(3)
+COEFFICIENTS = [P1, P2, PNorm(math.inf), SquaredEuclidean(), PNorm(3.5)]
+# p2 distances 1.0000000006 (rows 1, 2), 1.0 (rows 1, 3) and 1.0000000015
+# (rows 2, 3): under the default relative tolerance 1e-9 rows 1 and 2 tie
+# their other two rows and row 3 does not, so the total is 5 = n(n-1) - 1
+TOLERANCE_TRIANGLE = np.array([[0.0, 0.0], [0.49999999910000015, 0.8660254049968742],
+                               [1.0, 0.0]])
+
+
+@st.composite
+def tie_heavy_or_gaussian(draw, min_cols=1, max_cols=4):
+    """An n x k matrix, 2 <= n <= 8, from the grid {0..3} or Gaussian."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(min_cols, max_cols))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        return rng.integers(0, 4, (n, k)).astype(float)
+    return rng.standard_normal((n, k))
 
 
 def brute_force_sets(d, positive_only=False):
@@ -198,12 +221,64 @@ class TestInvariantEnforcement:
             NeighborSets(order=2, sets=(frozenset({0}), frozenset({1})))  # self loops
 
     def test_near_total_excludes_n_squared_minus_n_minus_one(self):
-        # totals of 3 rows can be 3, 4 or 6 but never 5
-        with pytest.raises(DomainError):
-            NeighborSets(
-                order=3,
-                sets=(frozenset({1, 2}), frozenset({0, 2}), frozenset({0})),
-            )
+        # only exact ties exclude a total of 5 for 3 rows: a tolerance decides
+        # each row on its own, so these sets are valid and construct
+        sets = (frozenset({1, 2}), frozenset({0, 2}), frozenset({0}))
+        assert NeighborSets(order=3, sets=sets).total == 5
+        d = build(P2, TOLERANCE_TRIANGLE)
+        assert nearest_sets(d).sets == sets
+        assert nearest_sets(d, EXACT_TIES).total == 3
+
+    @given(x=tie_heavy_or_gaussian(), c=st.sampled_from(COEFFICIENTS),
+           positive_only=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_ties_never_total_n_squared_minus_n_minus_one(self, x, c, positive_only):
+        # row i missing only j, with rows j and k full, would force
+        # d(i, j) = d(j, k) = d(k, i) = d(i, k) = m_i by symmetry
+        n = x.shape[0]
+        assert nearest_sets(build(c, x), EXACT_TIES, positive_only).total != n * (n - 1) - 1
+
+
+def assert_same_score(library, definition):
+    """``library()`` returns the score ``definition()`` gives, or raises the
+    same DomainError."""
+    try:
+        want = definition()
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            library()
+        return
+    got = library()
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+class TestScoresFromSets:
+    """Every score equals its definition over the frozensets of nearest_sets."""
+
+    @given(xp=tie_heavy_or_gaussian(min_cols=2, max_cols=5), c=st.sampled_from(COEFFICIENTS),
+           other=st.sampled_from(COEFFICIENTS), rel_tol=st.sampled_from([0.0, 1e-9, 0.1]),
+           positive_only=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_scores_equal_set_definitions(self, xp, c, other, rel_tol, positive_only):
+        tie = TiePolicy(relative_tolerance=rel_tol)
+        x = xp[:, :-1]
+        n, k = xp.shape
+
+        def sets(coefficient, data):
+            return nearest_sets(build(coefficient, data), tie, positive_only).sets
+
+        base, aug = sets(c, x), sets(c, xp)
+        assert_same_score(
+            lambda: rob_plus(c, x, xp, tie, positive_only),
+            lambda: RationalScore(sum(len(b & a) for b, a in zip(base, aug)),
+                                  sum(len(b) for b in base)))
+        changed = sum(b != r for j in range(k)
+                      for b, r in zip(aug, sets(c, np.delete(xp, j, axis=1))))
+        assert_same_score(lambda: rob_minus(c, xp, tie, positive_only),
+                          lambda: RationalScore(n * k - changed, n * k))
+        assert_same_score(
+            lambda: concordance(other, c, x, tie, positive_only),
+            lambda: RationalScore(sum(a == b for a, b in zip(sets(other, x), base)), n))
 
 
 class TestAchievableTotals:

@@ -230,6 +230,20 @@ class TestAdversarialAugment:
         assert result.t == t
         assert result.achieved_near_total == 3
 
+    @pytest.mark.parametrize("n", [63, 200])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_many_rows(self, n, p):
+        # 2^(n-1) is an exact float far beyond 62 rows
+        x = np.random.default_rng(n).integers(0, 4, (n, 3)).astype(float)
+        result = adversarial_augment(PNorm(p), x)
+        assert result.achieved_near_total == n
+        assert nearest_sets(build(PNorm(p), result.augmented)).total == n
+
+    def test_row_bound(self):
+        # at 826 rows the largest column entry tried, 2^199 * 2^825, overflows
+        with pytest.raises(DomainError, match=r"n <= 825"):
+            adversarial_augment(P2, np.zeros((826, 1)))
+
     def test_rejects_squared_euclidean(self):
         with pytest.raises(DomainError):
             adversarial_augment(SquaredEuclidean(), TRIANGLE)

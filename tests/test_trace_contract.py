@@ -1,0 +1,83 @@
+"""What ``perfbench/trace_run.py`` relies on, pinned from the library side.
+
+The tracer rebinds module attributes by name and reads, under each score,
+the ``distance.build`` spans that score made; these tests fail when a
+refactor renames a traced function or changes how often a score builds.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from distchar import (
+    PNorm,
+    SearchBudget,
+    adversarial_augment,
+    association,
+    concordance,
+    correlation,
+    rob_minus,
+    rob_plus,
+    robustness,
+)
+from distchar.fixtures import load_example
+
+TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
+P1, P2 = PNorm(1), PNorm(2)
+X = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [3.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+
+
+def counter(monkeypatch, module, name) -> list:
+    """Rebind ``module.name`` to a wrapper that appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("score, builds", [
+    (lambda: rob_plus(P2, X, np.hstack([X, X[:, :1]])), 2),
+    (lambda: rob_minus(P2, X), X.shape[1] + 1),
+])
+def test_robustness_build_counts(monkeypatch, score, builds):
+    calls = counter(monkeypatch, robustness, "build")
+    score()
+    assert len(calls) == builds
+
+
+def test_adversarial_builds_once_per_scale(monkeypatch):
+    calls = counter(monkeypatch, robustness, "build")
+    result = adversarial_augment(P1, load_example("ex8"))
+    assert result.t == 0.5  # t = 1, then 1/2
+    assert len(calls) == 2
+
+
+def test_association_build_counts(monkeypatch):
+    builds = counter(monkeypatch, association, "build")
+    correlations = counter(monkeypatch, association, "matrix_correlation")
+    concordance(P1, P2, X)
+    assert (len(builds), len(correlations)) == (2, 0)
+    correlation(P1, P2, X)
+    assert (len(builds), len(correlations)) == (4, 1)
+
+
+def test_traced_names_exist():
+    tree = ast.parse(TRACE_RUN.read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["WRAPPED"])
+    for layer, names in wrapped.items():
+        module = importlib.import_module(f"distchar.{layer}")
+        for name in names:
+            assert callable(getattr(module, name)), f"distchar.{layer}.{name}"
+    budget = SearchBudget()
+    assert isinstance(budget.include_probes, bool)
+    assert isinstance(budget.grid_limit, int)
