@@ -27,8 +27,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -127,13 +125,18 @@ def uniform_interval_expected_nn(
 
     Simulated at L = 1 and scaled by L (substitute x -> x/L), so the
     reported values are exactly L times the unit-scale ones.  Deterministic
-    for a given seed.  Raises DomainError when a reported value underflows.
+    for a given seed, which must be a nonnegative integer.  Raises DomainError
+    when a reported value underflows.
     """
     if n < 1:
         raise DomainError("need at least one point")
     if samples < 2:
         raise DomainError("need at least two samples for a standard error")
     _require_positive(length=length)
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    import numpy as np  # the only numpy user here: delta and its convergents run without it
+
     rng = np.random.default_rng(seed)
     chunk = max(1, min(samples, 1_000_000 // n))
     done = 0

@@ -17,20 +17,10 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
+import distchar as dc
+
 from . import io as dcio
-from .association import SampleSpace, concordance, correlation
-from .asymptotics import (
-    conjectured_expected_nn,
-    continued_fraction_convergents,
-    delta_constant,
-    uniform_interval_expected_nn,
-)
-from .coefficients import parse_coefficient
-from .distance import build
 from .errors import DomainError
-from .neighbors import SearchBudget, TiePolicy, achievable_near_totals, nearest_sets
-from .robustness import adversarial_augment, rob_minus, rob_plus
-from .verification import run_golden_checks
 
 __all__ = ["main", "run"]
 
@@ -65,8 +55,11 @@ _TIES = ("--rel-tol", "--abs-tol")
 class _Command(NamedTuple):
     """A subcommand: its help, its flags (keys of _OPTIONS; ``--format`` is
     added to all), ``payload(args)`` giving the JSON dict, and ``text(payload)``
-    giving the text output.  Payloads call library and io functions by their
-    module-global name at call time, so a tracer can rebind them."""
+    giving the text output.  Payloads reach library functions as ``dc.<name>``
+    and io functions as ``dcio.<name>``; both look the name up in its home
+    module (``distchar.neighbors.nearest_sets``, ...) at call time, so a
+    tracer that rebinds it there sees the call, and a subcommand imports only
+    the modules it calls."""
 
     help: str
     options: tuple[str, ...]
@@ -78,30 +71,31 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _tie_policy(args) -> TiePolicy:
-    return TiePolicy(relative_tolerance=args.rel_tol, absolute_tolerance=args.abs_tol)
+def _tie_policy(args) -> dc.TiePolicy:
+    return dc.TiePolicy(relative_tolerance=args.rel_tol, absolute_tolerance=args.abs_tol)
 
 
 def _distances(args):
-    return build(parse_coefficient(args.c), dcio.load_data_matrix(args.x))
+    return dc.build(dc.parse_coefficient(args.c), dcio.load_data_matrix(args.x))
 
 
 def _explore_near(args) -> dict:
-    budget = SearchBudget(random_samples=args.random_samples, random_cols=args.random_cols,
-                          grid_extent=args.grid_extent)
-    totals = achievable_near_totals(args.rows, parse_coefficient(args.c), budget, args.seed)
+    budget = dc.SearchBudget(random_samples=args.random_samples,
+                             random_cols=args.random_cols, grid_extent=args.grid_extent)
+    totals = dc.achievable_near_totals(args.rows, dc.parse_coefficient(args.c), budget,
+                                       args.seed)
     return {"rows": args.rows, "totals": sorted(totals)}
 
 
 def _mc_nn(args) -> dict:
-    estimate = uniform_interval_expected_nn(args.points, args.length, args.samples, args.seed)
-    guess = conjectured_expected_nn(args.points, args.length)
+    estimate = dc.uniform_interval_expected_nn(args.points, args.length, args.samples, args.seed)
+    guess = dc.conjectured_expected_nn(args.points, args.length)
     return {**dcio.estimate_dict(estimate), "conjectured": guess}
 
 
 def _delta_cf(args) -> dict:
-    value = delta_constant(args.digits)
-    sequence = continued_fraction_convergents(value, args.max_q)
+    value = dc.delta_constant(args.digits)
+    sequence = dc.continued_fraction_convergents(value, args.max_q)
     return {**dcio.convergents_dict(sequence), "delta": str(value), "digits": args.digits}
 
 
@@ -147,37 +141,37 @@ _COMMANDS = {
     "near": _Command(
         "nearest-neighbor sets (1-based) and total", ("--c", "--x", "--positive-only", *_TIES),
         lambda a: dcio.neighbor_sets_dict(
-            nearest_sets(_distances(a), _tie_policy(a), positive_only=a.positive_only)),
+            dc.nearest_sets(_distances(a), _tie_policy(a), positive_only=a.positive_only)),
         _near_text),
     "rob-plus": _Command(
         "robustness against a one-column extension",
         ("--c", "--x", "--xp", "--positive-only", *_TIES),
-        lambda a: dcio.rational_dict(rob_plus(
-            parse_coefficient(a.c), dcio.load_data_matrix(a.x), dcio.load_data_matrix(a.xp),
+        lambda a: dcio.rational_dict(dc.rob_plus(
+            dc.parse_coefficient(a.c), dcio.load_data_matrix(a.x), dcio.load_data_matrix(a.xp),
             _tie_policy(a), positive_only=a.positive_only)),
         _score_text("robustness")),
     "rob-minus": _Command(
         "leave-one-column-out robustness", ("--c", "--x", "--positive-only", *_TIES),
-        lambda a: dcio.rational_dict(rob_minus(
-            parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a),
+        lambda a: dcio.rational_dict(dc.rob_minus(
+            dc.parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a),
             positive_only=a.positive_only)),
         _score_text("robustness")),
     "concord": _Command(
         "concordance of two coefficients", ("--m", "--n", "--x", *_TIES),
-        lambda a: dcio.rational_dict(concordance(
-            parse_coefficient(a.m), parse_coefficient(a.n), dcio.load_data_matrix(a.x),
+        lambda a: dcio.rational_dict(dc.concordance(
+            dc.parse_coefficient(a.m), dc.parse_coefficient(a.n), dcio.load_data_matrix(a.x),
             _tie_policy(a))),
         _score_text("concordance")),
     "corr": _Command(
         "correlation of two distance matrices", ("--m", "--n", "--x", "--conv"),
-        lambda a: dcio.correlation_dict(correlation(
-            parse_coefficient(a.m), parse_coefficient(a.n), dcio.load_data_matrix(a.x),
-            SampleSpace(a.conv))),
+        lambda a: dcio.correlation_dict(dc.correlation(
+            dc.parse_coefficient(a.m), dc.parse_coefficient(a.n), dcio.load_data_matrix(a.x),
+            dc.SampleSpace(a.conv))),
         _corr_text),
     "adversarial": _Command(
         "tie-breaking column augmentation (p-norm --c only)", ("--c", "--x", *_TIES),
-        lambda a: dcio.adversarial_dict(adversarial_augment(
-            parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a))),
+        lambda a: dcio.adversarial_dict(dc.adversarial_augment(
+            dc.parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a))),
         _adversarial_text),
     "explore-near": _Command(
         "observed neighbor totals over a searched family",
@@ -193,6 +187,8 @@ _COMMANDS = {
 
 
 def _verify() -> int:
+    from .verification import run_golden_checks
+
     checks = run_golden_checks()
     for check in checks:
         suffix = f"  ({check.detail})" if check.detail and not check.passed else ""

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .association import CorrelationResult
-from .asymptotics import ConvergentSequence, MonteCarloEstimate
 from .errors import DomainError
-from .neighbors import NeighborSets
-from .robustness import AdversarialResult, RationalScore
+
+if TYPE_CHECKING:  # numpy and the result types load only where a caller needs them
+    import numpy as np
+
+    from .association import CorrelationResult
+    from .asymptotics import ConvergentSequence, MonteCarloEstimate
+    from .neighbors import NeighborSets
+    from .robustness import AdversarialResult, RationalScore
 
 __all__ = [
     "adversarial_dict",
@@ -34,6 +37,8 @@ __all__ = [
 
 def parse_data_matrix(text: str, name: str = "<input>") -> np.ndarray:
     """Parse CSV text into a float data matrix; errors name line and column."""
+    import numpy as np
+
     rows: list[list[float]] = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,20 +74,27 @@ def load_data_matrix(path) -> np.ndarray:
     """Read a data matrix from a CSV file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {p}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(
+            f"{p}: not UTF-8 text at byte offset {exc.start} ({exc.reason})") from None
     return parse_data_matrix(text, name=str(p))
 
 
 def distance_matrix_csv(d: np.ndarray) -> str:
     """CSV text of a distance matrix, 9 significant digits per entry."""
+    import numpy as np
+
     arr = np.asarray(d, dtype=float)
     row_format = ",".join(["%.9g"] * arr.shape[1])
     return "\n".join(row_format % tuple(row) for row in arr.tolist())
 
 
 def distance_matrix_dict(d: np.ndarray) -> dict:
+    import numpy as np
+
     arr = np.asarray(d, dtype=float)
     return {"order": arr.shape[0], "entries": arr.tolist()}
 
@@ -110,6 +122,8 @@ def correlation_dict(result: CorrelationResult) -> dict:
 
 
 def adversarial_dict(result: AdversarialResult) -> dict:
+    import numpy as np
+
     augmented = np.asarray(result.augmented, dtype=float)
     return {
         "t": result.t,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,8 @@ def achievable_near_totals(
     """
     if n < 2:
         raise DomainError("search requires n >= 2")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     totals: set[int] = set()
 

@@ -203,6 +203,11 @@ class TestIntervalMonteCarlo:
         with pytest.raises(DomainError):
             uniform_interval_expected_nn(1, 1.0, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_rejects_seeds_that_are_not_nonnegative_integers(self, seed):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            uniform_interval_expected_nn(2, 1.0, 10, seed=seed)
+
 
 class TestConjecturedValue:
     def test_proved_cases(self):

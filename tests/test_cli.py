@@ -250,6 +250,14 @@ class TestSearchAndAsymptotics:
         assert run(["explore-near", "--rows", "3", "--c", "p1", flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: search budget needs")
 
+    @pytest.mark.parametrize("argv", [["mc-nn", "--points", "2", "--samples", "10"],
+                                      ["explore-near", "--rows", "3", "--c", "p2"]])
+    def test_negative_seed_is_domain_error(self, capsys, argv):
+        assert run([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
     def test_delta_cf(self, capsys):
         payload = run_json(
             capsys, ["delta-cf", "--digits", "20", "--max-q", "10000000", "--format", "json"]
@@ -349,6 +357,15 @@ class TestContract:
         err = capsys.readouterr().err
         assert "line 2, column 2" in err
         assert "Traceback" not in err
+
+    def test_non_utf8_csv_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("1,2\n3,4\n".encode("utf-16"))  # starts with ff fe
+        assert run(["near", "--c", "p2", "--x", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: not UTF-8 text at byte offset 0 "
+                                "(invalid start byte)\n")
 
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         assert run(["distmat", "--c", "p1", "--x", str(tmp_path / "nope.csv")]) == 1

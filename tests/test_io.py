@@ -57,6 +57,12 @@ class TestParsing:
         with pytest.raises(DomainError, match="cannot read"):
             load_data_matrix(tmp_path / "absent.csv")
 
+    def test_non_utf8_file_names_file_and_byte_offset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1,2\n3,\u00e9\n".encode("latin-1"))
+        with pytest.raises(DomainError, match=r"latin1\.csv: not UTF-8 text at byte offset 6 "):
+            load_data_matrix(path)
+
 
 class TestFixtures:
     def test_all_examples_load(self):

@@ -305,6 +305,11 @@ class TestAchievableTotals:
         with pytest.raises(DomainError):
             achievable_near_totals(1, P1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_rejects_seeds_that_are_not_nonnegative_integers(self, seed):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            achievable_near_totals(3, P1, seed=seed)
+
     @pytest.mark.parametrize("field, value", [
         ("random_samples", -5), ("random_cols", 0), ("grid_extent", -1), ("grid_limit", -1)])
     def test_rejects_bad_budgets(self, field, value):

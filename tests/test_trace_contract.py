@@ -2,7 +2,8 @@
 
 The tracer rebinds module attributes by name and reads, under each score,
 the ``distance.build`` spans that score made; these tests fail when a
-refactor renames a traced function or changes how often a score builds.
+refactor renames a traced function, changes how often a score builds, or
+makes the CLI hold a function the tracer cannot rebind.
 """
 
 import ast
@@ -17,13 +18,16 @@ from distchar import (
     SearchBudget,
     adversarial_augment,
     association,
+    asymptotics,
+    cli,
     concordance,
     correlation,
+    neighbors,
     rob_minus,
     rob_plus,
     robustness,
 )
-from distchar.fixtures import load_example
+from distchar.fixtures import fixture_path, load_example
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
 P1, P2 = PNorm(1), PNorm(2)
@@ -67,6 +71,19 @@ def test_association_build_counts(monkeypatch):
     assert (len(builds), len(correlations)) == (2, 0)
     correlation(P1, P2, X)
     assert (len(builds), len(correlations)) == (4, 1)
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (neighbors, "nearest_sets", ["near", "--c", "p2", "--x", str(fixture_path("ex4"))]),
+    (asymptotics, "delta_constant", ["delta-cf"]),
+])
+def test_cli_calls_through_the_home_module(monkeypatch, capsys, module, name, argv):
+    """The CLI looks each library function up at call time, so a wrapper
+    rebound on the function's home module sees the call."""
+    calls = counter(monkeypatch, module, name)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 1
 
 
 def test_traced_names_exist():
