@@ -80,16 +80,15 @@ def load_data_matrix(path) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise DomainError(
             f"{p}: not UTF-8 text at byte offset {exc.start} ({exc.reason})") from None
-    return parse_data_matrix(text, name=str(p))
+    # a byte-order mark, as spreadsheet programs write; not "utf-8-sig", whose
+    # error offsets would not count the mark's 3 bytes
+    return parse_data_matrix(text.removeprefix("\ufeff"), name=str(p))
 
 
-def distance_matrix_csv(d: np.ndarray) -> str:
-    """CSV text of a distance matrix, 9 significant digits per entry."""
-    import numpy as np
-
-    arr = np.asarray(d, dtype=float)
-    row_format = ",".join(["%.9g"] * arr.shape[1])
-    return "\n".join(row_format % tuple(row) for row in arr.tolist())
+def distance_matrix_csv(d) -> str:
+    """CSV text of a square distance matrix (rows of reals), 9 significant digits each."""
+    row_format = ",".join(["%.9g"] * len(d))
+    return "\n".join(row_format % tuple(row) for row in d)
 
 
 def distance_matrix_dict(d: np.ndarray) -> dict:
@@ -122,15 +121,13 @@ def correlation_dict(result: CorrelationResult) -> dict:
 
 
 def adversarial_dict(result: AdversarialResult) -> dict:
-    import numpy as np
-
-    augmented = np.asarray(result.augmented, dtype=float)
+    augmented = result.augmented.tolist()
     return {
         "t": result.t,
         "spacing": list(result.spacing),
-        "column": augmented[:, -1].tolist(),
+        "column": [row[-1] for row in augmented],
         "achieved_near_total": result.achieved_near_total,
-        "augmented": augmented.tolist(),
+        "augmented": augmented,
     }
 
 

@@ -143,9 +143,9 @@ def achievable_near_totals(
 
     This is an empirical search, not a characterization: the result is the
     set of distinct totals seen across random matrices, small 1-D integer
-    grids, and structured probes (duplicate rows, simplex vertices, evenly
-    spaced points).  Deterministic for a given seed.  Every observed value
-    lies in {n, ..., n(n-1)}.
+    grids, and structured probes (duplicate rows, evenly spaced points, and
+    points with strictly growing gaps).  Deterministic for a given seed.
+    Every observed value lies in {n, ..., n(n-1)}.
     """
     if n < 2:
         raise DomainError("search requires n >= 2")
@@ -159,7 +159,6 @@ def achievable_near_totals(
 
     if budget.include_probes:
         observe(np.zeros((n, 1)))          # all rows equal: total n(n-1)
-        observe(np.eye(n))                 # simplex vertices: all pairs tie
         observe(np.arange(n, dtype=float).reshape(n, 1))
         spaced = np.cumsum([0.0] + [2.0**i for i in range(n - 1)])
         observe(spaced.reshape(n, 1))      # strictly growing gaps: total n

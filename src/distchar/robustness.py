@@ -163,11 +163,13 @@ def adversarial_augment(
 ) -> AdversarialResult:
     """Append a column t * (1, 2, 4, ...) that gives every row a unique neighbor.
 
-    Defined for p-norms only.  The scale t is found by verified search: start
-    at t = 1 and double (p = inf, where the new column must dominate), or for
-    finite p first halve (a small column merely breaks ties) and then double
-    (a large column dominates, which always works), until the recomputed
-    neighbor total equals n.  That certifies rob_plus(x, augmented) <=
+    Defined for p-norms and 2 <= n <= 1024 rows.  The scale t is found by
+    verified search: start at t = 1 and double (p = inf, where the new column
+    must dominate), or for finite p first halve down to 2^-199 (a small
+    column merely breaks ties) and then double (a large column dominates,
+    which always works), until the recomputed neighbor total equals n.
+    Doubling stops where the largest column entry t * 2^(n-1) or a distance
+    would overflow.  That certifies rob_plus(x, augmented) <=
     n / near_total(x) by counting: with b_i, a_i the neighbor sets of row i
     before and after, the kept relations sum |b_i & a_i| <= sum |a_i| = n.
     """
@@ -179,17 +181,21 @@ def adversarial_augment(
     n, _ = X.shape
     if n < 2:
         raise DomainError("augmentation needs n > 1 so that neighbors exist")
-    if n > 825:
-        raise DomainError("augmentation needs n <= 825: the largest column entry tried, "
-                          "2^199 * 2^(n-1), must be a finite float")
+    if n > 1024:
+        raise DomainError("augmentation needs n <= 1024: the largest column entry, "
+                          "2^(n-1), must be a finite float")
 
     spacing = tuple(2**i for i in range(n))
     column = np.array(spacing, dtype=float)
-    scales = [2.0**i for i in range(200)]
+    scales = [2.0**i for i in range(1025 - n)]  # t * 2^(n-1) <= 2^1023, a finite float
     if not math.isinf(coefficient.p):
         scales = [2.0**-i for i in range(200)] + scales[1:]
     for t in scales:
         candidate = np.hstack([X, (t * column).reshape(n, 1)])
-        if near_mask(build(coefficient, candidate), tie).sum() == n:
+        try:
+            D = build(coefficient, candidate)
+        except DomainError:  # the distances overflow, as they would at any larger t
+            break
+        if near_mask(D, tie).sum() == n:
             return AdversarialResult(candidate, t, spacing, achieved_near_total=n)
-    raise DomainError("no scale t found within 200 doublings/halvings")
+    raise DomainError("no scale t found: every t tried left a tie or overflowed")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from distchar import (
+    CorrelationResult,
     DomainError,
     PNorm,
     SampleSpace,
@@ -144,6 +145,15 @@ class TestCorrelation:
     def test_single_column_matrices_correlate_perfectly(self):
         result = correlation(P1, PINF, EX8_X)
         assert result.rho == pytest.approx(1.0, abs=1e-12)
+
+    def test_order_mismatch(self):
+        with pytest.raises(DomainError, match="order mismatch"):
+            matrix_correlation(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_result_rejects_rho_outside_unit_interval(self):
+        with pytest.raises(DomainError, match="outside"):
+            CorrelationResult(rho=1.5, covariance=0.0, variances=(1.0, 1.0),
+                              convention=SampleSpace.FULL_GRID)
 
     def test_undefined_for_single_row(self):
         result = correlation(P1, P2, np.array([[1.0, 2.0]]))

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from distchar import (
+    Convergent,
     DomainError,
+    MonteCarloEstimate,
     conjectured_expected_nn,
     continued_fraction_convergents,
     delta_constant,
@@ -140,6 +142,10 @@ class TestExtremeScales:
     def test_density_far_out_underflows_to_zero(self):
         assert nn_distance_density(1e200, 3, 1.0, 1.0) == 0.0
 
+    def test_overflowing_density_raises(self):
+        with pytest.raises(DomainError, match="density at r = 0.0 overflows"):
+            nn_distance_density(0.0, 1, 1e200, 1e109)
+
     def test_overflowing_volume_at_expected_raises(self):
         with pytest.raises(DomainError, match="volume at the expected radius"):
             volume_at_expected(2, 1e-320)
@@ -208,6 +214,11 @@ class TestIntervalMonteCarlo:
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             uniform_interval_expected_nn(2, 1.0, 10, seed=seed)
 
+    @pytest.mark.parametrize("samples, standard_error", [(0, 0.1), (10, -0.1)])
+    def test_estimate_rejects_impossible_fields(self, samples, standard_error):
+        with pytest.raises(DomainError):
+            MonteCarloEstimate(mean=1.0, standard_error=standard_error, samples=samples, seed=0)
+
 
 class TestConjecturedValue:
     def test_proved_cases(self):
@@ -232,6 +243,10 @@ class TestConjecturedValue:
 
     def test_grows_with_length(self):
         assert conjectured_expected_nn(5, 60.0) == 10.0
+
+    def test_needs_a_point(self):
+        with pytest.raises(DomainError, match="at least one point"):
+            conjectured_expected_nn(0, 1.0)
 
 
 class TestDeltaConstant:
@@ -348,3 +363,9 @@ class TestContinuedFraction:
             continued_fraction_convergents(Fraction(1, 2), 0)
         with pytest.raises(DomainError):
             continued_fraction_convergents(Fraction(1, 2), 10, uncertainty=-1)
+        with pytest.raises(DomainError, match="not a finite decimal"):
+            continued_fraction_convergents(decimal.Decimal("NaN"), 10)
+        with pytest.raises(DomainError, match="unsupported value type"):
+            continued_fraction_convergents([0.5], 10)
+        with pytest.raises(DomainError, match="denominator must be positive"):
+            Convergent(1, 0)

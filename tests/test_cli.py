@@ -367,6 +367,16 @@ class TestContract:
         assert captured.err == (f"error: {path}: not UTF-8 text at byte offset 0 "
                                 "(invalid start byte)\n")
 
+    def test_utf8_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with the mark ef bb bf
+        outputs = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(prefix + b"0,0\n1,1\n")
+            assert run(["near", "--c", "p2", "--x", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[1].err == ""
+
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         assert run(["distmat", "--c", "p1", "--x", str(tmp_path / "nope.csv")]) == 1
 

@@ -118,6 +118,10 @@ class TestNormhood:
     def test_squared_euclidean_is_not(self):
         assert not is_true_norm(SquaredEuclidean())
 
+    def test_rejects_what_is_not_a_coefficient(self):
+        with pytest.raises(DomainError, match="not a coefficient"):
+            is_true_norm("p2")
+
     def test_squared_euclidean_breaks_homogeneity(self):
         # L(2v) = 4 L(v), not 2 L(v)
         v = [1.0, 2.0]

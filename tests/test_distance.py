@@ -263,6 +263,8 @@ class TestValidation:
             validate_distance_matrix([[1, 1], [1, 0]])  # nonzero diagonal
         with pytest.raises(DomainError):
             validate_distance_matrix([[0, -1], [-1, 0]])  # negative entry
+        with pytest.raises(DomainError, match="square"):
+            validate_distance_matrix(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_distance_matrix_entries_must_be_finite(self, bad):

@@ -63,6 +63,12 @@ class TestParsing:
         with pytest.raises(DomainError, match=r"latin1\.csv: not UTF-8 text at byte offset 6 "):
             load_data_matrix(path)
 
+    def test_byte_offset_counts_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "1,2\n3,\u00e9\n".encode("latin-1"))
+        with pytest.raises(DomainError, match=r"bom\.csv: not UTF-8 text at byte offset 9 "):
+            load_data_matrix(path)
+
 
 class TestFixtures:
     def test_all_examples_load(self):

@@ -219,6 +219,8 @@ class TestInvariantEnforcement:
             NeighborSets(order=2, sets=(frozenset(), frozenset()))  # empty rows
         with pytest.raises(DomainError):
             NeighborSets(order=2, sets=(frozenset({0}), frozenset({1})))  # self loops
+        with pytest.raises(DomainError, match="one neighbor set per row"):
+            NeighborSets(order=2, sets=(frozenset({1}),))
 
     def test_near_total_excludes_n_squared_minus_n_minus_one(self):
         # only exact ties exclude a total of 5 for 3 rows: a tolerance decides

@@ -10,6 +10,7 @@ from distchar import (
     PNorm,
     RationalScore,
     SquaredEuclidean,
+    TiePolicy,
     adversarial_augment,
     augment_constant_columns,
     build,
@@ -222,9 +223,12 @@ class TestAdversarialAugment:
             near = nearest_sets(build(PNorm(p), x)).total
             assert rob_plus(PNorm(p), x, result.augmented).as_fraction() <= Fraction(n, near)
 
-    @pytest.mark.parametrize("p, spacing, t", [(2.0, 1e5, 4.0), (3.5, 1e3, 2.0)])
+    @pytest.mark.parametrize("p, spacing, t", [
+        (2.0, 1e5, 4.0), (3.5, 1e3, 2.0),
+        (1.0, 1e70, 2.0**203), (2.0, 1e70, 2.0**218), (math.inf, 1e70, 2.0**232)])
     def test_large_data_scale_doubles_after_halving(self, p, spacing, t):
-        # the column must dominate the data here: halving t never succeeds
+        # the column must dominate the data here: halving t never succeeds, and
+        # at 1e70 doubling goes past 2^199
         x = np.array([[0.0], [spacing], [2 * spacing]])
         result = adversarial_augment(PNorm(p), x)
         assert result.t == t
@@ -240,9 +244,25 @@ class TestAdversarialAugment:
         assert nearest_sets(build(PNorm(p), result.augmented)).total == n
 
     def test_row_bound(self):
-        # at 826 rows the largest column entry tried, 2^199 * 2^825, overflows
-        with pytest.raises(DomainError, match=r"n <= 825"):
-            adversarial_augment(P2, np.zeros((826, 1)))
+        # at 1025 rows the largest column entry, 2^1024, overflows
+        with pytest.raises(DomainError, match=r"n <= 1024"):
+            adversarial_augment(P2, np.zeros((1025, 1)))
+        assert adversarial_augment(P2, np.zeros((1024, 1))).t == 1.0
+
+    @pytest.mark.parametrize("x", [
+        [[0.0], [1.0], [3.0]],  # every t on the ladder leaves row 1 tied
+        [[0.0], [9e307], [1.7e308]]])  # the distances overflow first
+    def test_no_scale_found(self, x):
+        # a relative tolerance of 1 ties any two distances within a factor 2
+        with pytest.raises(DomainError, match="no scale t found"):
+            adversarial_augment(P1, x, TiePolicy(relative_tolerance=1.0))
+
+    def test_exact_input_gives_float_column(self):
+        x = np.array([[Fraction(0)], [Fraction(1, 3)], [Fraction(2, 3)]], dtype=object)
+        result = adversarial_augment(P1, x)
+        assert result.augmented.dtype == np.float64
+        assert result.augmented[:, 0].tolist() == [0.0, 1 / 3, 2 / 3]
+        assert result.achieved_near_total == 3
 
     def test_rejects_squared_euclidean(self):
         with pytest.raises(DomainError):
