@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, require_integers
 
 __all__ = [
     "Convergent",
@@ -127,7 +127,17 @@ def uniform_interval_expected_nn(
     reported values are exactly L times the unit-scale ones.  Deterministic
     for a given seed, which must be a nonnegative integer.  Raises DomainError
     when a reported value underflows.
+
+    Determinism contract: the PCG64 stream of ``default_rng(seed)`` is read
+    in row-major (sample, point) order, one double per point, and each draw
+    u becomes |2u - 1|, bitwise numpy's ``abs(uniform(-1, 1))``.  The sample
+    minima are summed per chunk of max(1, min(samples, 1_000_000 // n))
+    samples with numpy's ``sum``, and the chunk sums are added in order, so
+    the estimate depends on nothing but the arguments.  The working set is
+    fixed, whatever the sample count: one chunk of minima (at most 8 MB)
+    plus a reused block of max(n, 65536) draws.
     """
+    require_integers(n=n, samples=samples)
     if n < 1:
         raise DomainError("need at least one point")
     if samples < 2:
@@ -139,15 +149,29 @@ def uniform_interval_expected_nn(
 
     rng = np.random.default_rng(seed)
     chunk = max(1, min(samples, 1_000_000 // n))
-    done = 0
+    rows = min(chunk, max(1, 65536 // n))
+    block = np.empty((rows, n))
+    mins = np.empty(chunk)
     s1 = 0.0
     s2 = 0.0
-    while done < samples:
+    for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
-        mins = np.abs(rng.uniform(-1.0, 1.0, size=(m, n))).min(axis=1)
-        s1 += float(mins.sum())
-        s2 += float((mins * mins).sum())
-        done += m
+        for start in range(0, m, rows):
+            u = block[: min(rows, m - start)]
+            rng.random(out=u)
+            u *= 2.0
+            u -= 1.0
+            np.abs(u, out=u)
+            width = n
+            while width > 1:  # fold the row minimum into column 0; min is exact
+                half = width // 2
+                np.minimum(u[:, :half], u[:, width - half:width], out=u[:, :half])
+                width -= half
+            mins[start:start + len(u)] = u[:, 0]
+        part = mins[:m]
+        s1 += float(part.sum())
+        part *= part
+        s2 += float(part.sum())
     mean = s1 / samples
     variance = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
     mean, stderr = length * mean, length * math.sqrt(variance / samples)
@@ -162,6 +186,7 @@ def conjectured_expected_nn(n: int, length: float) -> float:
     the integral of that over [0, L], L/(n+1), and the variance is
     n L^2 / ((n+1)^2 (n+2)).  The name predates the proof and is kept.
     """
+    require_integers(n=n)
     if n < 1:
         raise DomainError("need at least one point")
     _require_positive(length=length)
@@ -176,6 +201,7 @@ def delta_constant(digits: int) -> decimal.Decimal:
     gamma.  Requests beyond 20 digits would pretend to precision the stored
     gamma cannot support and are rejected.
     """
+    require_integers(digits=digits)
     if not 1 <= digits <= _MAX_DELTA_DIGITS:
         raise DomainError(f"digits must be in 1..{_MAX_DELTA_DIGITS}")
     with decimal.localcontext() as ctx:

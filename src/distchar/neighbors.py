@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import Coefficient
 from .distance import build, validate_distance_matrix
-from .errors import DomainError
+from .errors import DomainError, require_integers
 
 __all__ = [
     "NeighborSets",
@@ -127,6 +127,8 @@ class SearchBudget:
     include_probes: bool = True
 
     def __post_init__(self) -> None:
+        require_integers(random_samples=self.random_samples, random_cols=self.random_cols,
+                         grid_extent=self.grid_extent, grid_limit=self.grid_limit)
         if (self.random_samples < 0 or self.random_cols < 1 or self.grid_extent < 0
                 or self.grid_limit < 0):
             raise DomainError("search budget needs random_samples >= 0, random_cols >= 1, "
@@ -147,6 +149,7 @@ def achievable_near_totals(
     points with strictly growing gaps).  Deterministic for a given seed.
     Every observed value lies in {n, ..., n(n-1)}.
     """
+    require_integers(n=n)
     if n < 2:
         raise DomainError("search requires n >= 2")
     if not isinstance(seed, numbers.Integral) or seed < 0:

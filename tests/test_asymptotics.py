@@ -38,6 +38,22 @@ def euclid_convergents(r: Fraction) -> list[tuple[int, int]]:
     return out
 
 
+def reference_estimate(n, length, samples, seed):
+    """The Monte Carlo estimate as first written: one numpy uniform draw and
+    one row minimum per chunk, each chunk summed with numpy's sum."""
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(samples, 1_000_000 // n))
+    s1 = s2 = 0.0
+    for done in range(0, samples, chunk):
+        m = min(chunk, samples - done)
+        mins = np.abs(rng.uniform(-1.0, 1.0, size=(m, n))).min(axis=1)
+        s1 += float(mins.sum())
+        s2 += float((mins * mins).sum())
+    mean = s1 / samples
+    variance = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
+    return length * mean, length * math.sqrt(variance / samples)
+
+
 def integration_cutoff(k, lam, v0):
     # beyond R the remaining mass is exp(-lam*v0*R^k) < 1e-14
     return (37.0 / (lam * v0)) ** (1.0 / k)
@@ -214,6 +230,33 @@ class TestIntervalMonteCarlo:
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             uniform_interval_expected_nn(2, 1.0, 10, seed=seed)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 1.0, 10, 0), "n"), ((2, 1.0, 10.0, 0), "samples")])
+    def test_rejects_counts_that_are_not_integers(self, args, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            uniform_interval_expected_nn(*args)
+
+    # captured from the numpy-uniform formula in reference_estimate; each case
+    # crosses a 64K-draw block or a chunk boundary, the last has 1-row chunks
+    @pytest.mark.parametrize("n, length, samples, seed, want", [
+        (1, 1.0, 1_000_003, 4, ("0x1.00258c94073bep-1", "0x1.2e85a4309d223p-12")),
+        (3, 1.0, 400_001, 7, ("0x1.003dc4b148ceep-2", "0x1.4125305d41e7bp-12")),
+        (7, 1.0, 123_457, 5, ("0x1.ff0f269691333p-4", "0x1.47a9ad3b04cdap-12")),
+        (50, 1.0, 99_999, 3, ("0x1.4151754efbed6p-6", "0x1.fe0bc3e01d3bfp-15")),
+        (1_000_001, 1.0, 3, 2, ("0x1.6b6e763000000p-22", "0x1.5250ba2545711p-23")),
+    ])
+    def test_pinned_bits_across_blocks_and_chunks(self, n, length, samples, seed, want):
+        estimate = uniform_interval_expected_nn(n, length, samples, seed)
+        assert (estimate.mean.hex(), estimate.standard_error.hex()) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), samples=st.integers(2, 50_000),
+           seed=st.integers(0, 2**64), length=st.sampled_from([1.0, 3.0, 1e-300]))
+    def test_bitwise_equal_to_the_numpy_uniform_formula(self, n, samples, seed, length):
+        estimate = uniform_interval_expected_nn(n, length, samples, seed)
+        assert (estimate.mean, estimate.standard_error) == reference_estimate(
+            n, length, samples, seed)
+
     @pytest.mark.parametrize("samples, standard_error", [(0, 0.1), (10, -0.1)])
     def test_estimate_rejects_impossible_fields(self, samples, standard_error):
         with pytest.raises(DomainError):
@@ -248,6 +291,10 @@ class TestConjecturedValue:
         with pytest.raises(DomainError, match="at least one point"):
             conjectured_expected_nn(0, 1.0)
 
+    def test_rejects_a_count_that_is_not_an_integer(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 2.5"):
+            conjectured_expected_nn(2.5, 1.0)
+
 
 class TestDeltaConstant:
     def test_fifteen_digits(self):
@@ -264,6 +311,10 @@ class TestDeltaConstant:
             delta_constant(0)
         with pytest.raises(DomainError):
             delta_constant(21)
+
+    def test_rejects_digits_that_are_not_an_integer(self):
+        with pytest.raises(DomainError, match="digits must be an integer, got 5.0"):
+            delta_constant(5.0)
 
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")

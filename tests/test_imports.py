@@ -1,9 +1,10 @@
 """The import contract: a subcommand loads only the modules it calls.
 
 Process start decides the time of a short ``distchar`` run, so ``--help``
-and ``delta-cf`` must not import numpy, and ``near`` must not import the
-score, asymptotics or verification modules.  Each case runs in a fresh
-interpreter, so ``sys.modules`` starts clean.
+and ``delta-cf`` must not import numpy, ``near`` must not import the
+score, asymptotics or verification modules, and ``mc-nn`` must import none
+of the matrix modules.  Each case runs in a fresh interpreter, so
+``sys.modules`` starts clean.
 """
 
 import importlib
@@ -50,6 +51,14 @@ def test_near_loads_only_its_own_modules():
     modules = loaded_modules("near", "--c", "p2", "--x", str(fixture_path("ex4")))
     assert {"numpy", "distchar.neighbors", "distchar.distance"} <= modules
     unused = {f"distchar.{m}" for m in ("association", "asymptotics", "robustness",
+                                        "verification")}
+    assert not unused & modules
+
+
+def test_mc_nn_loads_only_its_own_modules():
+    modules = loaded_modules("mc-nn", "--points", "2", "--samples", "10")
+    assert {"numpy", "distchar.asymptotics"} <= modules
+    unused = {f"distchar.{m}" for m in ("association", "distance", "neighbors", "robustness",
                                         "verification")}
     assert not unused & modules
 

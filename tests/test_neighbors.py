@@ -318,6 +318,17 @@ class TestAchievableTotals:
         with pytest.raises(DomainError, match="search budget"):
             SearchBudget(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("random_samples", 2.5), ("random_cols", 1.5), ("grid_extent", 2.0),
+        ("grid_limit", 100.0)])
+    def test_rejects_budgets_that_are_not_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SearchBudget(**{field: value})
+
+    def test_rejects_a_row_count_that_is_not_an_integer(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 4.0"):
+            achievable_near_totals(4.0, P2)
+
     @pytest.mark.parametrize("c", [P1, P2, PNorm(math.inf), SquaredEuclidean(), PNorm(3.5)])
     def test_grid_totals_match_the_full_product(self, c):
         # one grid per multiset of values sees every total the ordered grids see
