@@ -18,7 +18,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# home module -> the public names it provides
+# home module -> the public names it provides; each listed module's __all__
+# reads its row here and adds only the names the package does not export
 _EXPORTS = {
     "association": ("CorrelationResult", "SampleSpace", "concordance", "correlation",
                     "expectation", "hadamard", "matrix_correlation"),

@@ -18,22 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _EXPORTS
 from .coefficients import Coefficient, checked_entries
 from .distance import build, validate_distance_matrix
 from .errors import DomainError
 from .neighbors import TiePolicy, near_mask
 from .robustness import RationalScore
 
-__all__ = [
-    "CorrelationResult",
-    "SampleSpace",
-    "VARIANCE_FLOOR",
-    "concordance",
-    "correlation",
-    "expectation",
-    "hadamard",
-    "matrix_correlation",
-]
+__all__ = [*_EXPORTS["association"], "VARIANCE_FLOOR"]
 
 # Variances at or below this are treated as exactly degenerate geometry
 # (duplicate rows / n = 1), not as rounding noise.

@@ -27,22 +27,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import DomainError, require_integers
 
-__all__ = [
-    "Convergent",
-    "ConvergentSequence",
-    "EULER_MASCHERONI_22",
-    "MonteCarloEstimate",
-    "conjectured_expected_nn",
-    "continued_fraction_convergents",
-    "delta_constant",
-    "expected_nn_distance",
-    "nn_distance_density",
-    "scaled_volume",
-    "uniform_interval_expected_nn",
-    "volume_at_expected",
-]
+__all__ = [*_EXPORTS["asymptotics"], "EULER_MASCHERONI_22"]
 
 # Euler-Mascheroni constant to 22 decimal places.  delta is derived from this
 # fixed literal, so the claimable precision of delta is bounded explicitly.
@@ -294,6 +282,7 @@ def continued_fraction_convergents(
     it, so no convergent can be silently wrong.  When the interval stops
     determining the next quotient the sequence is cut and flagged truncated.
     """
+    require_integers(max_q=max_q)
     if max_q < 1:
         raise DomainError("max_q must be positive")
     x0, inferred = _to_fraction_with_uncertainty(x)

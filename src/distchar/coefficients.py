@@ -18,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DomainError
 
-__all__ = [
-    "Coefficient",
-    "PNorm",
-    "SquaredEuclidean",
-    "coefficient_name",
-    "evaluate",
-    "is_true_norm",
-    "parse_coefficient",
-]
+__all__ = list(_EXPORTS["coefficients"])
 
 
 @dataclass(frozen=True)
@@ -73,18 +66,15 @@ def parse_coefficient(text: str) -> Coefficient:
     s = text.strip().lower()
     if s == "l":
         return SquaredEuclidean()
-    if s.startswith("p"):
-        body = s[1:]
-        if body in ("inf", "infinity"):
-            return PNorm(math.inf)
-        try:
-            p = float(body)
-        except ValueError:
-            raise DomainError(f"unrecognized coefficient syntax: {text!r}") from None
-        if math.isnan(p) or math.isinf(p):
-            raise DomainError(f"unrecognized coefficient syntax: {text!r}")
-        return PNorm(p)
-    raise DomainError(f"unrecognized coefficient syntax: {text!r}")
+    if s in ("pinf", "pinfinity"):
+        return PNorm(math.inf)
+    try:
+        p = float(s[1:]) if s.startswith("p") else math.nan
+    except ValueError:
+        p = math.nan
+    if not math.isfinite(p):
+        raise DomainError(f"unrecognized coefficient syntax: {text!r}")
+    return PNorm(p)
 
 
 def coefficient_name(coefficient: Coefficient) -> str:

@@ -10,20 +10,15 @@ nonnegative entries; symmetry is exact in floating point because
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from . import _EXPORTS
 from .coefficients import Coefficient, checked_entries, row_values
-from .errors import DomainError
+from .errors import DomainError, require_integers
 
-__all__ = [
-    "as_data_matrix",
-    "augment_constant_columns",
-    "build",
-    "permute_rows",
-    "remove_column",
-    "remove_row",
-    "validate_distance_matrix",
-]
+__all__ = list(_EXPORTS["distance"])
 
 
 def as_data_matrix(x) -> np.ndarray:
@@ -91,24 +86,23 @@ def remove_row(x, i: int) -> np.ndarray:
     Building a distance matrix commutes with this: the result's distance
     matrix is the original with row and column ``i`` deleted.
     """
-    X = as_data_matrix(x)
-    n = X.shape[0]
-    if n < 2:
-        raise DomainError("cannot remove the only row")
-    if not 0 <= i < n:
-        raise DomainError(f"row index {i} out of range for {n} rows")
-    return np.delete(X, i, axis=0)
+    return _remove(x, i, axis=0)
 
 
 def remove_column(x, j: int) -> np.ndarray:
     """Data matrix without column ``j`` (0-based).  Requires k >= 2."""
+    return _remove(x, j, axis=1)
+
+
+def _remove(x, index: int, axis: int) -> np.ndarray:
     X = as_data_matrix(x)
-    k = X.shape[1]
-    if k < 2:
-        raise DomainError("cannot remove the only column")
-    if not 0 <= j < k:
-        raise DomainError(f"column index {j} out of range for {k} columns")
-    return np.delete(X, j, axis=1)
+    what, size = ("row", "column")[axis], X.shape[axis]
+    if size < 2:
+        raise DomainError(f"cannot remove the only {what}")
+    require_integers(**{f"{what} index": index})
+    if not 0 <= index < size:
+        raise DomainError(f"{what} index {index} out of range for {size} {what}s")
+    return np.delete(X, int(index), axis=axis)
 
 
 def permute_rows(x, perm) -> np.ndarray:
@@ -119,7 +113,7 @@ def permute_rows(x, perm) -> np.ndarray:
     """
     X = as_data_matrix(x)
     n = X.shape[0]
-    order = [int(p) for p in perm]
-    if sorted(order) != list(range(n)):
-        raise DomainError(f"not a permutation of 0..{n - 1}: {list(perm)!r}")
-    return X[order]
+    order = list(perm)
+    if not all(isinstance(p, numbers.Integral) for p in order) or sorted(order) != list(range(n)):
+        raise DomainError(f"not a permutation of 0..{n - 1}: {order!r}")
+    return X[[int(p) for p in order]]

@@ -2,6 +2,10 @@
 
 import numbers
 
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
+
 
 class DomainError(ValueError):
     """An operation was invoked outside its mathematical domain.

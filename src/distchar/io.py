@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .errors import DomainError
 
 if TYPE_CHECKING:  # numpy and the result types load only where a caller needs them
@@ -21,18 +22,9 @@ if TYPE_CHECKING:  # numpy and the result types load only where a caller needs t
     from .neighbors import NeighborSets
     from .robustness import AdversarialResult, RationalScore
 
-__all__ = [
-    "adversarial_dict",
-    "convergents_dict",
-    "correlation_dict",
-    "distance_matrix_csv",
-    "distance_matrix_dict",
-    "estimate_dict",
-    "load_data_matrix",
-    "neighbor_sets_dict",
-    "parse_data_matrix",
-    "rational_dict",
-]
+__all__ = [*_EXPORTS["io"], "adversarial_dict", "convergents_dict", "correlation_dict",
+           "distance_matrix_csv", "distance_matrix_dict", "estimate_dict",
+           "neighbor_sets_dict", "rational_dict"]
 
 
 def parse_data_matrix(text: str, name: str = "<input>") -> np.ndarray:

@@ -17,18 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .coefficients import Coefficient
 from .distance import build, validate_distance_matrix
 from .errors import DomainError, require_integers
 
-__all__ = [
-    "NeighborSets",
-    "SearchBudget",
-    "TiePolicy",
-    "achievable_near_totals",
-    "near_total",
-    "nearest_sets",
-]
+__all__ = [*_EXPORTS["neighbors"], "EXACT_TIES"]
 
 
 @dataclass(frozen=True)

@@ -24,19 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _EXPORTS
 from .coefficients import Coefficient, PNorm
 from .distance import as_data_matrix, build
-from .errors import DomainError
+from .errors import DomainError, require_integers
 from .neighbors import TiePolicy, near_mask
 
-__all__ = [
-    "AdversarialResult",
-    "RationalScore",
-    "adversarial_augment",
-    "rob_minus",
-    "rob_plus",
-    "spacing_values",
-]
+__all__ = list(_EXPORTS["robustness"])
 
 
 @dataclass(frozen=True)
@@ -135,6 +129,7 @@ def spacing_values(n: int) -> np.ndarray:
     whose entries are 2^i rather than 2^(i+1).  Python integers are
     arbitrary precision, so any n is exact.
     """
+    require_integers(n=n)
     if n < 2:
         raise DomainError("spacing values need n >= 2")
     powers = np.array([2 ** (i + 1) for i in range(n)], dtype=object)

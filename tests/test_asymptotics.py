@@ -407,6 +407,11 @@ class TestContinuedFraction:
         with pytest.raises(DomainError, match="not a finite number"):
             continued_fraction_convergents(value, 10)
 
+    @pytest.mark.parametrize("max_q", [math.nan, 10.0])
+    def test_max_q_must_be_an_integer(self, max_q):
+        with pytest.raises(DomainError, match="max_q must be an integer"):
+            continued_fraction_convergents("0.570376001675023", max_q)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             continued_fraction_convergents(Fraction(3, 2), 10**6)  # outside (0, 1)

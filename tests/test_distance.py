@@ -177,6 +177,18 @@ class TestRowAndColumnRemoval:
         with pytest.raises(DomainError):
             remove_row(EX4, 4)
 
+    @pytest.mark.parametrize("index", [1.5, np.float64(1.0)])
+    def test_non_integer_row_index_rejected(self, index):
+        with pytest.raises(DomainError, match="row index must be an integer"):
+            remove_row(EX7, index)
+
+    def test_non_integer_column_index_rejected(self):
+        with pytest.raises(DomainError, match="column index must be an integer, got 0.5"):
+            remove_column(EX7, 0.5)
+
+    def test_bool_index_is_an_integer(self):
+        assert np.array_equal(remove_row(EX7, True), EX7[[0, 2]])
+
     def test_ex7_columns(self):
         x = remove_column(EX7, 1)
         assert np.array_equal(build(P2, x), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
@@ -214,6 +226,10 @@ class TestPermutation:
             permute_rows(EX4, [0, 0, 1, 2])
         with pytest.raises(DomainError):
             permute_rows(EX4, [0, 1, 2])
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(DomainError, match="not a permutation of 0..2"):
+            permute_rows(EX7, [0.7, 1.2, 2.9])
 
 
 class TestExactRationalMode:

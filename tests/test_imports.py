@@ -97,3 +97,19 @@ def test_lookup_is_not_cached(monkeypatch):
         assert distchar.nearest_sets is wrapper
     assert distchar.nearest_sets is original
     assert "nearest_sets" not in vars(distchar)
+
+
+@pytest.mark.parametrize("module", sorted(distchar._EXPORTS))
+def test_module_all_extends_its_row(module):
+    mod = importlib.import_module(f"distchar.{module}")
+    assert set(distchar._EXPORTS[module]) <= set(mod.__all__)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert all(hasattr(mod, name) for name in mod.__all__)
+
+
+def test_neighbors_exports_exact_ties():
+    assert "EXACT_TIES" in distchar.neighbors.__all__
+
+
+def test_errors_exports_only_the_exception():
+    assert distchar.errors.__all__ == ["DomainError"]

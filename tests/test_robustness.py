@@ -181,6 +181,10 @@ class TestSpacingValues:
         with pytest.raises(DomainError):
             spacing_values(1)
 
+    def test_requires_an_integer(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 3.0"):
+            spacing_values(3.0)
+
 
 class TestAdversarialAugment:
     def test_triangle_euclidean(self):
