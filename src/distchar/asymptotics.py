@@ -286,7 +286,10 @@ def continued_fraction_convergents(
     if max_q < 1:
         raise DomainError("max_q must be positive")
     x0, inferred = _to_fraction_with_uncertainty(x)
-    unc = inferred if uncertainty is None else Fraction(uncertainty)
+    try:
+        unc = inferred if uncertainty is None else Fraction(uncertainty)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
+        raise DomainError(f"uncertainty must be a finite real, got {uncertainty!r}") from None
     if unc < 0:
         raise DomainError("uncertainty must be nonnegative")
     if not 0 < x0 < 1:

@@ -37,7 +37,8 @@ def as_data_matrix(x) -> np.ndarray:
 
 
 def build(coefficient: Coefficient, x) -> np.ndarray:
-    """Distance matrix of ``x`` under ``coefficient``, one row at a time.
+    """Distance matrix of ``x`` under ``coefficient``: ``build_many`` on a
+    stack of one.
 
     Entry (i, j) is bitwise ``evaluate(coefficient, x(j) - x(i))`` (sorted
     ascending, summed left to right), so symmetry, the zero diagonal and
@@ -45,13 +46,26 @@ def build(coefficient: Coefficient, x) -> np.ndarray:
     object-dtype (rational) input the entries are exact for p = 1, p = inf
     and L.  An overflowing difference or distance raises DomainError.
     """
-    X = as_data_matrix(x)
-    n = X.shape[0]
-    D = np.empty((n, n), dtype=X.dtype)
+    return build_many(coefficient, as_data_matrix(x)[None])[0]
+
+
+def build_many(coefficient: Coefficient, xs: np.ndarray) -> np.ndarray:
+    """Distance matrices of a (B, n, k) stack of data matrices, shape (B, n, n).
+
+    The one pairwise kernel: row i of every matrix in one ``row_values`` call,
+    so each entry is bitwise the one ``build`` gives for its matrix alone.
+    ``xs`` must hold matrices that ``as_data_matrix`` accepts; it is not
+    re-checked.
+    """
+    B, n, k = xs.shape
+    # row i of every matrix is one contiguous row of D, and point i of every
+    # matrix one integer index into points, as in a loop over one matrix
+    D = np.empty((n, B * n), dtype=xs.dtype)
+    points = xs.transpose(1, 0, 2)[:, :, None]
     with np.errstate(over="ignore"):  # an infinite difference makes row_values raise
         for i in range(n):
-            D[i] = row_values(coefficient, np.abs(X - X[i]))
-    return D
+            D[i] = row_values(coefficient, np.abs(xs - points[i]).reshape(-1, k))
+    return D.reshape(n, B, n).transpose(1, 0, 2)
 
 
 def validate_distance_matrix(d) -> np.ndarray:
@@ -76,7 +90,11 @@ def augment_constant_columns(x, constants) -> np.ndarray:
     within-column differences are zero and zero entries never contribute.
     """
     X = as_data_matrix(x)
-    row = checked_entries(np.array(list(constants), dtype=X.dtype), "constant-column")
+    try:
+        row = np.array(list(constants), dtype=X.dtype)
+    except (TypeError, ValueError, OverflowError):  # not iterable, or not all numbers
+        raise DomainError(f"constants must be an iterable of reals, got {constants!r}") from None
+    row = checked_entries(row, "constant-column")
     return np.hstack([X, np.tile(row, (X.shape[0], 1))])
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient
-from .distance import build, validate_distance_matrix
+from .coefficients import Coefficient, checked_entries
+from .distance import build_many, validate_distance_matrix
 from .errors import DomainError, require_integers
 
 __all__ = [*_EXPORTS["neighbors"], "EXACT_TIES"]
@@ -46,6 +46,9 @@ class TiePolicy:
 
 
 EXACT_TIES = TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.0)
+
+# the search evaluates at most this many distance entries (8 MB) per stack
+_STACK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -77,21 +80,23 @@ class NeighborSets:
 
 
 def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> np.ndarray:
-    """Boolean n x n mask, True at (i, j) when j is a nearest neighbor of row i.
+    """Boolean mask, True at (..., i, j) when j is a nearest neighbor of row i.
 
-    The one tie decision behind every neighbor set and score.  ``D`` must be
-    a valid distance matrix, such as ``build`` returns; it is not re-checked.
+    The one tie decision behind every neighbor set and score.  ``D`` is an
+    n x n distance matrix, such as ``build`` returns, or a (..., n, n) stack
+    of them, such as ``build_many`` returns; each row is decided on its own
+    and the matrices are not re-checked.
     """
-    n = D.shape[0]
+    n = D.shape[-1]
     candidate = ~np.eye(n, dtype=bool)
     if positive_only:
-        candidate &= D > 0
-    # a row without candidates gets the matrix maximum; its mask stays empty
-    m = D.min(axis=1, where=candidate, initial=D.max(initial=0))
+        candidate = candidate & (D > 0)
+    # a row without candidates gets the largest entry; its mask stays empty
+    m = D.min(axis=-1, where=candidate, initial=D.max(initial=0))
     with np.errstate(over="ignore"):  # an infinite slack ties every candidate, as it should
         slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
         bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
-    return candidate & (D <= bound[:, None])
+    return candidate & (D <= bound[..., None])
 
 
 def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> NeighborSets:
@@ -140,7 +145,10 @@ def achievable_near_totals(
     This is an empirical search, not a characterization: the result is the
     set of distinct totals seen across random matrices, small 1-D integer
     grids, and structured probes (duplicate rows, evenly spaced points, and
-    points with strictly growing gaps).  Deterministic for a given seed.
+    points with strictly growing gaps).  Each family is evaluated through
+    ``build_many`` in stacks of at most about 2**20 distance entries, and the
+    random family draws its stack in one call, which is the same seeded
+    stream as one draw per matrix: the result depends only on the arguments.
     Every observed value lies in {n, ..., n(n-1)}.
     """
     require_integers(n=n)
@@ -149,24 +157,32 @@ def achievable_near_totals(
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
+    per_stack = max(1, _STACK_ENTRIES // (n * n))
     totals: set[int] = set()
 
-    def observe(x) -> None:
-        totals.add(int(near_mask(build(coefficient, x)).sum()))
+    def observe(stacks) -> None:
+        for xs in stacks:
+            D = build_many(coefficient, checked_entries(xs, "data"))
+            totals.update(near_mask(D).sum(axis=(1, 2)).tolist())
+
+    def stacked(columns):  # per_stack single-column matrices at a time
+        columns = iter(columns)
+        while chunk := list(itertools.islice(columns, per_stack)):
+            yield np.array(chunk, dtype=float).reshape(len(chunk), n, 1)
 
     if budget.include_probes:
-        observe(np.zeros((n, 1)))          # all rows equal: total n(n-1)
-        observe(np.arange(n, dtype=float).reshape(n, 1))
         spaced = np.cumsum([0.0] + [2.0**i for i in range(n - 1)])
-        observe(spaced.reshape(n, 1))      # strictly growing gaps: total n
+        # all rows equal (total n(n-1)), evenly spaced, strictly growing gaps (total n)
+        observe(stacked([np.zeros(n), np.arange(n), spaced]))
 
     if budget.grid_extent >= 1 and (budget.grid_extent + 1) ** n <= budget.grid_limit:
         # the total is invariant under row permutations: one grid per multiset
-        for values in itertools.combinations_with_replacement(
-                range(budget.grid_extent + 1), n):
-            observe(np.array(values, dtype=float).reshape(n, 1))
+        observe(stacked(itertools.combinations_with_replacement(
+            range(budget.grid_extent + 1), n)))
 
-    for _ in range(budget.random_samples):
-        observe(rng.standard_normal((n, budget.random_cols)))
+    # one (b, n, cols) draw is the same stream as b draws of (n, cols)
+    observe(rng.standard_normal((min(per_stack, budget.random_samples - s), n,
+                                 budget.random_cols))
+            for s in range(0, budget.random_samples, per_stack))
 
     return totals

@@ -412,6 +412,11 @@ class TestContinuedFraction:
         with pytest.raises(DomainError, match="max_q must be an integer"):
             continued_fraction_convergents("0.570376001675023", max_q)
 
+    @pytest.mark.parametrize("uncertainty", [math.nan, math.inf, "x"])
+    def test_uncertainty_must_be_a_finite_real(self, uncertainty):
+        with pytest.raises(DomainError, match="uncertainty must be a finite real"):
+            continued_fraction_convergents("0.5703", 100, uncertainty=uncertainty)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             continued_fraction_convergents(Fraction(3, 2), 10**6)  # outside (0, 1)

@@ -21,6 +21,8 @@ from distchar import (
     remove_row,
     validate_distance_matrix,
 )
+from distchar import neighbors
+from distchar.distance import build_many
 from distchar.neighbors import EXACT_TIES
 
 SQRT3 = math.sqrt(3)
@@ -143,6 +145,11 @@ class TestAugmentation:
     def test_non_finite_constant_rejected(self):
         with pytest.raises(DomainError):
             augment_constant_columns(EX4, [math.inf])
+
+    @pytest.mark.parametrize("constants", [5, "ab"])
+    def test_constants_that_are_not_reals_rejected(self, constants):
+        with pytest.raises(DomainError, match="constants must be an iterable of reals"):
+            augment_constant_columns([[1.0]], constants)
 
     def test_non_finite_constant_rejected_for_exact_input(self):
         exact = np.array([[Fraction(1, 2)], [Fraction(3)]], dtype=object)
@@ -406,3 +413,72 @@ class TestRowKernel:
             build(P1, [[1.7e308, 1.7e308], [0.0, 0.0]])
         # the scaled form keeps large finite distances finite
         assert math.isfinite(build(P2, x)[0, 1])
+
+
+# --- the stacked kernel: build is build_many on a stack of one --------------
+
+STACK_COEFFS = [P1, P2, PINF, SquaredEuclidean(), PNorm(3.5)]
+EXACT_COEFFS = [P1, PINF, SquaredEuclidean()]
+
+
+def as_exact(values, kind):
+    """The integer array ``values`` as an object array of ints or Fractions."""
+    if kind == "int":
+        return np.array(values.tolist(), dtype=object).reshape(values.shape)
+    fractions = [Fraction(int(v), 3) for v in values.flat]
+    return np.array(fractions, dtype=object).reshape(values.shape)
+
+
+@st.composite
+def stacks(draw, kinds=("float",)):
+    """A (B, n, k) stack of up to 8 small matrices from the grid {-3..3} or
+    Gaussian, with duplicate rows and zero columns mixed in."""
+    size, n, k = draw(st.integers(1, 8)), draw(st.integers(1, 10)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "float" and draw(st.booleans()):
+        xs = rng.standard_normal((size, n, k))
+    else:
+        xs = rng.integers(-3, 4, (size, n, k))
+    duplicates = rng.random((size, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    xs[duplicates] = xs[:, :1].repeat(n, axis=1)[duplicates]
+    xs[:, :, rng.random(k) < 0.3] = 0
+    return xs.astype(float) if kind == "float" else as_exact(xs, kind)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == object:
+        assert [(type(v), v) for v in got.flat] == [(type(v), v) for v in want.flat]
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def entrywise(c, x):
+    """Reference distance matrix: one ``evaluate`` call per entry."""
+    n = len(x)
+    return np.array([[evaluate(c, x[j] - x[i]) for j in range(n)] for i in range(n)],
+                    dtype=x.dtype)
+
+
+class TestStackedKernel:
+    @given(xs=stacks(), c=st.sampled_from(STACK_COEFFS))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_stacked_builds_bitwise(self, xs, c):
+        got = build_many(c, xs)
+        assert_bitwise_equal(got, np.stack([build(c, x) for x in xs]))
+        assert_bitwise_equal(got, np.stack([entrywise(c, x) for x in xs]))
+
+    @given(xs=stacks(kinds=("int", "fraction")), c=st.sampled_from(EXACT_COEFFS))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_stack_equals_stacked_builds(self, xs, c):
+        got = build_many(c, xs)
+        assert_bitwise_equal(got, np.stack([build(c, x) for x in xs]))
+        assert_bitwise_equal(got, np.stack([entrywise(c, x) for x in xs]))
+
+    @pytest.mark.parametrize("c", STACK_COEFFS)
+    def test_stack_larger_than_a_search_stack(self, c):
+        # one more 100-row matrix than the neighbor search evaluates at once
+        size = neighbors._STACK_ENTRIES // 100**2 + 1
+        xs = np.random.default_rng(13).integers(0, 3, (size, 100, 2)).astype(float)
+        assert_bitwise_equal(build_many(c, xs), np.stack([build(c, x) for x in xs]))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,9 @@ from distchar import (
     rob_minus,
     rob_plus,
 )
-from distchar.neighbors import EXACT_TIES, NeighborSets
+from distchar import neighbors
+from distchar.distance import build_many
+from distchar.neighbors import EXACT_TIES, NeighborSets, near_mask
 
 P1, P2 = PNorm(1), PNorm(2)
 SQRT3 = math.sqrt(3)
@@ -281,6 +284,127 @@ class TestScoresFromSets:
         assert_same_score(
             lambda: concordance(other, c, x, tie, positive_only),
             lambda: RationalScore(sum(a == b for a, b in zip(sets(other, x), base)), n))
+
+
+NEAR_RULES = [(TiePolicy(), False), (EXACT_TIES, False),
+              (TiePolicy(relative_tolerance=1.0), False), (TiePolicy(), True)]
+
+
+@st.composite
+def distance_stacks(draw):
+    """A (B, n, n) stack from ``build_many`` on tie-heavy or Gaussian data,
+    some of whose matrices have duplicate rows or are all zero."""
+    size, n, k = draw(st.integers(1, 6)), draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, 4, (size, n, k)) if draw(st.booleans()) else rng.standard_normal(
+        (size, n, k))
+    duplicates = rng.random((size, n)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    xs[duplicates] = xs[:, :1].repeat(n, axis=1)[duplicates]
+    exact = draw(st.booleans()) and xs.dtype != float
+    xs = np.array(xs.tolist(), dtype=object) if exact else xs.astype(float)
+    return build_many(draw(st.sampled_from([P1, PNorm(math.inf)] if exact else COEFFICIENTS)),
+                      xs)
+
+
+class TestNearMaskOnStacks:
+    @given(D=distance_stacks(), rule=st.sampled_from(NEAR_RULES))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_equals_per_matrix(self, D, rule):
+        tie, positive_only = rule
+        got = near_mask(D, tie, positive_only)
+        assert np.array_equal(got, np.stack([near_mask(d, tie, positive_only) for d in D]))
+
+    @pytest.mark.parametrize("tie", [TiePolicy(), EXACT_TIES])
+    def test_all_zero_rows_have_no_positive_candidates(self, tie):
+        D = build_many(P2, np.array([[[1.0], [1.0], [1.0]], [[0.0], [1.0], [1.0]]]))
+        mask = near_mask(D, tie, positive_only=True)
+        assert mask.sum(axis=(1, 2)).tolist() == [0, 4]
+        assert mask[1, 0].tolist() == [False, True, True]
+        assert near_mask(D, tie).sum(axis=(1, 2)).tolist() == [6, 4]
+
+
+def reference_matrices(n, budget=SearchBudget(), seed=0):
+    """The matrices of the search, one at a time, in the order and from the
+    seeded stream that ``achievable_near_totals`` used before it evaluated
+    each family in stacks."""
+    rng = np.random.default_rng(seed)
+    if budget.include_probes:
+        yield np.zeros((n, 1))
+        yield np.arange(n, dtype=float).reshape(n, 1)
+        yield np.cumsum([0.0] + [2.0**i for i in range(n - 1)]).reshape(n, 1)
+    if budget.grid_extent >= 1 and (budget.grid_extent + 1) ** n <= budget.grid_limit:
+        for values in itertools.combinations_with_replacement(
+                range(budget.grid_extent + 1), n):
+            yield np.array(values, dtype=float).reshape(n, 1)
+    for _ in range(budget.random_samples):
+        yield rng.standard_normal((n, budget.random_cols))
+
+
+def reference_totals(n, coefficient, budget=SearchBudget(), seed=0):
+    """The search as one build per matrix."""
+    return {int(near_mask(build(coefficient, x)).sum())
+            for x in reference_matrices(n, budget, seed)}
+
+
+SEARCH_BUDGETS = [SearchBudget(), SearchBudget(random_cols=3), SearchBudget(grid_extent=0),
+                  SearchBudget(grid_extent=2), SearchBudget(include_probes=False),
+                  SearchBudget(random_samples=0)]
+
+
+class TestSearchInStacks:
+    @pytest.mark.parametrize("budget", SEARCH_BUDGETS)
+    @pytest.mark.parametrize("c", COEFFICIENTS)
+    def test_equals_one_build_per_matrix(self, c, budget):
+        for n in range(2, 8):
+            for seed in range(3):
+                assert achievable_near_totals(n, c, budget, seed) == reference_totals(
+                    n, c, budget, seed), (n, seed)
+
+    @pytest.mark.parametrize("c", COEFFICIENTS)
+    def test_every_family_across_several_stacks(self, monkeypatch, c):
+        # at most two matrices per stack: probes, grids and draws all split
+        budget = SearchBudget(random_samples=25)
+        for n in range(2, 8):
+            monkeypatch.setattr(neighbors, "_STACK_ENTRIES", 2 * n * n + 1)
+            for seed in range(3):
+                assert achievable_near_totals(n, c, budget, seed) == reference_totals(
+                    n, c, budget, seed), (n, seed)
+
+    # the real stack size, and three 5-row matrices per stack
+    @pytest.mark.parametrize("stack_entries", [neighbors._STACK_ENTRIES, 3 * 25 + 1])
+    def test_evaluates_the_reference_matrices_in_order(self, monkeypatch, stack_entries):
+        seen = []
+
+        def recording(coefficient, xs):
+            seen.extend(xs)
+            return build_many(coefficient, xs)
+
+        monkeypatch.setattr(neighbors, "build_many", recording)
+        monkeypatch.setattr(neighbors, "_STACK_ENTRIES", stack_entries)
+        for budget in [*SEARCH_BUDGETS, SearchBudget(random_samples=7, random_cols=2)]:
+            for seed in range(3):
+                seen.clear()
+                achievable_near_totals(5, P2, budget, seed)
+                want = list(reference_matrices(5, budget, seed))
+                assert [(x.shape, x.tobytes()) for x in seen] == [
+                    (x.shape, x.tobytes()) for x in want]
+
+    def test_random_draws_across_stacks_at_full_stack_size(self):
+        # 300 rows: 11 matrices per stack, so 40 draws span four stacks
+        budget = SearchBudget(random_samples=40, grid_extent=0, include_probes=False)
+        assert neighbors._STACK_ENTRIES // 300**2 < 40
+        for c in (P2, SquaredEuclidean()):
+            assert achievable_near_totals(300, c, budget, 2) == reference_totals(300, c, budget, 2)
+
+    def test_large_n_memory_stays_bounded(self):
+        budget = SearchBudget(random_samples=20, grid_extent=0)
+        tracemalloc.start()
+        try:
+            achievable_near_totals(400, P2, budget, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAchievableTotals:
