@@ -53,6 +53,8 @@ def expectation(d, convention: SampleSpace = SampleSpace.FULL_GRID):
 
 
 def _mean(D: np.ndarray, convention: SampleSpace):
+    if not isinstance(convention, SampleSpace):
+        raise DomainError(f"convention must be a SampleSpace member, got {convention!r}")
     n = D.shape[0]
     s = np.triu(D, 1).sum()
     if isinstance(s, numbers.Integral):

@@ -123,7 +123,7 @@ def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
     a = np.sort(a, axis=1)
     exact = a.dtype == object
     with np.errstate(over="ignore", invalid="ignore"):  # inf / inf -> NaN, raised below
-        if isinstance(coefficient, SquaredEuclidean):
+        if not is_true_norm(coefficient):
             out = _left_sum(a * a)
         elif math.isinf(coefficient.p):
             out = a[:, -1]

@@ -131,7 +131,7 @@ def permute_rows(x, perm) -> np.ndarray:
     """
     X = as_data_matrix(x)
     n = X.shape[0]
-    order = list(perm)
+    order = list(perm) if np.iterable(perm) else [None]  # [None] fails the check below
     if not all(isinstance(p, numbers.Integral) for p in order) or sorted(order) != list(range(n)):
-        raise DomainError(f"not a permutation of 0..{n - 1}: {order!r}")
+        raise DomainError(f"not a permutation of 0..{n - 1}: {perm!r}")
     return X[[int(p) for p in order]]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient, checked_entries
+from .coefficients import Coefficient
 from .distance import build_many, validate_distance_matrix
 from .errors import DomainError, require_integers
 
@@ -41,7 +41,8 @@ class TiePolicy:
 
     def __post_init__(self) -> None:
         tolerances = (self.relative_tolerance, self.absolute_tolerance)
-        if not all(math.isfinite(t) and t >= 0 for t in tolerances):
+        if not all(isinstance(t, numbers.Real) and math.isfinite(t) and t >= 0
+                   for t in tolerances):
             raise DomainError("tie tolerances must be finite and nonnegative")
 
 
@@ -149,20 +150,23 @@ def achievable_near_totals(
     ``build_many`` in stacks of at most about 2**20 distance entries, and the
     random family draws its stack in one call, which is the same seeded
     stream as one draw per matrix: the result depends only on the arguments.
-    Every observed value lies in {n, ..., n(n-1)}.
+    Every observed value lies in {n, ..., n(n-1)}.  With probes, n is at
+    most 1024: the growing-gaps probe ends at 2^(n-1) - 1, a finite float.
     """
     require_integers(n=n)
     if n < 2:
         raise DomainError("search requires n >= 2")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if budget.include_probes and n > 1024:
+        raise DomainError(f"the search's probes need n <= 1024 rows, got {n}")
     rng = np.random.default_rng(seed)
     per_stack = max(1, _STACK_ENTRIES // (n * n))
     totals: set[int] = set()
 
-    def observe(stacks) -> None:
+    def observe(stacks) -> None:  # zeros, arange, integer grids, normal draws: all finite
         for xs in stacks:
-            D = build_many(coefficient, checked_entries(xs, "data"))
+            D = build_many(coefficient, xs)
             totals.update(near_mask(D).sum(axis=(1, 2)).tolist())
 
     def stacked(columns):  # per_stack single-column matrices at a time

@@ -61,21 +61,6 @@ class RationalScore:
         return Fraction(self.numerator, self.denominator)
 
 
-def _one_column_extension(x, x_aug) -> tuple[np.ndarray, np.ndarray]:
-    X = as_data_matrix(x)
-    Xp = as_data_matrix(x_aug)
-    n, k = X.shape
-    if n < 2:
-        raise DomainError("robustness needs n > 1 so that neighbors exist")
-    if Xp.shape != (n, k + 1):
-        raise DomainError(
-            f"augmented matrix must be {n}x{k + 1}, got {Xp.shape[0]}x{Xp.shape[1]}"
-        )
-    if not (Xp[:, :k] == X).all():
-        raise DomainError("augmented matrix must agree with x on its first columns")
-    return X, Xp
-
-
 def rob_plus(
     coefficient: Coefficient,
     x,
@@ -89,7 +74,17 @@ def rob_plus(
     counts, over rows i, the indices that are nearest neighbors of i in both
     matrices; the denominator is the neighbor total of ``x``.
     """
-    X, Xp = _one_column_extension(x, x_aug)
+    X = as_data_matrix(x)
+    Xp = as_data_matrix(x_aug)
+    n, k = X.shape
+    if n < 2:
+        raise DomainError("robustness needs n > 1 so that neighbors exist")
+    if Xp.shape != (n, k + 1):
+        raise DomainError(
+            f"augmented matrix must be {n}x{k + 1}, got {Xp.shape[0]}x{Xp.shape[1]}"
+        )
+    if not (Xp[:, :k] == X).all():
+        raise DomainError("augmented matrix must agree with x on its first columns")
     base = near_mask(build(coefficient, X), tie, positive_only)
     aug = near_mask(build(coefficient, Xp), tie, positive_only)
     return RationalScore(int((base & aug).sum()), int(base.sum()))
@@ -170,9 +165,7 @@ def adversarial_augment(
     """
     if not isinstance(coefficient, PNorm):
         raise DomainError("the tie-breaking augmentation is defined for p-norms only")
-    X = as_data_matrix(x)
-    if X.dtype == object:
-        X = X.astype(float)
+    X = as_data_matrix(x).astype(float)
     n, _ = X.shape
     if n < 2:
         raise DomainError("augmentation needs n > 1 so that neighbors exist")

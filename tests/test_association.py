@@ -83,6 +83,23 @@ class TestExpectation:
         assert expectation(d, SampleSpace.UPPER_TRIANGLE) == Fraction(4, 3)
 
 
+class TestConventionIsASampleSpace:
+    @pytest.mark.parametrize("convention", ["grid", "upper", None, 0])
+    def test_expectation(self, convention):
+        with pytest.raises(DomainError, match="SampleSpace member"):
+            expectation(build(P1, EX8_Y), convention)
+
+    @pytest.mark.parametrize("convention", ["grid", "upper", None, 0])
+    def test_matrix_correlation(self, convention):
+        with pytest.raises(DomainError, match="SampleSpace member"):
+            matrix_correlation(build(P1, EX8_Y), build(P2, EX8_Y), convention)
+
+    @pytest.mark.parametrize("convention", ["grid", "upper", None, 0])
+    def test_correlation(self, convention):
+        with pytest.raises(DomainError, match="SampleSpace member"):
+            correlation(P1, P2, EX8_Y, convention)
+
+
 class TestHadamard:
     def test_ex8_square(self):
         d = build(P2, EX8_X)

@@ -250,6 +250,16 @@ class TestSearchAndAsymptotics:
         assert run(["explore-near", "--rows", "3", "--c", "p1", flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: search budget needs")
 
+    def test_explore_near_beyond_the_probe_bound_is_one_error_line(self):
+        # in a child process, so that a leaked numpy warning would reach stderr
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "distchar.cli", "explore-near", "--rows", "1026", "--c", "p1"],
+            capture_output=True, env=env, text=True, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: the search's probes need n <= 1024 rows")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["mc-nn", "--points", "2", "--samples", "10"],
                                       ["explore-near", "--rows", "3", "--c", "p2"]])
     def test_negative_seed_is_domain_error(self, capsys, argv):

@@ -122,6 +122,10 @@ class TestNormhood:
         with pytest.raises(DomainError, match="not a coefficient"):
             is_true_norm("p2")
 
+    def test_evaluate_rejects_what_is_not_a_coefficient(self):
+        with pytest.raises(DomainError, match="not a coefficient: None"):
+            evaluate(None, [1.0])
+
     def test_squared_euclidean_breaks_homogeneity(self):
         # L(2v) = 4 L(v), not 2 L(v)
         v = [1.0, 2.0]

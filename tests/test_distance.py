@@ -238,6 +238,10 @@ class TestPermutation:
         with pytest.raises(DomainError, match="not a permutation of 0..2"):
             permute_rows(EX7, [0.7, 1.2, 2.9])
 
+    def test_non_iterable_rejected(self):
+        with pytest.raises(DomainError, match="not a permutation of 0..2: 5"):
+            permute_rows(EX7, 5)
+
 
 class TestExactRationalMode:
     def test_one_norm_fractions(self):
@@ -278,6 +282,10 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             build(P1, np.empty((0, 2)))
+
+    def test_rejects_a_coefficient_name(self):
+        with pytest.raises(DomainError, match="not a coefficient: 'p2'"):
+            build("p2", EX7)
 
     def test_distance_matrix_validation(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,12 @@ class TestTiePolicy:
                 TiePolicy(relative_tolerance=bad)
             with pytest.raises(DomainError, match="finite"):
                 TiePolicy(absolute_tolerance=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("relative_tolerance", "a"), ("absolute_tolerance", None)])
+    def test_tolerances_that_are_not_reals_rejected(self, field, value):
+        with pytest.raises(DomainError, match="tie tolerances"):
+            TiePolicy(**{field: value})
 
     def test_absolute_tolerance_merges(self):
         d = np.array([[0, 1.0, 1.05], [1.0, 0, 2], [1.05, 2, 0]])
@@ -461,6 +468,26 @@ class TestAchievableTotals:
             ordered = {nearest_sets(build(c, np.array(v, dtype=float).reshape(n, 1))).total
                        for v in itertools.product(range(budget.grid_extent + 1), repeat=n)}
             assert achievable_near_totals(n, c, budget) == ordered
+
+    @pytest.mark.parametrize("n", [1025, 1026])
+    def test_probes_need_at_most_1024_rows(self, monkeypatch, n):
+        # rejected before any build: the growing-gaps probe would end at
+        # 2^(n-1) - 1, which is not a finite float
+        built = []
+        monkeypatch.setattr(neighbors, "build_many", lambda *args: built.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="n <= 1024"):
+                achievable_near_totals(n, P1, SearchBudget(random_samples=0, grid_extent=0))
+        assert built == []
+
+    def test_probes_at_1024_rows(self):
+        budget = SearchBudget(random_samples=0, grid_extent=0)
+        assert achievable_near_totals(1024, P1, budget) == {1024, 2046, 1024 * 1023}
+
+    def test_no_row_bound_without_probes(self):
+        budget = SearchBudget(random_samples=1, grid_extent=0, include_probes=False)
+        assert achievable_near_totals(1100, P1, budget) == {1100}
 
     def test_accepts_empty_budget(self):
         budget = SearchBudget(random_samples=0, random_cols=1, grid_extent=0, grid_limit=0)
