@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient
+from .coefficients import Coefficient, SquaredEuclidean
 from .distance import build_many, validate_distance_matrix
 from .errors import DomainError, require_integers
 
@@ -48,7 +48,8 @@ class TiePolicy:
 
 EXACT_TIES = TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.0)
 
-# the search evaluates at most this many distance entries (8 MB) per stack
+# one stack of B matrices of shape (n, k) holds at most this many distance
+# entries (B n^2) and row-pass terms (B n k), 8 MB each as float64
 _STACK_ENTRIES = 2**20
 
 
@@ -100,6 +101,21 @@ def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> n
     return candidate & (D <= bound[..., None])
 
 
+def near_masks(coefficient: Coefficient, shape: tuple[int, int], matrices,
+               tie: TiePolicy = TiePolicy(), positive_only: bool = False):
+    """Near-masks of (n, k) data matrices, in order, one (B, n, n) stack at a time.
+
+    A stack holds ``_STACK_ENTRIES // (n * max(n, k))`` matrices, or one if
+    that is 0; each mask is bitwise the one ``build`` gives.  The matrices
+    are not re-checked.
+    """
+    n, k = shape
+    matrices = iter(matrices)
+    per_stack = max(1, _STACK_ENTRIES // (n * max(n, k)))
+    while chunk := list(itertools.islice(matrices, per_stack)):
+        yield near_mask(build_many(coefficient, np.stack(chunk)), tie, positive_only)
+
+
 def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> NeighborSets:
     """Nearest-neighbor sets of a distance matrix.
 
@@ -146,47 +162,32 @@ def achievable_near_totals(
     This is an empirical search, not a characterization: the result is the
     set of distinct totals seen across random matrices, small 1-D integer
     grids, and structured probes (duplicate rows, evenly spaced points, and
-    points with strictly growing gaps).  Each family is evaluated through
-    ``build_many`` in stacks of at most about 2**20 distance entries, and the
-    random family draws its stack in one call, which is the same seeded
-    stream as one draw per matrix: the result depends only on the arguments.
-    Every observed value lies in {n, ..., n(n-1)}.  With probes, n is at
-    most 1024: the growing-gaps probe ends at 2^(n-1) - 1, a finite float.
+    points with strictly growing gaps).  Probes and grids, then one seeded
+    ``standard_normal`` draw per random matrix, go through ``near_masks``:
+    the result depends only on the arguments.  Every observed value lies in
+    {n, ..., n(n-1)}.  With probes, n is at most 1024 (512 under L): the
+    growing-gaps probe ends at 2^(n-1) - 1, and its distances must be finite.
     """
     require_integers(n=n)
     if n < 2:
         raise DomainError("search requires n >= 2")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if budget.include_probes and n > 1024:
-        raise DomainError(f"the search's probes need n <= 1024 rows, got {n}")
+    rows = 512 if isinstance(coefficient, SquaredEuclidean) else 1024
+    if budget.include_probes and n > rows:
+        raise DomainError(f"the search's probes need n <= {rows} rows, got {n}")
     rng = np.random.default_rng(seed)
-    per_stack = max(1, _STACK_ENTRIES // (n * n))
-    totals: set[int] = set()
-
-    def observe(stacks) -> None:  # zeros, arange, integer grids, normal draws: all finite
-        for xs in stacks:
-            D = build_many(coefficient, xs)
-            totals.update(near_mask(D).sum(axis=(1, 2)).tolist())
-
-    def stacked(columns):  # per_stack single-column matrices at a time
-        columns = iter(columns)
-        while chunk := list(itertools.islice(columns, per_stack)):
-            yield np.array(chunk, dtype=float).reshape(len(chunk), n, 1)
-
+    columns = []  # zeros, arange, integer grids, normal draws: all finite
     if budget.include_probes:
-        spaced = np.cumsum([0.0] + [2.0**i for i in range(n - 1)])
         # all rows equal (total n(n-1)), evenly spaced, strictly growing gaps (total n)
-        observe(stacked([np.zeros(n), np.arange(n), spaced]))
-
+        columns = [np.zeros(n), np.arange(n), np.cumsum([0.0] + [2.0**i for i in range(n - 1)])]
     if budget.grid_extent >= 1 and (budget.grid_extent + 1) ** n <= budget.grid_limit:
         # the total is invariant under row permutations: one grid per multiset
-        observe(stacked(itertools.combinations_with_replacement(
-            range(budget.grid_extent + 1), n)))
-
-    # one (b, n, cols) draw is the same stream as b draws of (n, cols)
-    observe(rng.standard_normal((min(per_stack, budget.random_samples - s), n,
-                                 budget.random_cols))
-            for s in range(0, budget.random_samples, per_stack))
-
-    return totals
+        columns = itertools.chain(columns, itertools.combinations_with_replacement(
+            range(budget.grid_extent + 1), n))
+    draws = (rng.standard_normal((n, budget.random_cols)) for _ in range(budget.random_samples))
+    families = [((n, 1), (np.array(c, dtype=float).reshape(n, 1) for c in columns)),
+                ((n, budget.random_cols), draws)]
+    return {total for shape, family in families
+            for masks in near_masks(coefficient, shape, family)
+            for total in masks.sum(axis=(1, 2)).tolist()}

@@ -28,7 +28,7 @@ from . import _EXPORTS
 from .coefficients import Coefficient, PNorm
 from .distance import as_data_matrix, build
 from .errors import DomainError, require_integers
-from .neighbors import TiePolicy, near_mask
+from .neighbors import TiePolicy, near_mask, near_masks
 
 __all__ = list(_EXPORTS["robustness"])
 
@@ -99,7 +99,8 @@ def rob_minus(
     """Leave-one-column-out robustness 1 - (sum of change counts)/(n*k).
 
     For each column j, count the rows whose nearest-neighbor set changes when
-    column j is removed.  Requires n > 1 and k > 1.
+    column j is removed.  Requires n > 1 and k > 1.  X is built once; the k
+    leave-one-out matrices go through ``near_masks`` in bounded stacks.
     """
     X = as_data_matrix(x)
     n, k = X.shape
@@ -108,10 +109,8 @@ def rob_minus(
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
     base = near_mask(build(coefficient, X), tie, positive_only)
-    changed = 0
-    for j in range(k):
-        reduced = near_mask(build(coefficient, np.delete(X, j, axis=1)), tie, positive_only)
-        changed += int((reduced != base).any(axis=1).sum())
+    changed = sum(int((masks != base).any(axis=2).sum()) for masks in near_masks(
+        coefficient, (n, k - 1), (np.delete(X, j, axis=1) for j in range(k)), tie, positive_only))
     return RationalScore(n * k - changed, n * k)
 
 

@@ -260,6 +260,15 @@ class TestSearchAndAsymptotics:
         assert proc.stderr.startswith("error: the search's probes need n <= 1024 rows")
         assert proc.stderr.count("\n") == 1
 
+    def test_explore_near_beyond_the_L_probe_bound_is_one_error_line(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "distchar.cli", "explore-near", "--rows", "513", "--c", "L",
+             "--random-samples", "0", "--grid-extent", "0"],
+            capture_output=True, env=env, text=True, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: the search's probes need n <= 512 rows, got 513\n"
+
     @pytest.mark.parametrize("argv", [["mc-nn", "--points", "2", "--samples", "10"],
                                       ["explore-near", "--rows", "3", "--c", "p2"]])
     def test_negative_seed_is_domain_error(self, capsys, argv):

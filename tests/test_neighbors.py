@@ -414,6 +414,44 @@ class TestSearchInStacks:
         assert peak < 16 * 2**20
 
 
+class TestStackBound:
+    """Every stack ``near_masks`` hands to ``build_many`` holds at most
+    ``_STACK_ENTRIES`` distances (B n^2) and row-pass terms (B n k), or one
+    matrix: a bound on n^2 alone lets wide matrices fill memory."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        recorded = []
+
+        def recording(coefficient, xs):
+            recorded.append(xs.shape)
+            return build_many(coefficient, xs)
+
+        monkeypatch.setattr(neighbors, "build_many", recording)
+        return recorded
+
+    @staticmethod
+    def assert_bounded(shapes, stack_entries):
+        for b, n, k in shapes:
+            assert b == 1 or b * n * max(n, k) <= stack_entries, (b, n, k)
+
+    @pytest.mark.parametrize("stack_entries", [1, 40, 100, 1000])
+    def test_rob_minus(self, monkeypatch, shapes, stack_entries):
+        monkeypatch.setattr(neighbors, "_STACK_ENTRIES", stack_entries)
+        x = np.random.default_rng(0).integers(0, 4, (3, 12)).astype(float)
+        rob_minus(P1, x)
+        assert sum(b for b, _, _ in shapes) == 12
+        assert {(n, k) for _, n, k in shapes} == {(3, 11)}
+        self.assert_bounded(shapes, stack_entries)
+
+    @pytest.mark.parametrize("stack_entries", [1, 40, 100, 1000])
+    def test_search(self, monkeypatch, shapes, stack_entries):
+        monkeypatch.setattr(neighbors, "_STACK_ENTRIES", stack_entries)
+        achievable_near_totals(3, P1, SearchBudget(random_samples=30, random_cols=12))
+        assert sum(b for b, _, k in shapes if k == 12) == 30
+        self.assert_bounded(shapes, stack_entries)
+
+
 class TestAchievableTotals:
     def test_two_rows_always_mutual(self):
         for c in (P1, P2, PNorm(math.inf)):
@@ -484,6 +522,26 @@ class TestAchievableTotals:
     def test_probes_at_1024_rows(self):
         budget = SearchBudget(random_samples=0, grid_extent=0)
         assert achievable_near_totals(1024, P1, budget) == {1024, 2046, 1024 * 1023}
+
+    def test_probes_under_L_need_at_most_512_rows(self, monkeypatch):
+        # rejected before any build: L squares the growing-gaps probe's
+        # largest gap, 2^511 at 513 rows, which overflows
+        built = []
+        monkeypatch.setattr(neighbors, "build_many", lambda *args: built.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="n <= 512"):
+                achievable_near_totals(513, SquaredEuclidean(),
+                                       SearchBudget(random_samples=0, grid_extent=0))
+        assert built == []
+
+    def test_probes_at_512_rows_under_L(self):
+        budget = SearchBudget(random_samples=0, grid_extent=0)
+        assert achievable_near_totals(512, SquaredEuclidean(), budget) == {512, 1022, 512 * 511}
+
+    def test_no_L_row_bound_without_probes(self):
+        budget = SearchBudget(random_samples=1, grid_extent=0, include_probes=False)
+        assert achievable_near_totals(513, SquaredEuclidean(), budget) == {513}
 
     def test_no_row_bound_without_probes(self):
         budget = SearchBudget(random_samples=1, grid_extent=0, include_probes=False)

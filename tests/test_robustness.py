@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distchar import (
     DomainError,
@@ -12,13 +14,16 @@ from distchar import (
     SquaredEuclidean,
     TiePolicy,
     adversarial_augment,
+    as_data_matrix,
     augment_constant_columns,
     build,
     nearest_sets,
+    neighbors,
     rob_minus,
     rob_plus,
     spacing_values,
 )
+from distchar.neighbors import EXACT_TIES, near_mask
 
 P1, P2, PINF = PNorm(1), PNorm(2), PNorm(math.inf)
 SQRT3 = math.sqrt(3)
@@ -47,6 +52,31 @@ def brute_rob_plus(coefficient, x, x_aug):
         sum(len(b & a) for b, a in zip(base, aug)),
         sum(len(b) for b in base),
     )
+
+
+def reference_rob_minus(coefficient, x, tie=TiePolicy(), positive_only=False):
+    """rob_minus as one ``build`` per leave-one-out matrix."""
+    X = as_data_matrix(x)
+    n, k = X.shape
+    if n < 2:
+        raise DomainError("robustness needs n > 1 so that neighbors exist")
+    if k < 2:
+        raise DomainError("leave-one-column-out robustness needs k > 1")
+    base = near_mask(build(coefficient, X), tie, positive_only)
+    changed = 0
+    for j in range(k):
+        reduced = near_mask(build(coefficient, np.delete(X, j, axis=1)), tie, positive_only)
+        changed += int((reduced != base).any(axis=1).sum())
+    return RationalScore(n * k - changed, n * k)
+
+
+def outcome(score, *args):
+    """(numerator, denominator) of a score, or the message of its DomainError."""
+    try:
+        result = score(*args)
+    except DomainError as error:
+        return str(error)
+    return result.numerator, result.denominator
 
 
 class TestRationalScore:
@@ -154,6 +184,42 @@ class TestRobMinus:
             rob_minus(P1, [[1.0], [2.0]])  # k = 1
         with pytest.raises(DomainError):
             rob_minus(P1, [[1.0, 2.0]])  # n = 1
+
+
+@st.composite
+def lattice_cases(draw):
+    """A tie-heavy {0..3} lattice with n <= 8 rows and k <= 8 columns, as
+    floats at some scale or as exact ints or Fractions, with a coefficient
+    that accepts its dtype."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, (n, k))
+    kind = draw(st.sampled_from(["float", "int", "Fraction"]))
+    if kind == "float":
+        # 5e307 overflows p1 and p3.5 sums, 1e154 overflows L, 1e-300 underflows L to ties
+        x = x * draw(st.sampled_from([1.0, 1e-300, 1e154, 5e307]))
+        c = draw(st.sampled_from([P1, P2, PINF, SquaredEuclidean(), PNorm(3.5)]))
+    else:
+        x = np.array([[int(v) if kind == "int" else Fraction(int(v), 3) for v in row]
+                      for row in x], dtype=object)
+        c = draw(st.sampled_from([P1, PINF, SquaredEuclidean()]))
+    return c, x
+
+
+class TestRobMinusInStacks:
+    @given(case=lattice_cases(),
+           rule=st.sampled_from([(TiePolicy(), False), (EXACT_TIES, False),
+                                 (TiePolicy(relative_tolerance=1.0), False),
+                                 (TiePolicy(), True)]),
+           per_stack=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_build_per_column(self, case, rule, per_stack):
+        c, x = case
+        n, k = x.shape
+        with pytest.MonkeyPatch.context() as patch:
+            # per_stack leave-one-out matrices per stack, so k of them span several
+            patch.setattr(neighbors, "_STACK_ENTRIES", per_stack * n * max(n, k - 1))
+            got = outcome(rob_minus, c, x, *rule)
+        assert got == outcome(reference_rob_minus, c, x, *rule)
 
 
 class TestSpacingValues:

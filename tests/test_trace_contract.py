@@ -49,12 +49,20 @@ def counter(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize("score, builds", [
     (lambda: rob_plus(P2, X, np.hstack([X, X[:, :1]])), 2),
-    (lambda: rob_minus(P2, X), X.shape[1] + 1),
 ])
 def test_robustness_build_counts(monkeypatch, score, builds):
     calls = counter(monkeypatch, robustness, "build")
     score()
     assert len(calls) == builds
+
+
+def test_rob_minus_builds_once_and_stacks_the_rest(monkeypatch):
+    # the tracer reads the one build of X; the k leave-one-out matrices of
+    # the 4 x 3 X fit one stack of the search's kernel
+    builds = counter(monkeypatch, robustness, "build")
+    stacks = counter(monkeypatch, neighbors, "build_many")
+    rob_minus(P2, X)
+    assert (len(builds), len(stacks)) == (1, 1)
 
 
 def test_adversarial_builds_once_per_scale(monkeypatch):
