@@ -48,8 +48,8 @@ class TiePolicy:
 
 EXACT_TIES = TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.0)
 
-# one stack of B matrices of shape (n, k) holds at most this many distance
-# entries (B n^2) and row-pass terms (B n k), 8 MB each as float64
+# one stack of B (n, k) matrices holds at most this many distances (B n^2) and
+# row-pass terms (B n k): a build_many tile holds <= max(_TILE_TERMS, B n k)
 _STACK_ENTRIES = 2**20
 
 

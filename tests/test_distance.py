@@ -21,7 +21,8 @@ from distchar import (
     remove_row,
     validate_distance_matrix,
 )
-from distchar import neighbors
+from distchar import distance, neighbors
+from distchar.coefficients import row_values
 from distchar.distance import build_many
 from distchar.neighbors import EXACT_TIES
 
@@ -469,6 +470,28 @@ def entrywise(c, x):
                     dtype=x.dtype)
 
 
+# the stacks drawn above fit in one default tile; 1 and 7 cross tile boundaries
+TILE_TERMS = [1, 7, distance._TILE_TERMS]
+
+
+def build_tiled(c, xs, tile_terms):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_TILE_TERMS", tile_terms)
+        return build_many(c, xs)
+
+
+def record_row_passes(monkeypatch):
+    """The shape of every row block ``build_many`` hands to ``row_values``."""
+    shapes = []
+
+    def recording(coefficient, a):
+        shapes.append(a.shape)
+        return row_values(coefficient, a)
+
+    monkeypatch.setattr(distance, "row_values", recording)
+    return shapes
+
+
 class TestStackedKernel:
     @given(xs=stacks(), c=st.sampled_from(STACK_COEFFS))
     @settings(max_examples=150, deadline=None)
@@ -490,3 +513,44 @@ class TestStackedKernel:
         size = neighbors._STACK_ENTRIES // 100**2 + 1
         xs = np.random.default_rng(13).integers(0, 3, (size, 100, 2)).astype(float)
         assert_bitwise_equal(build_many(c, xs), np.stack([build(c, x) for x in xs]))
+
+    @pytest.mark.parametrize("tile_terms", TILE_TERMS)
+    @given(case=st.tuples(stacks(), st.sampled_from(STACK_COEFFS))
+           | st.tuples(stacks(kinds=("int", "fraction")), st.sampled_from(EXACT_COEFFS)))
+    @settings(max_examples=90, deadline=None)
+    def test_tiles_of_any_size_are_bitwise(self, tile_terms, case):
+        xs, c = case
+        got = build_tiled(c, xs, tile_terms)
+        assert got.flags.c_contiguous
+        assert_bitwise_equal(got, np.stack([build(c, x) for x in xs]))
+        assert_bitwise_equal(got, np.stack([entrywise(c, x) for x in xs]))
+
+    @pytest.mark.parametrize("c", STACK_COEFFS)
+    @pytest.mark.parametrize("tile_terms", TILE_TERMS)
+    def test_overflow_in_the_last_tile_raises(self, monkeypatch, c, tile_terms):
+        monkeypatch.setattr(distance, "_TILE_TERMS", tile_terms)
+        xs = np.random.default_rng(3).standard_normal((2, 60, 4))
+        calls = record_row_passes(monkeypatch)
+        build_many(c, xs)
+        # rows n - 2 and n - 1 first meet in the tile that holds row n - 2; at
+        # most one tile follows it: row n - 1 alone, one 1 x 1 block per matrix
+        tiles = len(calls) - (calls[-1][0] == len(xs))
+        calls.clear()
+        big = 1e154 if c == SquaredEuclidean() else 1.7e308  # overflows this pair only
+        xs[1, -2:, 0] = [big, -big]
+        with pytest.raises(DomainError, match="overflows"):
+            build_many(c, xs)
+        assert len(calls) == tiles > 1
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 2), (1, 300, 16), (12, 120, 11),
+                                       (105, 100, 2), (2, 50, 400)])
+    def test_each_unordered_pair_is_evaluated_once(self, monkeypatch, shape):
+        B, n, k = shape
+        xs = np.random.default_rng(5).standard_normal(shape)
+        calls = record_row_passes(monkeypatch)
+        default = build_many(P2, xs)
+        assert max(rows * width for rows, width in calls) <= max(distance._TILE_TERMS, B * n * k)
+        calls.clear()
+        monkeypatch.setattr(distance, "_TILE_TERMS", 1)
+        assert_bitwise_equal(build_many(P2, xs), default)
+        assert sum(rows for rows, _ in calls) == B * n * (n + 1) // 2
