@@ -5,15 +5,17 @@ Each subcommand but ``verify`` is one row of ``_COMMANDS`` whose payload is
 the dict that ``--format json`` prints; the text output is rendered from that
 same payload.  ``verify`` runs the built-in golden-example checks.
 
-Exit status: 0 on success, 1 on a domain error (one-line diagnostic, no
-traceback), 2 on a usage error.  With identical arguments, input files and
-seeds the JSON output is byte-identical.
+Exit status: 0 on success, 1 on a domain error or a failed write to stdout
+(one-line diagnostic, no traceback), 2 on a usage error.  With identical
+arguments, input files and seeds the JSON output is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -231,7 +233,27 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The ``distchar`` process: ``run()``, then stdout flushed, then exit.
+
+    A write to stdout that fails (a closed pipe, a full disk) exits 1 with
+    one ``error: cannot write output`` line; stdout is pointed at the null
+    device so that nothing more is reported at shutdown.  Once the work is
+    done every object is frozen out of the collector (``gc.freeze()``), so
+    the shutdown collections do not walk the heap the run built; the OS
+    reclaims it at exit.
+    """
+    try:
+        try:
+            status = run()
+        finally:  # argparse's SystemExit (--help, usage errors) included
+            sys.stdout.flush()
+    except OSError as exc:  # run() reports every other failure as a DomainError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        status = 1
+    finally:
+        gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

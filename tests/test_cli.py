@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import gc
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from distchar.fixtures import fixture_path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 SUBCOMMANDS = ("distmat", "near", "rob-plus", "rob-minus", "concord", "corr", "adversarial",
                "explore-near", "mc-nn", "delta-cf", "verify")
 
@@ -252,20 +255,18 @@ class TestSearchAndAsymptotics:
 
     def test_explore_near_beyond_the_probe_bound_is_one_error_line(self):
         # in a child process, so that a leaked numpy warning would reach stderr
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-m", "distchar.cli", "explore-near", "--rows", "1026", "--c", "p1"],
-            capture_output=True, env=env, text=True, check=False)
+            capture_output=True, env=SUBPROCESS_ENV, text=True, check=False)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error: the search's probes need n <= 1024 rows")
         assert proc.stderr.count("\n") == 1
 
     def test_explore_near_beyond_the_L_probe_bound_is_one_error_line(self):
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-m", "distchar.cli", "explore-near", "--rows", "513", "--c", "L",
              "--random-samples", "0", "--grid-extent", "0"],
-            capture_output=True, env=env, text=True, check=False)
+            capture_output=True, env=SUBPROCESS_ENV, text=True, check=False)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: the search's probes need n <= 512 rows, got 513\n"
 
@@ -420,22 +421,74 @@ class TestContract:
             assert excinfo.value.code == 0
             assert capsys.readouterr().out.startswith("usage: distchar")
 
-    def test_module_entry_point_matches_run(self, capsys):
-        argv = ["near", "--c", "p2", "--x", str(fixture_path("ex5"))]
-        assert run(argv) == 0
-        expected = capsys.readouterr().out
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
+    @pytest.mark.parametrize("command, status", [
+        ("near --c p2 --x {ex5}", 0),
+        ("distmat --c q9 --x {ex5}", 1),
+        ("distmat --nonsense", 2),
+    ], ids=["success", "domain-error", "usage-error"])
+    def test_module_entry_point_matches_run(self, capsys, command, status):
+        argv = command.format(ex5=fixture_path("ex5")).split()
+        try:
+            assert run(argv) == status
+        except SystemExit as exc:
+            assert exc.code == status
+        expected = capsys.readouterr()
         proc = subprocess.run([sys.executable, "-m", "distchar.cli", *argv],
-                              capture_output=True, env=env, check=False)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == expected.encode()
+                              capture_output=True, env=SUBPROCESS_ENV, check=False)
+        assert proc.returncode == status
+        assert (proc.stdout, proc.stderr) == (expected.out.encode(), expected.err.encode())
+
+
+class TestProcess:
+    """What ``main()`` adds to ``run()`` in a ``distchar`` process."""
+
+    NEAR = ("near", "--c", "p2", "--x", str(fixture_path("ex5")))
+
+    @pytest.mark.parametrize("argv", [NEAR, ("distmat", "--c", "q9"), ("--help",)],
+                             ids=["success", "usage-error", "help"])
+    def test_main_freezes_the_collector(self, argv):
+        probe = ("import gc\nfrom distchar.cli import main\nbefore = gc.get_freeze_count()\n"
+                 "try:\n    main()\nexcept SystemExit:\n    pass\n"
+                 "print(before, gc.get_freeze_count())")
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              env=SUBPROCESS_ENV, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.splitlines()[-1].split())
+        assert before == 0
+        assert after > 0
+
+    def test_run_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(list(self.NEAR)) == 0
+        assert gc.get_freeze_count() == before
+
+    def assert_write_error(self, stdout, unbuffered, code):
+        env = {**SUBPROCESS_ENV, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.run([sys.executable, "-m", "distchar.cli", *self.NEAR],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, check=False)
+        expected = f"error: cannot write output: {os.strerror(code)}\n"
+        assert (proc.returncode, proc.stderr.decode()) == (1, expected)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_one_error_line(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            self.assert_write_error(write_end, unbuffered, errno.EPIPE)
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_device_is_one_error_line(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            self.assert_write_error(full, unbuffered, errno.ENOSPC)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
-                          env=env, cwd=ROOT, text=True, check=False)
+                          env=SUBPROCESS_ENV, cwd=ROOT, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,9 +1,11 @@
 """The import contract: a subcommand loads only the modules it calls.
 
-Process start decides the time of a short ``distchar`` run, so ``--help``
-and ``delta-cf`` must not import numpy, ``near`` must not import the
-score, asymptotics or verification modules, and ``mc-nn`` must import none
-of the matrix modules.  Each case runs in a fresh interpreter, so
+Process start and exit decide the time of a short ``distchar`` run.  Exit
+is kept short by ``main()`` freezing the collector (tested in
+``test_cli.py``); start is kept short here: ``--help`` and ``delta-cf``
+must not import numpy, ``near`` must not import the score, asymptotics or
+verification modules, and ``mc-nn`` must import none of the matrix
+modules.  Each case runs in a fresh interpreter, so
 ``sys.modules`` starts clean.
 """
 
