@@ -200,8 +200,13 @@ def _verify() -> int:
     return 0 if passed == len(checks) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own swallows a failed write
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distchar",
         description="Distance matrices, nearest-neighbor robustness, concordance, "
         "and distance-matrix correlation under p-norm coefficients.",

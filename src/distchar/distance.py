@@ -10,6 +10,7 @@ nonnegative entries.  Symmetry is exact: each pair is evaluated once, and
 
 from __future__ import annotations
 
+import itertools
 import numbers
 
 import numpy as np
@@ -20,8 +21,12 @@ from .errors import DomainError, require_integers
 
 __all__ = list(_EXPORTS["distance"])
 
-# terms per tile of build_many: a process's first 300x16 p2 build took 13, 12
-# and 19 ms at 2**13, 2**14 and 2**15, and 25 ms at one whole row per call
+# build_many's bounds.  A stack of B (n, k) matrices holds at most
+# _STACK_ENTRIES distances (B n^2) and row-pass terms (B n k), or one matrix.
+# A tile of it holds at most _TILE_TERMS terms, or one row of every matrix: a
+# process's first 300x16 p2 build took 13, 12 and 19 ms at tiles of 2**13,
+# 2**14 and 2**15 terms, and 25 ms at one whole row per call
+_STACK_ENTRIES = 2**20
 _TILE_TERMS = 2**14
 
 
@@ -41,24 +46,34 @@ def as_data_matrix(x) -> np.ndarray:
 
 
 def build(coefficient: Coefficient, x) -> np.ndarray:
-    """Distance matrix of ``x`` under ``coefficient``: ``build_many`` on a
-    stack of one.  Entry (i, j) is bitwise ``evaluate(coefficient, x(j) -
-    x(i))``, so symmetry, the zero diagonal and invariance under column order
-    and constant columns are exact; object-dtype (rational) input is exact for
+    """Distance matrix of ``x`` under ``coefficient``: ``build_many`` on one
+    matrix.  Entry (i, j) is bitwise ``evaluate(coefficient, x(j) - x(i))``,
+    so symmetry, the zero diagonal and invariance under column order and
+    constant columns are exact; object-dtype (rational) input is exact for
     p = 1, inf and L.  An overflowing difference or distance raises DomainError.
     """
-    return build_many(coefficient, as_data_matrix(x)[None])[0]
+    return next(build_many(coefficient, [as_data_matrix(x)]))[0]
 
 
-def build_many(coefficient: Coefficient, xs: np.ndarray) -> np.ndarray:
-    """C-contiguous (B, n, n) distance matrices of a (B, n, k) stack of valid
-    data matrices (not re-checked): the one pairwise kernel.
+def build_many(coefficient: Coefficient, matrices):
+    """C-contiguous (B, n, n) distance matrices of an iterable of valid data
+    matrices (not re-checked), in order: the one pairwise kernel.
 
-    One ``row_values`` call per tile, in row order.  A tile is rows i..i+r-1 of
-    every matrix against columns i..n-1: at most ``_TILE_TERMS`` terms, or one
-    row.  The part right of its diagonal block is mirrored below it, so each pair
-    is evaluated once, bitwise: IEEE subtraction is exactly antisymmetric and
-    ints and Fractions exact.  The diagonal is evaluated: zeros keep their type."""
+    Runs of matrices of one shape are stacked, as one array, up to the
+    ``_STACK_ENTRIES`` bound.  A stack gets one ``row_values`` call per tile,
+    in row order.  A tile is rows i..i+r-1 of every matrix against columns
+    i..n-1: at most ``_TILE_TERMS`` terms, or one row.  The part right of its
+    diagonal block is mirrored below it, so each pair is evaluated once,
+    bitwise: IEEE subtraction is exactly antisymmetric and ints and Fractions
+    exact.  The diagonal is evaluated: zeros keep their type."""
+    for (n, k), run in itertools.groupby(matrices, key=np.shape):
+        per_stack = max(1, _STACK_ENTRIES // (n * max(n, k)))
+        for first in run:  # no stack is held while the next one is stacked
+            yield _tiled(coefficient, np.array([first, *itertools.islice(run, per_stack - 1)]))
+
+
+def _tiled(coefficient: Coefficient, xs: np.ndarray) -> np.ndarray:
+    """The distances of one (B, n, k) stack, tile by tile (see ``build_many``)."""
     B, n, k = xs.shape
     D = np.empty((B, n, n), dtype=xs.dtype)
     i = 0

@@ -48,11 +48,6 @@ class TiePolicy:
 
 EXACT_TIES = TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.0)
 
-# one stack of B (n, k) matrices holds at most this many distances (B n^2) and
-# row-pass terms (B n k): a build_many tile holds <= max(_TILE_TERMS, B n k)
-_STACK_ENTRIES = 2**20
-
-
 @dataclass(frozen=True)
 class NeighborSets:
     """Per-row nearest-neighbor index sets (0-based) plus their total count.
@@ -86,7 +81,7 @@ def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> n
 
     The one tie decision behind every neighbor set and score.  ``D`` is an
     n x n distance matrix, such as ``build`` returns, or a (..., n, n) stack
-    of them, such as ``build_many`` returns; each row is decided on its own
+    of them, such as ``build_many`` yields; each row is decided on its own
     and the matrices are not re-checked.
     """
     n = D.shape[-1]
@@ -99,21 +94,6 @@ def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> n
         slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
         bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
     return candidate & (D <= bound[..., None])
-
-
-def near_masks(coefficient: Coefficient, shape: tuple[int, int], matrices,
-               tie: TiePolicy = TiePolicy(), positive_only: bool = False):
-    """Near-masks of (n, k) data matrices, in order, one (B, n, n) stack at a time.
-
-    A stack holds ``_STACK_ENTRIES // (n * max(n, k))`` matrices, or one if
-    that is 0; each mask is bitwise the one ``build`` gives.  The matrices
-    are not re-checked.
-    """
-    n, k = shape
-    matrices = iter(matrices)
-    per_stack = max(1, _STACK_ENTRIES // (n * max(n, k)))
-    while chunk := list(itertools.islice(matrices, per_stack)):
-        yield near_mask(build_many(coefficient, np.stack(chunk)), tie, positive_only)
 
 
 def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> NeighborSets:
@@ -163,9 +143,9 @@ def achievable_near_totals(
     set of distinct totals seen across random matrices, small 1-D integer
     grids, and structured probes (duplicate rows, evenly spaced points, and
     points with strictly growing gaps).  Probes and grids, then one seeded
-    ``standard_normal`` draw per random matrix, go through ``near_masks``:
-    the result depends only on the arguments.  Every observed value lies in
-    {n, ..., n(n-1)}.  With probes, n is at most 1024 (512 under L): the
+    ``standard_normal`` draw per random matrix, go through ``build_many`` as
+    one stream: the result depends only on the arguments.  Every observed
+    value lies in {n, ..., n(n-1)}.  With probes, n is at most 1024 (512 under L): the
     growing-gaps probe ends at 2^(n-1) - 1, and its distances must be finite.
     """
     require_integers(n=n)
@@ -185,9 +165,7 @@ def achievable_near_totals(
         # the total is invariant under row permutations: one grid per multiset
         columns = itertools.chain(columns, itertools.combinations_with_replacement(
             range(budget.grid_extent + 1), n))
+    columns = (np.array(c, dtype=float).reshape(n, 1) for c in columns)
     draws = (rng.standard_normal((n, budget.random_cols)) for _ in range(budget.random_samples))
-    families = [((n, 1), (np.array(c, dtype=float).reshape(n, 1) for c in columns)),
-                ((n, budget.random_cols), draws)]
-    return {total for shape, family in families
-            for masks in near_masks(coefficient, shape, family)
-            for total in masks.sum(axis=(1, 2)).tolist()}
+    return {total for D in build_many(coefficient, itertools.chain(columns, draws))
+            for total in near_mask(D).sum(axis=(1, 2)).tolist()}

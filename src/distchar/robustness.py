@@ -26,9 +26,9 @@ import numpy as np
 
 from . import _EXPORTS
 from .coefficients import Coefficient, PNorm
-from .distance import as_data_matrix, build
+from .distance import as_data_matrix, build, build_many
 from .errors import DomainError, require_integers
-from .neighbors import TiePolicy, near_mask, near_masks
+from .neighbors import TiePolicy, near_mask
 
 __all__ = list(_EXPORTS["robustness"])
 
@@ -100,7 +100,7 @@ def rob_minus(
 
     For each column j, count the rows whose nearest-neighbor set changes when
     column j is removed.  Requires n > 1 and k > 1.  X is built once; the k
-    leave-one-out matrices go through ``near_masks`` in bounded stacks.
+    leave-one-out matrices go through ``build_many`` in bounded stacks.
     """
     X = as_data_matrix(x)
     n, k = X.shape
@@ -109,8 +109,8 @@ def rob_minus(
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
     base = near_mask(build(coefficient, X), tie, positive_only)
-    changed = sum(int((masks != base).any(axis=2).sum()) for masks in near_masks(
-        coefficient, (n, k - 1), (np.delete(X, j, axis=1) for j in range(k)), tie, positive_only))
+    changed = sum(int((near_mask(D, tie, positive_only) != base).any(axis=2).sum())
+                  for D in build_many(coefficient, (np.delete(X, j, axis=1) for j in range(k))))
     return RationalScore(n * k - changed, n * k)
 
 

@@ -462,27 +462,36 @@ class TestProcess:
         assert run(list(self.NEAR)) == 0
         assert gc.get_freeze_count() == before
 
-    def assert_write_error(self, stdout, unbuffered, code):
+    @staticmethod
+    def assert_write_error(argv, stdout, unbuffered, code):
         env = {**SUBPROCESS_ENV, "PYTHONUNBUFFERED": unbuffered}
-        proc = subprocess.run([sys.executable, "-m", "distchar.cli", *self.NEAR],
+        proc = subprocess.run([sys.executable, "-m", "distchar.cli", *argv],
                               stdout=stdout, stderr=subprocess.PIPE, env=env, check=False)
         expected = f"error: cannot write output: {os.strerror(code)}\n"
         assert (proc.returncode, proc.stderr.decode()) == (1, expected)
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_closed_pipe_is_one_error_line(self, unbuffered):
+    # (argv, PYTHONUNBUFFERED); the help texts are written by print_help,
+    # which in argparse itself swallows a failed write
+    WRITES = pytest.mark.parametrize("argv, unbuffered", [
+        pytest.param(argv, unbuffered, id=prefix + mode)
+        for prefix, argv in [("", NEAR), ("help-", ("--help",)),
+                             ("near-help-", ("near", "--help"))]
+        for mode, unbuffered in [("buffered", ""), ("unbuffered", "1")]])
+
+    @WRITES
+    def test_closed_pipe_is_one_error_line(self, argv, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            self.assert_write_error(write_end, unbuffered, errno.EPIPE)
+            self.assert_write_error(argv, write_end, unbuffered, errno.EPIPE)
         finally:
             os.close(write_end)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_full_device_is_one_error_line(self, unbuffered):
+    @WRITES
+    def test_full_device_is_one_error_line(self, argv, unbuffered):
         with open("/dev/full", "wb") as full:
-            self.assert_write_error(full, unbuffered, errno.ENOSPC)
+            self.assert_write_error(argv, full, unbuffered, errno.ENOSPC)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

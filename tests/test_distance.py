@@ -21,7 +21,7 @@ from distchar import (
     remove_row,
     validate_distance_matrix,
 )
-from distchar import distance, neighbors
+from distchar import distance
 from distchar.coefficients import row_values
 from distchar.distance import build_many
 from distchar.neighbors import EXACT_TIES
@@ -424,7 +424,7 @@ class TestRowKernel:
         assert math.isfinite(build(P2, x)[0, 1])
 
 
-# --- the stacked kernel: build is build_many on a stack of one --------------
+# --- the stacked kernel: build is build_many on one matrix -------------------
 
 STACK_COEFFS = [P1, P2, PINF, SquaredEuclidean(), PNorm(3.5)]
 EXACT_COEFFS = [P1, PINF, SquaredEuclidean()]
@@ -474,10 +474,17 @@ def entrywise(c, x):
 TILE_TERMS = [1, 7, distance._TILE_TERMS]
 
 
+def build_stacked(c, xs):
+    """``build_many`` on the matrices of a (B, n, k) array, its stacks joined."""
+    stacks = list(build_many(c, xs))
+    assert all(D.flags.c_contiguous for D in stacks)
+    return np.concatenate(stacks)
+
+
 def build_tiled(c, xs, tile_terms):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_TILE_TERMS", tile_terms)
-        return build_many(c, xs)
+        return build_stacked(c, xs)
 
 
 def record_row_passes(monkeypatch):
@@ -496,23 +503,49 @@ class TestStackedKernel:
     @given(xs=stacks(), c=st.sampled_from(STACK_COEFFS))
     @settings(max_examples=150, deadline=None)
     def test_stack_equals_stacked_builds_bitwise(self, xs, c):
-        got = build_many(c, xs)
+        got = build_stacked(c, xs)
         assert_bitwise_equal(got, np.stack([build(c, x) for x in xs]))
         assert_bitwise_equal(got, np.stack([entrywise(c, x) for x in xs]))
 
     @given(xs=stacks(kinds=("int", "fraction")), c=st.sampled_from(EXACT_COEFFS))
     @settings(max_examples=60, deadline=None)
     def test_exact_stack_equals_stacked_builds(self, xs, c):
-        got = build_many(c, xs)
+        got = build_stacked(c, xs)
         assert_bitwise_equal(got, np.stack([build(c, x) for x in xs]))
         assert_bitwise_equal(got, np.stack([entrywise(c, x) for x in xs]))
 
     @pytest.mark.parametrize("c", STACK_COEFFS)
     def test_stack_larger_than_a_search_stack(self, c):
-        # one more 100-row matrix than the neighbor search evaluates at once
-        size = neighbors._STACK_ENTRIES // 100**2 + 1
+        # one more 100-row matrix than one stack holds
+        size = distance._STACK_ENTRIES // 100**2 + 1
         xs = np.random.default_rng(13).integers(0, 3, (size, 100, 2)).astype(float)
-        assert_bitwise_equal(build_many(c, xs), np.stack([build(c, x) for x in xs]))
+        assert [len(D) for D in build_many(c, xs)] == [size - 1, 1]
+        assert_bitwise_equal(build_stacked(c, xs), np.stack([build(c, x) for x in xs]))
+
+    @pytest.mark.parametrize("c", STACK_COEFFS)
+    def test_mixed_stream_is_stacked_by_runs_of_one_shape(self, c):
+        rng = np.random.default_rng(8)
+        xs = [rng.integers(0, 3, (6, k)).astype(float) for k in (1, 1, 2, 1)]
+        stacks = list(build_many(c, xs))
+        assert [D.shape for D in stacks] == [(2, 6, 6), (1, 6, 6), (1, 6, 6)]
+        for D, want in zip(stacks, [xs[:2], xs[2:3], xs[3:]]):
+            assert D.flags.c_contiguous
+            assert_bitwise_equal(D, np.stack([build(c, x) for x in want]))
+
+    @pytest.mark.parametrize("shape, stack_entries, sizes", [
+        ((4, 3), 2 * 4 * 4 + 1, [2, 2, 2, 1]), ((3, 10), 3 * 3 * 10, [3, 3, 1]),
+        ((3, 10), 1, [1] * 7)])
+    def test_a_run_splits_within_the_stack_bound(self, monkeypatch, shape, stack_entries,
+                                                  sizes):
+        monkeypatch.setattr(distance, "_STACK_ENTRIES", stack_entries)
+        xs = np.random.default_rng(9).standard_normal((7, *shape))
+        stacks = list(build_many(P2, xs))
+        assert [len(D) for D in stacks] == sizes
+        assert_bitwise_equal(np.concatenate(stacks), np.stack([build(P2, x) for x in xs]))
+
+    def test_empty_stream_yields_nothing(self):
+        assert list(build_many(P2, [])) == []
+        assert list(build_many(P2, iter(()))) == []
 
     @pytest.mark.parametrize("tile_terms", TILE_TERMS)
     @given(case=st.tuples(stacks(), st.sampled_from(STACK_COEFFS))
@@ -521,7 +554,6 @@ class TestStackedKernel:
     def test_tiles_of_any_size_are_bitwise(self, tile_terms, case):
         xs, c = case
         got = build_tiled(c, xs, tile_terms)
-        assert got.flags.c_contiguous
         assert_bitwise_equal(got, np.stack([build(c, x) for x in xs]))
         assert_bitwise_equal(got, np.stack([entrywise(c, x) for x in xs]))
 
@@ -531,7 +563,7 @@ class TestStackedKernel:
         monkeypatch.setattr(distance, "_TILE_TERMS", tile_terms)
         xs = np.random.default_rng(3).standard_normal((2, 60, 4))
         calls = record_row_passes(monkeypatch)
-        build_many(c, xs)
+        build_stacked(c, xs)
         # rows n - 2 and n - 1 first meet in the tile that holds row n - 2; at
         # most one tile follows it: row n - 1 alone, one 1 x 1 block per matrix
         tiles = len(calls) - (calls[-1][0] == len(xs))
@@ -539,7 +571,7 @@ class TestStackedKernel:
         big = 1e154 if c == SquaredEuclidean() else 1.7e308  # overflows this pair only
         xs[1, -2:, 0] = [big, -big]
         with pytest.raises(DomainError, match="overflows"):
-            build_many(c, xs)
+            build_stacked(c, xs)
         assert len(calls) == tiles > 1
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 2), (1, 300, 16), (12, 120, 11),
@@ -548,9 +580,9 @@ class TestStackedKernel:
         B, n, k = shape
         xs = np.random.default_rng(5).standard_normal(shape)
         calls = record_row_passes(monkeypatch)
-        default = build_many(P2, xs)
+        default = build_stacked(P2, xs)
         assert max(rows * width for rows, width in calls) <= max(distance._TILE_TERMS, B * n * k)
         calls.clear()
         monkeypatch.setattr(distance, "_TILE_TERMS", 1)
-        assert_bitwise_equal(build_many(P2, xs), default)
+        assert_bitwise_equal(build_stacked(P2, xs), default)
         assert sum(rows for rows, _ in calls) == B * n * (n + 1) // 2

@@ -26,7 +26,7 @@ from distchar import (
     rob_minus,
     rob_plus,
 )
-from distchar import neighbors
+from distchar import distance, neighbors, robustness
 from distchar.distance import build_many
 from distchar.neighbors import EXACT_TIES, NeighborSets, near_mask
 
@@ -309,8 +309,8 @@ def distance_stacks(draw):
     xs[duplicates] = xs[:, :1].repeat(n, axis=1)[duplicates]
     exact = draw(st.booleans()) and xs.dtype != float
     xs = np.array(xs.tolist(), dtype=object) if exact else xs.astype(float)
-    return build_many(draw(st.sampled_from([P1, PNorm(math.inf)] if exact else COEFFICIENTS)),
-                      xs)
+    return next(build_many(
+        draw(st.sampled_from([P1, PNorm(math.inf)] if exact else COEFFICIENTS)), xs))
 
 
 class TestNearMaskOnStacks:
@@ -323,7 +323,7 @@ class TestNearMaskOnStacks:
 
     @pytest.mark.parametrize("tie", [TiePolicy(), EXACT_TIES])
     def test_all_zero_rows_have_no_positive_candidates(self, tie):
-        D = build_many(P2, np.array([[[1.0], [1.0], [1.0]], [[0.0], [1.0], [1.0]]]))
+        D = next(build_many(P2, np.array([[[1.0], [1.0], [1.0]], [[0.0], [1.0], [1.0]]])))
         mask = near_mask(D, tie, positive_only=True)
         assert mask.sum(axis=(1, 2)).tolist() == [0, 4]
         assert mask[1, 0].tolist() == [False, True, True]
@@ -353,9 +353,10 @@ def reference_totals(n, coefficient, budget=SearchBudget(), seed=0):
             for x in reference_matrices(n, budget, seed)}
 
 
+# random_cols=1: the draws share the probes' and grids' shape, so one run holds all
 SEARCH_BUDGETS = [SearchBudget(), SearchBudget(random_cols=3), SearchBudget(grid_extent=0),
                   SearchBudget(grid_extent=2), SearchBudget(include_probes=False),
-                  SearchBudget(random_samples=0)]
+                  SearchBudget(random_samples=0), SearchBudget(random_cols=1)]
 
 
 class TestSearchInStacks:
@@ -372,22 +373,21 @@ class TestSearchInStacks:
         # at most two matrices per stack: probes, grids and draws all split
         budget = SearchBudget(random_samples=25)
         for n in range(2, 8):
-            monkeypatch.setattr(neighbors, "_STACK_ENTRIES", 2 * n * n + 1)
+            monkeypatch.setattr(distance, "_STACK_ENTRIES", 2 * n * n + 1)
             for seed in range(3):
                 assert achievable_near_totals(n, c, budget, seed) == reference_totals(
                     n, c, budget, seed), (n, seed)
 
     # the real stack size, and three 5-row matrices per stack
-    @pytest.mark.parametrize("stack_entries", [neighbors._STACK_ENTRIES, 3 * 25 + 1])
+    @pytest.mark.parametrize("stack_entries", [distance._STACK_ENTRIES, 3 * 25 + 1])
     def test_evaluates_the_reference_matrices_in_order(self, monkeypatch, stack_entries):
         seen = []
 
-        def recording(coefficient, xs):
-            seen.extend(xs)
-            return build_many(coefficient, xs)
+        def recording(coefficient, matrices):
+            yield from build_many(coefficient, (seen.append(x) or x for x in matrices))
 
         monkeypatch.setattr(neighbors, "build_many", recording)
-        monkeypatch.setattr(neighbors, "_STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(distance, "_STACK_ENTRIES", stack_entries)
         for budget in [*SEARCH_BUDGETS, SearchBudget(random_samples=7, random_cols=2)]:
             for seed in range(3):
                 seen.clear()
@@ -399,7 +399,7 @@ class TestSearchInStacks:
     def test_random_draws_across_stacks_at_full_stack_size(self):
         # 300 rows: 11 matrices per stack, so 40 draws span four stacks
         budget = SearchBudget(random_samples=40, grid_extent=0, include_probes=False)
-        assert neighbors._STACK_ENTRIES // 300**2 < 40
+        assert distance._STACK_ENTRIES // 300**2 < 40
         for c in (P2, SquaredEuclidean()):
             assert achievable_near_totals(300, c, budget, 2) == reference_totals(300, c, budget, 2)
 
@@ -415,19 +415,26 @@ class TestSearchInStacks:
 
 
 class TestStackBound:
-    """Every stack ``near_masks`` hands to ``build_many`` holds at most
-    ``_STACK_ENTRIES`` distances (B n^2) and row-pass terms (B n k), or one
-    matrix: a bound on n^2 alone lets wide matrices fill memory."""
+    """Every stack ``build_many`` yields to the search or to ``rob_minus``
+    holds at most ``_STACK_ENTRIES`` distances (B n^2) and row-pass terms
+    (B n k), or one matrix: a bound on n^2 alone lets wide matrices fill
+    memory."""
 
     @pytest.fixture
     def shapes(self, monkeypatch):
-        recorded = []
+        """(B, n, k) of every yielded stack, k read from the matrices it holds."""
+        recorded, inputs = [], []
 
-        def recording(coefficient, xs):
-            recorded.append(xs.shape)
-            return build_many(coefficient, xs)
+        def recording(coefficient, matrices):
+            for D in build_many(coefficient, (inputs.append(x.shape) or x for x in matrices)):
+                done = sum(b for b, _, _ in recorded)
+                (n, k), = set(inputs[done:done + len(D)])
+                assert D.shape == (len(D), n, n)
+                recorded.append((len(D), n, k))
+                yield D
 
         monkeypatch.setattr(neighbors, "build_many", recording)
+        monkeypatch.setattr(robustness, "build_many", recording)
         return recorded
 
     @staticmethod
@@ -437,7 +444,7 @@ class TestStackBound:
 
     @pytest.mark.parametrize("stack_entries", [1, 40, 100, 1000])
     def test_rob_minus(self, monkeypatch, shapes, stack_entries):
-        monkeypatch.setattr(neighbors, "_STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(distance, "_STACK_ENTRIES", stack_entries)
         x = np.random.default_rng(0).integers(0, 4, (3, 12)).astype(float)
         rob_minus(P1, x)
         assert sum(b for b, _, _ in shapes) == 12
@@ -446,7 +453,7 @@ class TestStackBound:
 
     @pytest.mark.parametrize("stack_entries", [1, 40, 100, 1000])
     def test_search(self, monkeypatch, shapes, stack_entries):
-        monkeypatch.setattr(neighbors, "_STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(distance, "_STACK_ENTRIES", stack_entries)
         achievable_near_totals(3, P1, SearchBudget(random_samples=30, random_cols=12))
         assert sum(b for b, _, k in shapes if k == 12) == 30
         self.assert_bounded(shapes, stack_entries)

@@ -17,8 +17,8 @@ from distchar import (
     as_data_matrix,
     augment_constant_columns,
     build,
+    distance,
     nearest_sets,
-    neighbors,
     rob_minus,
     rob_plus,
     spacing_values,
@@ -217,7 +217,7 @@ class TestRobMinusInStacks:
         n, k = x.shape
         with pytest.MonkeyPatch.context() as patch:
             # per_stack leave-one-out matrices per stack, so k of them span several
-            patch.setattr(neighbors, "_STACK_ENTRIES", per_stack * n * max(n, k - 1))
+            patch.setattr(distance, "_STACK_ENTRIES", per_stack * n * max(n, k - 1))
             got = outcome(rob_minus, c, x, *rule)
         assert got == outcome(reference_rob_minus, c, x, *rule)
 

@@ -58,11 +58,19 @@ def test_robustness_build_counts(monkeypatch, score, builds):
 
 def test_rob_minus_builds_once_and_stacks_the_rest(monkeypatch):
     # the tracer reads the one build of X; the k leave-one-out matrices of
-    # the 4 x 3 X fit one stack of the search's kernel
+    # the 4 x 3 X fit one stack of the kernel
     builds = counter(monkeypatch, robustness, "build")
-    stacks = counter(monkeypatch, neighbors, "build_many")
+    stacks = []
+    stream = robustness.build_many
+
+    def counted(*args):
+        for D in stream(*args):
+            stacks.append(len(D))
+            yield D
+
+    monkeypatch.setattr(robustness, "build_many", counted)
     rob_minus(P2, X)
-    assert (len(builds), len(stacks)) == (1, 1)
+    assert (len(builds), stacks) == (1, [3])
 
 
 def test_adversarial_builds_once_per_scale(monkeypatch):
