@@ -2,8 +2,9 @@
 lists them).
 
 Each subcommand but ``verify`` is one row of ``_COMMANDS`` whose payload is
-the dict that ``--format json`` prints; the text output is rendered from that
-same payload.  ``verify`` runs the built-in golden-example checks.
+what ``--format json`` prints (a dict; for ``distmat``, the distance matrix);
+the text output is rendered from that same payload.  ``verify`` runs the
+built-in golden-example checks.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -56,12 +57,12 @@ _TIES = ("--rel-tol", "--abs-tol")
 
 class _Command(NamedTuple):
     """A subcommand: its help, its flags (keys of _OPTIONS; ``--format`` is
-    added to all), ``payload(args)`` giving the JSON dict, and ``text(payload)``
-    giving the text output.  Payloads reach library functions as ``dc.<name>``
-    and io functions as ``dcio.<name>``; both look the name up in its home
-    module (``distchar.neighbors.nearest_sets``, ...) at call time, so a
-    tracer that rebinds it there sees the call, and a subcommand imports only
-    the modules it calls."""
+    added to all), ``payload(args)`` giving what ``_emit_json`` prints, and
+    ``text(payload)`` giving the text output.  Payloads reach library
+    functions as ``dc.<name>`` and io functions as ``dcio.<name>``; both look
+    the name up in its home module (``distchar.neighbors.nearest_sets``, ...)
+    at call time, so a tracer that rebinds it there sees the call, and a
+    subcommand imports only the modules it calls."""
 
     help: str
     options: tuple[str, ...]
@@ -70,7 +71,13 @@ class _Command(NamedTuple):
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    """Print the payload as one line of compact JSON with sorted keys.
+    distmat's payload, a distance matrix, prints as its ``distance_matrix_dict``
+    would, written a row at a time to the ``sys.stdout`` of the call."""
+    if isinstance(payload, dict):
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    else:
+        sys.stdout.writelines(dcio.distance_matrix_json(payload))
 
 
 def _tie_policy(args) -> dc.TiePolicy:
@@ -138,8 +145,7 @@ def _delta_cf_text(p) -> str:
 _COMMANDS = {
     "distmat": _Command(
         "distance matrix of a CSV data matrix", ("--c", "--x"),
-        lambda a: dcio.distance_matrix_dict(_distances(a)),
-        lambda p: dcio.distance_matrix_csv(p["entries"])),
+        _distances, lambda d: dcio.distance_matrix_csv(d.tolist())),
     "near": _Command(
         "nearest-neighbor sets (1-based) and total", ("--c", "--x", "--positive-only", *_TIES),
         lambda a: dcio.neighbor_sets_dict(

@@ -15,6 +15,8 @@ from . import _EXPORTS
 from .errors import DomainError
 
 if TYPE_CHECKING:  # numpy and the result types load only where a caller needs them
+    from collections.abc import Iterator
+
     import numpy as np
 
     from .association import CorrelationResult
@@ -23,8 +25,8 @@ if TYPE_CHECKING:  # numpy and the result types load only where a caller needs t
     from .robustness import AdversarialResult, RationalScore
 
 __all__ = [*_EXPORTS["io"], "adversarial_dict", "convergents_dict", "correlation_dict",
-           "distance_matrix_csv", "distance_matrix_dict", "estimate_dict",
-           "neighbor_sets_dict", "rational_dict"]
+           "distance_matrix_csv", "distance_matrix_dict", "distance_matrix_json",
+           "estimate_dict", "neighbor_sets_dict", "rational_dict"]
 
 
 def parse_data_matrix(text: str, name: str = "<input>") -> np.ndarray:
@@ -88,6 +90,44 @@ def distance_matrix_dict(d: np.ndarray) -> dict:
 
     arr = np.asarray(d, dtype=float)
     return {"order": arr.shape[0], "entries": arr.tolist()}
+
+
+def distance_matrix_json(d) -> Iterator[str]:
+    """The JSON text of ``distance_matrix_dict(d)``, one chunk per row.
+
+    ``"".join`` of the chunks equals ``json.dumps(distance_matrix_dict(d),
+    sort_keys=True, separators=(",", ":")) + "\n"`` byte for byte: json
+    writes a finite float with ``float.__repr__``, and so does this.  It
+    requires a square matrix of finite entries that is symmetric bit for
+    bit (as ``build`` returns; ``0.0`` against ``-0.0`` is not), and raises
+    ``DomainError`` otherwise, before the first chunk.  Each unordered pair
+    is formatted once: row i formats entries (i, i..n-1), and takes entry
+    (i, j) for j < i from the strings row j made.  Those strings wait in
+    one list per earlier row, so at most about n**2/4 of them are held at
+    once, and no list of all n**2 floats or of the whole text is built.
+    The chunks are the opening, each row, and the closing: n + 2 in all.
+    """
+    import numpy as np
+
+    arr = np.ascontiguousarray(d, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
+        raise DomainError(f"distance matrix must be square and finite, got shape {arr.shape}")
+    bits = arr.view(np.uint64)
+    if not (bits == bits.T).all():
+        raise DomainError("distance matrix must be symmetric bit for bit")
+    return _json_rows(arr)
+
+
+def _json_rows(arr: np.ndarray) -> Iterator[str]:
+    owed: list[list[str]] = []  # owed[j]: row j's strings still to come, next one last
+    yield '{"entries":['
+    for i in range(len(arr)):
+        upper = list(map(repr, arr[i, i:].tolist()))
+        row = list(map(list.pop, owed))
+        row += upper
+        yield f"{',' if i else ''}[{','.join(row)}]"
+        owed.append(upper[:0:-1])
+    yield f'],"order":{len(arr)}}}\n'
 
 
 def neighbor_sets_dict(sets: NeighborSets) -> dict:

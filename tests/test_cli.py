@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -11,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import distchar as dc
 from distchar import verification
-from distchar.cli import run
+from distchar.cli import _emit_json, run
 from distchar.errors import DomainError
 from distchar.fixtures import fixture_path
+from distchar.io import distance_matrix_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -37,6 +41,11 @@ def csv_file(tmp_path):
         return str(path)
 
     return write
+
+
+def csv_text(x) -> str:
+    """CSV text that parses back to the float matrix ``x`` exactly."""
+    return "\n".join(",".join(map(repr, row)) for row in np.asarray(x).tolist())
 
 
 def run_json(capsys, argv):
@@ -64,6 +73,38 @@ class TestDistmat:
         assert run(["distmat", "--c", "p2", "--x", path]) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "0,2,2,2"
+
+    @pytest.mark.parametrize("c", ["L", "p1"])
+    def test_json_bytes_equal_one_shot_dump(self, capsys, csv_file, c):
+        # the benchmark's bulk-gauss shape
+        x = np.random.default_rng(19).standard_normal((300, 16))
+        path = csv_file("gauss.csv", csv_text(x))
+        assert run(["distmat", "--c", c, "--x", path, "--format", "json"]) == 0
+        d = dc.build(dc.parse_coefficient(c), x)
+        want = json.dumps(distance_matrix_dict(d), sort_keys=True, separators=(",", ":"))
+        assert capsys.readouterr().out.encode() == (want + "\n").encode()
+
+    def test_json_is_written_a_row_at_a_time(self, csv_file):
+        class Stdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        x = np.random.default_rng(0).standard_normal((40, 3))
+        path = csv_file("x.csv", csv_text(x))
+        out = Stdout()
+        with contextlib.redirect_stdout(out):
+            assert run(["distmat", "--c", "p2", "--x", path, "--format", "json"]) == 0
+        assert 0 < out.writes <= len(x) + 2
+        assert json.loads(out.getvalue())["order"] == len(x)
+
+    def test_asymmetric_matrix_writes_nothing(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(DomainError, match="symmetric"):
+            _emit_json(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        assert out.getvalue() == ""
 
 
 class TestNear:
@@ -486,6 +527,23 @@ class TestProcess:
             self.assert_write_error(argv, write_end, unbuffered, errno.EPIPE)
         finally:
             os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_pipe_closed_mid_stream_is_one_error_line(self, tmp_path, unbuffered):
+        # about 0.7 MB of JSON: the writer fills the 64 KiB pipe buffer and
+        # blocks, then the reader goes away with most rows still to write
+        x = np.random.default_rng(0).standard_normal((200, 2))
+        path = tmp_path / "x.csv"
+        path.write_text(csv_text(x))
+        env = {**SUBPROCESS_ENV, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distchar.cli", "distmat", "--c", "p2", "--x", str(path),
+             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(100).startswith(b'{"entries":[[0.0,')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
     @WRITES

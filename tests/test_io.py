@@ -1,13 +1,25 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from distchar import DomainError, PNorm, build, nearest_sets, parse_data_matrix
+from distchar import (
+    DomainError,
+    PNorm,
+    SquaredEuclidean,
+    build,
+    nearest_sets,
+    parse_data_matrix,
+)
 from distchar.fixtures import example_names, load_example
 from distchar.io import (
     distance_matrix_csv,
     distance_matrix_dict,
+    distance_matrix_json,
     load_data_matrix,
     neighbor_sets_dict,
     rational_dict,
@@ -118,3 +130,54 @@ class TestSerialization:
         payload = rational_dict(RationalScore(2, 6))
         assert payload["num"] == 2 and payload["den"] == 6
         assert payload["value"] == pytest.approx(1 / 3)
+
+
+def dumped(d) -> str:
+    """The one-shot form that ``distance_matrix_json`` streams."""
+    return json.dumps(distance_matrix_dict(d), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def scaled_data(draw):
+    """An n x k data matrix, 1 <= n <= 12: a {0..3} lattice (ties, and with
+    hypothesis's default fill duplicate rows) or reals in [-10, 10], times
+    a scale whose distances have subnormal, tiny, plain or huge reprs."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    elements = draw(st.sampled_from([st.integers(0, 3), st.floats(-10, 10)]))
+    fill = st.nothing() if draw(st.booleans()) else None
+    x = draw(arrays(np.float64, (n, k), elements=elements, fill=fill))
+    return x * draw(st.sampled_from([1.0, 1e-300, 1e-160, 1e150]))
+
+
+class TestDistanceMatrixJson:
+    COEFFICIENTS = st.sampled_from(
+        [PNorm(1), PNorm(2), PNorm(math.inf), SquaredEuclidean(), PNorm(3.5)])
+
+    @given(x=scaled_data(), c=COEFFICIENTS)
+    @example(x=np.array([[7.0]]), c=PNorm(2))
+    @example(x=np.array([[0.0, 1.0], [3.0, 5.0]]), c=PNorm(1))
+    @example(x=np.array([[1.0], [1.0], [1.0]]), c=SquaredEuclidean())
+    @example(x=np.array([[1e-160], [3e-160]]), c=SquaredEuclidean())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, x, c):
+        d = build(c, x)
+        assert "".join(distance_matrix_json(d)) == dumped(d)
+
+    def test_subnormal_and_huge_entries(self):
+        d = np.array([[0.0, 5e-324, 1.7976931348623157e308],
+                      [5e-324, 0.0, 1e-320],
+                      [1.7976931348623157e308, 1e-320, 0.0]])
+        assert "".join(distance_matrix_json(d)) == dumped(d)
+        assert "5e-324" in dumped(d)
+
+    @pytest.mark.parametrize("d", [
+        [[0.0, 1.0], [2.0, 0.0]],
+        [[0.0, 0.0], [-0.0, 0.0]],  # equal, but its two reprs differ
+        [[0.0, math.inf], [math.inf, 0.0]],
+        [[0.0, math.nan], [math.nan, 0.0]],
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]],
+        [0.0, 1.0],
+    ], ids=["asymmetric", "signed-zero", "inf", "nan", "not-square", "vector"])
+    def test_rejected_before_the_first_chunk(self, d):
+        with pytest.raises(DomainError, match="distance matrix must be"):
+            distance_matrix_json(d)

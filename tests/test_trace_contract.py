@@ -27,6 +27,7 @@ from distchar import (
     rob_plus,
     robustness,
 )
+from distchar import io as dcio
 from distchar.fixtures import fixture_path, load_example
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
@@ -89,9 +90,16 @@ def test_association_build_counts(monkeypatch):
     assert (len(builds), len(correlations)) == (4, 1)
 
 
+DISTMAT_JSON = ["distmat", "--c", "L", "--x", str(fixture_path("ex4")), "--format", "json"]
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (neighbors, "nearest_sets", ["near", "--c", "p2", "--x", str(fixture_path("ex4"))]),
     (asymptotics, "delta_constant", ["delta-cf"]),
+    # perfbench's io.render.distmat_json.s times the streamed render inside
+    # the span of cli._emit_json
+    (cli, "_emit_json", DISTMAT_JSON),
+    (dcio, "distance_matrix_json", DISTMAT_JSON),
 ])
 def test_cli_calls_through_the_home_module(monkeypatch, capsys, module, name, argv):
     """The CLI looks each library function up at call time, so a wrapper
