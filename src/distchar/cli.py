@@ -3,8 +3,8 @@ lists them).
 
 Each subcommand but ``verify`` is one row of ``_COMMANDS`` whose payload is
 what ``--format json`` prints (a dict; for ``distmat``, the distance matrix);
-the text output is rendered from that same payload.  ``verify`` runs the
-built-in golden-example checks.
+the text output is the lines rendered from that same payload.  ``verify``
+runs the built-in golden-example checks.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -18,7 +18,7 @@ import gc
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import distchar as dc
 
@@ -58,16 +58,16 @@ _TIES = ("--rel-tol", "--abs-tol")
 class _Command(NamedTuple):
     """A subcommand: its help, its flags (keys of _OPTIONS; ``--format`` is
     added to all), ``payload(args)`` giving what ``_emit_json`` prints, and
-    ``text(payload)`` giving the text output.  Payloads reach library
-    functions as ``dc.<name>`` and io functions as ``dcio.<name>``; both look
-    the name up in its home module (``distchar.neighbors.nearest_sets``, ...)
-    at call time, so a tracer that rebinds it there sees the call, and a
+    ``text(payload)`` giving the lines of the text output.  Payloads reach
+    library functions as ``dc.<name>`` and io functions as ``dcio.<name>``;
+    both look the name up in its home module (``distchar.neighbors.nearest_sets``,
+    ...) at call time, so a tracer that rebinds it there sees the call, and a
     subcommand imports only the modules it calls."""
 
     help: str
     options: tuple[str, ...]
     payload: Callable[[argparse.Namespace], dict]
-    text: Callable[[dict], str]
+    text: Callable[[dict], Iterable[str]]
 
 
 def _emit_json(payload) -> None:
@@ -108,44 +108,43 @@ def _delta_cf(args) -> dict:
     return {**dcio.convergents_dict(sequence), "delta": str(value), "digits": args.digits}
 
 
-def _near_text(p) -> str:
+def _near_text(p) -> list[str]:
     rows = [f"row {i}: {' '.join(map(str, s)) or '-'}" for i, s in enumerate(p["sets"], 1)]
-    return "\n".join([*rows, f"total = {p['total']}"])
+    return [*rows, f"total = {p['total']}"]
 
 
 def _score_text(label):
-    return lambda p: f"{label} = {p['num']}/{p['den']} = {p['value']:.9g}"
+    return lambda p: [f"{label} = {p['num']}/{p['den']} = {p['value']:.9g}"]
 
 
-def _corr_text(p) -> str:
+def _corr_text(p) -> list[str]:
     rho = "undefined" if p["rho"] is None else f"{p['rho']:.9g}"
-    return f"rho = {rho}\ncov = {p['cov']:.9g}\nvar = {p['var_m']:.9g}, {p['var_n']:.9g}"
+    return [f"rho = {rho}", f"cov = {p['cov']:.9g}", f"var = {p['var_m']:.9g}, {p['var_n']:.9g}"]
 
 
-def _adversarial_text(p) -> str:
+def _adversarial_text(p) -> list[str]:
     column = " ".join(f"{v:.9g}" for v in p["column"])
-    return (f"t = {p['t']:.9g}\ncolumn = {column}\n"
-            f"achieved neighbor total = {p['achieved_near_total']}")
+    return [f"t = {p['t']:.9g}", f"column = {column}",
+            f"achieved neighbor total = {p['achieved_near_total']}"]
 
 
-def _mc_nn_text(p) -> str:
-    return (f"mean = {p['mean']:.9g} (stderr {p['standard_error']:.9g}, "
-            f"{p['samples']} samples, seed {p['seed']})\n"
-            f"conjectured L/(n+1) = {p['conjectured']:.9g}  "
-            "(proved for n = 1, 2, 3; a guess for larger n)")
+def _mc_nn_text(p) -> list[str]:
+    return [f"mean = {p['mean']:.9g} (stderr {p['standard_error']:.9g}, "
+            f"{p['samples']} samples, seed {p['seed']})",
+            f"exact L/(n+1) = {p['conjectured']:.9g}  (a theorem for every n)"]
 
 
-def _delta_cf_text(p) -> str:
+def _delta_cf_text(p) -> list[str]:
     lines = [f"delta = {p['delta']}", *(f"  {c['p']}/{c['q']}" for c in p["convergents"])]
     if p["truncated"]:
         lines.append("  ... truncated: input precision exhausted")
-    return "\n".join(lines)
+    return lines
 
 
 _COMMANDS = {
     "distmat": _Command(
         "distance matrix of a CSV data matrix", ("--c", "--x"),
-        _distances, lambda d: dcio.distance_matrix_csv(d.tolist())),
+        _distances, lambda d: dcio.distance_matrix_csv(d)),
     "near": _Command(
         "nearest-neighbor sets (1-based) and total", ("--c", "--x", "--positive-only", *_TIES),
         lambda a: dcio.neighbor_sets_dict(
@@ -184,7 +183,7 @@ _COMMANDS = {
     "explore-near": _Command(
         "observed neighbor totals over a searched family",
         ("--rows", "--c", "--seed", "--random-samples", "--random-cols", "--grid-extent"),
-        _explore_near, lambda p: "observed totals: " + " ".join(map(str, p["totals"]))),
+        _explore_near, lambda p: ["observed totals: " + " ".join(map(str, p["totals"]))]),
     "mc-nn": _Command(
         "expected nearest distance on [-L, L]",
         ("--points", "--length", "--samples", "--seed"), _mc_nn, _mc_nn_text),
@@ -239,7 +238,8 @@ def run(argv=None) -> int:
     if args.format == "json":
         _emit_json(payload)
     else:
-        print(_COMMANDS[args.command].text(payload))
+        for line in _COMMANDS[args.command].text(payload):
+            print(line)
     return 0
 
 

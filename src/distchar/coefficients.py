@@ -90,8 +90,8 @@ def coefficient_name(coefficient: Coefficient) -> str:
 
 
 def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` with every entry checked to be a finite real; object dtype
-    (ints, fractions.Fraction) passes through, anything else becomes float64."""
+    """``arr`` with every entry checked to be a finite real; object dtype (ints,
+    Fractions) passes through, bool/int/float become float64, others raise."""
     if arr.dtype == object:
         for entry in arr.flat:
             if not isinstance(entry, numbers.Real):
@@ -99,6 +99,8 @@ def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:
             if isinstance(entry, float) and not math.isfinite(entry):
                 raise DomainError(f"{what} entries must be finite")
         return arr
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{what} entries must be real numbers, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} entries must be finite")

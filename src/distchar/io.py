@@ -7,6 +7,7 @@ and column.  All indices in external representations are 1-based.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -15,7 +16,7 @@ from . import _EXPORTS
 from .errors import DomainError
 
 if TYPE_CHECKING:  # numpy and the result types load only where a caller needs them
-    from collections.abc import Iterator
+    from collections.abc import Callable, Iterator
 
     import numpy as np
 
@@ -79,10 +80,10 @@ def load_data_matrix(path) -> np.ndarray:
     return parse_data_matrix(text.removeprefix("\ufeff"), name=str(p))
 
 
-def distance_matrix_csv(d) -> str:
-    """CSV text of a square distance matrix (rows of reals), 9 significant digits each."""
-    row_format = ",".join(["%.9g"] * len(d))
-    return "\n".join(row_format % tuple(row) for row in d)
+def distance_matrix_csv(d) -> Iterator[str]:
+    """The CSV lines of a distance matrix, one per row without a line end,
+    each entry printed ``"%.9g"``: the rows of ``_rows``, checked at the call."""
+    return _rows(d, "%.9g".__mod__)
 
 
 def distance_matrix_dict(d: np.ndarray) -> dict:
@@ -97,15 +98,25 @@ def distance_matrix_json(d) -> Iterator[str]:
 
     ``"".join`` of the chunks equals ``json.dumps(distance_matrix_dict(d),
     sort_keys=True, separators=(",", ":")) + "\n"`` byte for byte: json
-    writes a finite float with ``float.__repr__``, and so does this.  It
-    requires a square matrix of finite entries that is symmetric bit for
+    writes a finite float with ``float.__repr__``, and so does this.  The
+    rows come from ``_rows``, whose checks it makes at the call.  The chunks
+    are the opening, each row, and the closing: n + 2 in all.
+    """
+    rows = (f"{',' if i else ''}[{row}]" for i, row in enumerate(_rows(d, repr)))
+    return itertools.chain(['{"entries":['], rows, [f'],"order":{len(d)}}}\n'])
+
+
+def _rows(d, fmt: Callable[[float], str]) -> Iterator[str]:
+    """The rows of a distance matrix, each its entries ``fmt``-ed and joined
+    with ``,``: the one walk of a distance matrix for output.
+
+    It requires a square matrix of finite entries that is symmetric bit for
     bit (as ``build`` returns; ``0.0`` against ``-0.0`` is not), and raises
-    ``DomainError`` otherwise, before the first chunk.  Each unordered pair
-    is formatted once: row i formats entries (i, i..n-1), and takes entry
-    (i, j) for j < i from the strings row j made.  Those strings wait in
-    one list per earlier row, so at most about n**2/4 of them are held at
-    once, and no list of all n**2 floats or of the whole text is built.
-    The chunks are the opening, each row, and the closing: n + 2 in all.
+    ``DomainError`` otherwise, at the call, before the first row.  Each
+    unordered pair is formatted once: row i formats entries (i, i..n-1), and
+    takes entry (i, j) for j < i from the strings row j made.  Those strings
+    wait in one list per earlier row, so at most about n**2/4 of them are
+    held at once, and no list of all n**2 floats or of the whole text is built.
     """
     import numpy as np
 
@@ -115,19 +126,15 @@ def distance_matrix_json(d) -> Iterator[str]:
     bits = arr.view(np.uint64)
     if not (bits == bits.T).all():
         raise DomainError("distance matrix must be symmetric bit for bit")
-    return _json_rows(arr)
-
-
-def _json_rows(arr: np.ndarray) -> Iterator[str]:
     owed: list[list[str]] = []  # owed[j]: row j's strings still to come, next one last
-    yield '{"entries":['
-    for i in range(len(arr)):
-        upper = list(map(repr, arr[i, i:].tolist()))
-        row = list(map(list.pop, owed))
-        row += upper
-        yield f"{',' if i else ''}[{','.join(row)}]"
+
+    def row(i: int) -> str:
+        upper = list(map(fmt, arr[i, i:].tolist()))
+        line = ",".join([*map(list.pop, owed), *upper])
         owed.append(upper[:0:-1])
-    yield f'],"order":{len(arr)}}}\n'
+        return line
+
+    return map(row, range(len(arr)))
 
 
 def neighbor_sets_dict(sets: NeighborSets) -> dict:

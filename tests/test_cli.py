@@ -94,11 +94,16 @@ class TestDistmat:
 
         x = np.random.default_rng(0).standard_normal((40, 3))
         path = csv_file("x.csv", csv_text(x))
-        out = Stdout()
-        with contextlib.redirect_stdout(out):
-            assert run(["distmat", "--c", "p2", "--x", path, "--format", "json"]) == 0
-        assert 0 < out.writes <= len(x) + 2
-        assert json.loads(out.getvalue())["order"] == len(x)
+        d = dc.build(dc.PNorm(2), x)
+        want = {"json": json.dumps(distance_matrix_dict(d), sort_keys=True, separators=(",", ":")),
+                "text": "\n".join(",".join(f"{v:.9g}" for v in row) for row in d.tolist())}
+        # print writes each line and its line end apart
+        for fmt, most in [("json", len(x) + 2), ("text", 2 * len(x))]:
+            out = Stdout()
+            with contextlib.redirect_stdout(out):
+                assert run(["distmat", "--c", "p2", "--x", path, "--format", fmt]) == 0
+            assert 0 < out.writes <= most
+            assert out.getvalue() == want[fmt] + "\n"
 
     def test_asymmetric_matrix_writes_nothing(self):
         out = io.StringIO()
@@ -255,10 +260,11 @@ class TestSearchAndAsymptotics:
         assert abs(payload["mean"] - 0.25) <= 3 * payload["standard_error"]
         assert payload["samples"] == 20000
 
-    def test_mc_nn_text_labels_the_guess(self, capsys):
+    def test_mc_nn_text_labels_the_exact_value(self, capsys):
         assert run(["mc-nn", "--points", "5", "--samples", "100", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "conjectured" in out and "guess" in out
+        assert "exact L/(n+1) = 0.166666667  (a theorem for every n)" in out
+        assert "guess" not in out
 
     def test_mc_nn_single_sample_is_domain_error(self, capsys):
         assert run(["mc-nn", "--points", "2", "--samples", "1"]) == 1
@@ -528,18 +534,22 @@ class TestProcess:
         finally:
             os.close(write_end)
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_pipe_closed_mid_stream_is_one_error_line(self, tmp_path, unbuffered):
-        # about 0.7 MB of JSON: the writer fills the 64 KiB pipe buffer and
-        # blocks, then the reader goes away with most rows still to write
+    @pytest.mark.parametrize("fmt, head, unbuffered", [
+        pytest.param(fmt, head, unbuffered, id=prefix + mode)
+        for prefix, fmt, head in [("", "json", b'{"entries":[[0.0,'), ("text-", "text", b"0,")]
+        for mode, unbuffered in [("buffered", ""), ("unbuffered", "1")]])
+    def test_pipe_closed_mid_stream_is_one_error_line(self, tmp_path, fmt, head, unbuffered):
+        # about 0.7 MB of JSON or 0.4 MB of text: the writer fills the 64 KiB
+        # pipe buffer and blocks, then the reader goes away with most rows
+        # still to write
         x = np.random.default_rng(0).standard_normal((200, 2))
         path = tmp_path / "x.csv"
         path.write_text(csv_text(x))
         env = {**SUBPROCESS_ENV, "PYTHONUNBUFFERED": unbuffered}
         proc = subprocess.Popen(
             [sys.executable, "-m", "distchar.cli", "distmat", "--c", "p2", "--x", str(path),
-             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.read(100).startswith(b'{"entries":[[0.0,')
+             "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(100).startswith(head)
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
@@ -665,7 +675,7 @@ GOLDEN = [
      ''),
     ('mc-nn --points 3 --samples 2000 --seed 42', 0,
      'mean = 0.254303657 (stderr 0.00446440431, 2000 samples, seed 42)\n'
-     'conjectured L/(n+1) = 0.25  (proved for n = 1, 2, 3; a guess for larger n)\n',
+     'exact L/(n+1) = 0.25  (a theorem for every n)\n',
      ''),
     ('mc-nn --points 3 --samples 2000 --seed 42 --format json', 0,
      '{"conjectured":0.25,"mean":0.25430365685275913,"samples":2000,"seed":42,'

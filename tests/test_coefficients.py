@@ -87,6 +87,9 @@ class TestEvaluate:
             evaluate(PNorm(2), [1.0, math.nan])
         with pytest.raises(DomainError):
             evaluate(PNorm(2), [1.0, math.inf])
+        for v in ([3 + 4j, 0], ["3", "4"], np.array([3, 4], dtype="datetime64[D]")):
+            with pytest.raises(DomainError, match="must be real numbers, got dtype"):
+                evaluate(PNorm(2), v)
 
     def test_matrix_argument_rejected(self):
         with pytest.raises(DomainError):

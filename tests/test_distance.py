@@ -312,6 +312,12 @@ class TestValidation:
             validate_distance_matrix(np.array([[0, math.inf], [math.inf, 0]], dtype=object))
         with pytest.raises(DomainError, match="non-numeric"):
             validate_distance_matrix(np.array([[0, "1"], ["1", 0]], dtype=object))
+        # complex, string and datetime arrays are not cast to float
+        for d in ([[0, 1j], [1j, 0]], [["0", "1"], ["1", "0"]],
+                  np.array([[0, 1], [1, 0]], dtype="datetime64[s]")):
+            for check in (validate_distance_matrix, nearest_sets, lambda x: build(P1, x)):
+                with pytest.raises(DomainError, match="must be real numbers, got dtype"):
+                    check(d)
 
 
 # --- the row kernel at sizes beyond the hand examples ----------------------

@@ -104,18 +104,21 @@ class TestFixtures:
 class TestSerialization:
     def test_distance_matrix_csv_uses_nine_significant_digits(self):
         d = build(PNorm(2), load_example("ex9"))
-        text = distance_matrix_csv(d)
+        text = "\n".join(distance_matrix_csv(d))
         assert "3.46410162" in text
         assert len(text.splitlines()) == 3
 
     def test_distance_matrix_csv_matches_per_value_format(self):
-        # one "%.9g" format per row prints each entry exactly as f"{v:.9g}"
-        values = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3,
+        # "%.9g" prints each entry exactly as f"{v:.9g}"; the 91 entries
+        # above the diagonal of a symmetric 14 x 14 matrix hold the edge values
+        values = [5e-324, 1e-323, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3,
                   123456789.5, 999999999.5, 1e16, 1.7976931348623157e308,
-                  *np.logspace(-323, 308, 91)]
-        d = np.array(values[:100]).reshape(10, 10)
+                  *np.logspace(-323, 308, 81)]
+        d = np.zeros((14, 14))
+        d[np.triu_indices(14, 1)] = values
+        d += d.T
         want = "\n".join(",".join(f"{v:.9g}" for v in row) for row in d)
-        assert distance_matrix_csv(d) == want
+        assert "\n".join(distance_matrix_csv(d)) == want
 
     def test_distance_matrix_dict(self):
         payload = distance_matrix_dict(np.zeros((2, 2)))
@@ -162,6 +165,8 @@ class TestDistanceMatrixJson:
     def test_equals_json_dumps(self, x, c):
         d = build(c, x)
         assert "".join(distance_matrix_json(d)) == dumped(d)
+        text = "\n".join(",".join(f"{v:.9g}" for v in row) for row in d.tolist())
+        assert "\n".join(distance_matrix_csv(d)) == text
 
     def test_subnormal_and_huge_entries(self):
         d = np.array([[0.0, 5e-324, 1.7976931348623157e308],
@@ -179,5 +184,6 @@ class TestDistanceMatrixJson:
         [0.0, 1.0],
     ], ids=["asymmetric", "signed-zero", "inf", "nan", "not-square", "vector"])
     def test_rejected_before_the_first_chunk(self, d):
-        with pytest.raises(DomainError, match="distance matrix must be"):
-            distance_matrix_json(d)
+        for render in (distance_matrix_json, distance_matrix_csv):
+            with pytest.raises(DomainError, match="distance matrix must be"):
+                render(d)

@@ -100,6 +100,7 @@ DISTMAT_JSON = ["distmat", "--c", "L", "--x", str(fixture_path("ex4")), "--forma
     # the span of cli._emit_json
     (cli, "_emit_json", DISTMAT_JSON),
     (dcio, "distance_matrix_json", DISTMAT_JSON),
+    (dcio, "distance_matrix_csv", DISTMAT_JSON[:-2]),
 ])
 def test_cli_calls_through_the_home_module(monkeypatch, capsys, module, name, argv):
     """The CLI looks each library function up at call time, so a wrapper
