@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient, checked_entries
+from .coefficients import Coefficient, as_floats, checked_entries
 from .distance import build, validate_distance_matrix
 from .errors import DomainError
 from .neighbors import TiePolicy, near_mask
@@ -66,13 +66,17 @@ def _mean(D: np.ndarray, convention: SampleSpace):
     return 2 * s / (n * (n - 1))
 
 
+def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    A, B = validate_distance_matrix(a), validate_distance_matrix(b)
+    if A.shape != B.shape:
+        raise DomainError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    return A, B
+
+
 def hadamard(a, b) -> np.ndarray:
     """Entrywise product of two distance matrices of the same order; exact
     for exact input.  Raises DomainError when a product overflows."""
-    A = validate_distance_matrix(a)
-    B = validate_distance_matrix(b)
-    if A.shape != B.shape:
-        raise DomainError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    A, B = _checked_pair(a, b)
     with np.errstate(over="ignore"):
         return checked_entries(A * B, "Hadamard product")
 
@@ -107,10 +111,7 @@ def matrix_correlation(
     bitwise-identical result.  Raises DomainError when the covariance, a
     variance or their product overflows (distances beyond about 1e77).
     """
-    A = np.asarray(validate_distance_matrix(a), dtype=float)
-    B = np.asarray(validate_distance_matrix(b), dtype=float)
-    if A.shape != B.shape:
-        raise DomainError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    A, B = (as_floats(D, "distance matrix") for D in _checked_pair(a, b))
     with np.errstate(over="ignore", invalid="ignore"):
         e_a = _mean(A, convention)
         e_b = _mean(B, convention)

@@ -97,14 +97,25 @@ def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:
             if not isinstance(entry, numbers.Real):
                 raise DomainError(f"non-numeric entry {entry!r}")
             if isinstance(entry, float) and not math.isfinite(entry):
-                raise DomainError(f"{what} entries must be finite")
+                raise DomainError(f"{what} must be finite")
         return arr
     if arr.dtype.kind not in "biuf":
         raise DomainError(f"{what} entries must be real numbers, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} entries must be finite")
+        raise DomainError(f"{what} must be finite")
     return arr
+
+
+def as_floats(arr: np.ndarray, what: str) -> np.ndarray:
+    """A ``checked_entries`` array as float64; an exact entry must fit a float."""
+    try:
+        out = np.asarray(arr, dtype=float)
+        if arr.dtype == object and ((out == 0) != (arr == 0)).any():
+            raise OverflowError  # a nonzero entry rounded to 0.0
+    except OverflowError:  # or an int or Fraction beyond the largest float
+        raise DomainError(f"{what} has an exact entry outside the float range") from None
+    return out
 
 
 def _left_sum(terms: np.ndarray) -> np.ndarray:

@@ -89,12 +89,13 @@ def _tiled(coefficient: Coefficient, xs: np.ndarray) -> np.ndarray:
 
 
 def validate_distance_matrix(d) -> np.ndarray:
-    """Check the distance-matrix invariants: square, symmetric (exactly),
-    zero diagonal, finite nonnegative entries."""
+    """Square, exactly symmetric (floats bit for bit, as ``build`` mirrors
+    them), zero diagonal, finite nonnegative real entries, or DomainError."""
     arr = checked_entries(np.asarray(d), "distance matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"distance matrix must be square, got shape {arr.shape}")
-    if not (arr == arr.T).all():
+    bits = arr if arr.dtype == object else arr.view(np.uint64)
+    if not (bits == bits.T).all():
         raise DomainError("distance matrix must be symmetric")
     if not (np.diagonal(arr) == 0).all():
         raise DomainError("distance matrix must have a zero diagonal")

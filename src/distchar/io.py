@@ -99,8 +99,9 @@ def distance_matrix_json(d) -> Iterator[str]:
     ``"".join`` of the chunks equals ``json.dumps(distance_matrix_dict(d),
     sort_keys=True, separators=(",", ":")) + "\n"`` byte for byte: json
     writes a finite float with ``float.__repr__``, and so does this.  The
-    rows come from ``_rows``, whose checks it makes at the call.  The chunks
-    are the opening, each row, and the closing: n + 2 in all.
+    rows come from ``_rows``, which checks ``d`` at the call with
+    ``validate_distance_matrix`` (float symmetry bit for bit included).  The
+    chunks are the opening, each row, and the closing: n + 2 in all.
     """
     rows = (f"{',' if i else ''}[{row}]" for i, row in enumerate(_rows(d, repr)))
     return itertools.chain(['{"entries":['], rows, [f'],"order":{len(d)}}}\n'])
@@ -110,22 +111,18 @@ def _rows(d, fmt: Callable[[float], str]) -> Iterator[str]:
     """The rows of a distance matrix, each its entries ``fmt``-ed and joined
     with ``,``: the one walk of a distance matrix for output.
 
-    It requires a square matrix of finite entries that is symmetric bit for
-    bit (as ``build`` returns; ``0.0`` against ``-0.0`` is not), and raises
-    ``DomainError`` otherwise, at the call, before the first row.  Each
-    unordered pair is formatted once: row i formats entries (i, i..n-1), and
-    takes entry (i, j) for j < i from the strings row j made.  Those strings
-    wait in one list per earlier row, so at most about n**2/4 of them are
-    held at once, and no list of all n**2 floats or of the whole text is built.
+    It takes exactly the matrices ``validate_distance_matrix`` accepts (float
+    entries symmetric bit for bit) and raises its ``DomainError`` at the call,
+    before the first row.  Each unordered pair is formatted once: row i
+    formats entries (i, i..n-1), and takes entry (i, j) for j < i from the
+    strings row j made.  Those strings wait in one list per earlier row, so at
+    most about n**2/4 of them are held at once, and no list of all n**2 floats
+    or of the whole text is built.
     """
-    import numpy as np
+    from .coefficients import as_floats  # numpy loads only here
+    from .distance import validate_distance_matrix
 
-    arr = np.ascontiguousarray(d, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
-        raise DomainError(f"distance matrix must be square and finite, got shape {arr.shape}")
-    bits = arr.view(np.uint64)
-    if not (bits == bits.T).all():
-        raise DomainError("distance matrix must be symmetric bit for bit")
+    arr = as_floats(validate_distance_matrix(d), "distance matrix")
     owed: list[list[str]] = []  # owed[j]: row j's strings still to come, next one last
 
     def row(i: int) -> str:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient, PNorm
+from .coefficients import Coefficient, PNorm, as_floats
 from .distance import as_data_matrix, build, build_many
 from .errors import DomainError, require_integers
 from .neighbors import TiePolicy, near_mask
@@ -164,7 +164,7 @@ def adversarial_augment(
     """
     if not isinstance(coefficient, PNorm):
         raise DomainError("the tie-breaking augmentation is defined for p-norms only")
-    X = as_data_matrix(x).astype(float)
+    X = as_floats(as_data_matrix(x), "data")
     n, _ = X.shape
     if n < 2:
         raise DomainError("augmentation needs n > 1 so that neighbors exist")

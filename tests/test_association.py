@@ -240,6 +240,25 @@ class TestCorrelation:
             assert scaled.covariance == 2.0 ** (2 * s) * base.covariance
 
 
+# float() of the first overflows, and of the second, a nonzero, gives 0.0
+OUTSIDE_FLOATS = pytest.mark.parametrize(
+    "entry", [10**400, Fraction(1, 10**400)], ids=["huge", "tiny"])
+
+
+@OUTSIDE_FLOATS
+def test_matrix_correlation_refuses_exact_entries_outside_floats(entry):
+    d = np.array([[0, entry], [entry, 0]], dtype=object)
+    with pytest.raises(DomainError, match="exact entry outside the float range"):
+        matrix_correlation(d, d)
+
+
+@OUTSIDE_FLOATS
+def test_correlation_refuses_exact_distances_outside_floats(entry):
+    x = np.array([[0], [entry], [3]], dtype=object)
+    with pytest.raises(DomainError, match="exact entry outside the float range"):
+        correlation(P1, PINF, x)
+
+
 class TestConcordance:
     def test_single_row(self):
         assert concordance(P1, P2, np.array([[1.0, 2.0]])).as_fraction() == 1

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from distchar import (
     DomainError,
     PNorm,
     SquaredEuclidean,
+    build,
     coefficient_name,
     evaluate,
     is_true_norm,
@@ -198,3 +201,21 @@ def test_squared_euclidean_is_squared_two_norm(v):
     lhs = evaluate(SquaredEuclidean(), v)
     rhs = evaluate(PNorm(2), v) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("k", [1000, 20_000, 100_000])
+@pytest.mark.parametrize("c, term", [(PNorm(1), 0.1), (SquaredEuclidean(), 0.1 * 0.1)])
+def test_terms_are_summed_one_after_another(c, term, k):
+    # np.add.reduce sums pairwise and would give another value; evaluate is
+    # the one-row case of the row kernel, and build's 2 x k matrix the same row
+    v = np.full(k, 0.1)
+    sequential = functools.reduce(operator.add, [term] * k)
+    assert sequential != np.sum(np.full(k, term))
+    assert evaluate(c, v) == sequential
+    d = build(c, np.vstack([np.zeros(k), v]))
+    assert d[0, 1] == d[1, 0] == sequential
+
+
+def test_a_thousand_tenths_sum_sequentially():
+    v = np.full(1000, 0.1)
+    assert (evaluate(PNorm(1), v), np.sum(v)) == (99.9999999999986, 100.00000000000001)

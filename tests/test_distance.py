@@ -15,6 +15,9 @@ from distchar import (
     augment_constant_columns,
     build,
     evaluate,
+    expectation,
+    hadamard,
+    matrix_correlation,
     nearest_sets,
     permute_rows,
     remove_column,
@@ -24,6 +27,7 @@ from distchar import (
 from distchar import distance
 from distchar.coefficients import row_values
 from distchar.distance import build_many
+from distchar.io import distance_matrix_csv, distance_matrix_json
 from distchar.neighbors import EXACT_TIES
 
 SQRT3 = math.sqrt(3)
@@ -315,7 +319,9 @@ class TestValidation:
         # complex, string and datetime arrays are not cast to float
         for d in ([[0, 1j], [1j, 0]], [["0", "1"], ["1", "0"]],
                   np.array([[0, 1], [1, 0]], dtype="datetime64[s]")):
-            for check in (validate_distance_matrix, nearest_sets, lambda x: build(P1, x)):
+            for check in (validate_distance_matrix, nearest_sets, lambda x: build(P1, x),
+                          distance_matrix_json, distance_matrix_csv, expectation,
+                          lambda d: hadamard(d, d), lambda d: matrix_correlation(d, d)):
                 with pytest.raises(DomainError, match="must be real numbers, got dtype"):
                     check(d)
 

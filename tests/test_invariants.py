@@ -18,8 +18,10 @@ from distchar import (
     SampleSpace,
     SquaredEuclidean,
     TiePolicy,
+    build,
     concordance,
     correlation,
+    nearest_sets,
     rob_minus,
     rob_plus,
 )
@@ -74,3 +76,19 @@ def test_concordance_and_rho_are_symmetric(x, m, n, tie, convention):
     assert outcome(lambda: concordance(m, n, x, tie)) == outcome(lambda: concordance(n, m, x, tie))
     assert (outcome(lambda: correlation(m, n, x, convention))
             == outcome(lambda: correlation(n, m, x, convention)))
+
+
+@given(x_aug=lattices(extra_cols=1), m=COEFFICIENTS, n=COEFFICIENTS, tie=TIES,
+       positive_only=st.booleans(), s=st.integers(-250, 250))
+@settings(max_examples=150, deadline=None)
+def test_scores_are_invariant_under_power_of_two_scaling(x_aug, m, n, tie, positive_only, s):
+    # x -> 2^s x scales every distance by 2^s (2^2s under L) without rounding,
+    # and a relative tie tolerance scales with it
+    def scores(x_aug):
+        x = x_aug[:, :-1]
+        return (nearest_sets(build(m, x), tie, positive_only).sets,
+                outcome(lambda: rob_plus(m, x, x_aug, tie, positive_only)),
+                outcome(lambda: rob_minus(m, x, tie, positive_only)),
+                outcome(lambda: concordance(m, n, x, tie, positive_only)))
+
+    assert scores(np.ldexp(x_aug, s)) == scores(x_aug)

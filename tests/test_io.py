@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,3 +188,25 @@ class TestDistanceMatrixJson:
         for render in (distance_matrix_json, distance_matrix_csv):
             with pytest.raises(DomainError, match="distance matrix must be"):
                 render(d)
+
+    @pytest.mark.parametrize("d", [
+        [[0.0, -1.0], [-1.0, 0.0]],
+        [[1.0, 2.0], [2.0, 0.0]],
+    ], ids=["negative", "nonzero-diagonal"])
+    def test_refuses_what_nearest_sets_refuses(self, d):
+        with pytest.raises(DomainError) as refused:
+            nearest_sets(d)
+        for render in (distance_matrix_json, distance_matrix_csv):
+            with pytest.raises(DomainError) as rendered:
+                render(d)
+            assert str(rendered.value) == str(refused.value)
+
+    @pytest.mark.parametrize("entry", [10**400, Fraction(1, 10**400)], ids=["huge", "tiny"])
+    def test_exact_entry_outside_the_float_range(self, entry):
+        # float() of a huge entry overflows; of a tiny nonzero one it gives 0.0
+        d = np.array([[0, entry], [entry, 0]], dtype=object)
+        for render in (distance_matrix_json, distance_matrix_csv):
+            with pytest.raises(DomainError, match="exact entry outside the float range"):
+                render(d)
+        zero = "".join(distance_matrix_json(d * 0))  # exact zeros still print
+        assert zero == '{"entries":[[0.0,0.0],[0.0,0.0]],"order":2}\n'

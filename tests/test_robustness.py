@@ -334,6 +334,25 @@ class TestAdversarialAugment:
         assert result.augmented[:, 0].tolist() == [0.0, 1 / 3, 2 / 3]
         assert result.achieved_near_total == 3
 
+    @pytest.mark.parametrize("scale, ts", [(1e6, [1.0, 16.0, 131072.0]), (1, [1.0, 1.0, 2.0])])
+    def test_ladder_scales_on_a_lattice(self, scale, ts):
+        # pins the scale each p-norm's search settles on, at two data scales
+        x = np.random.default_rng(0).integers(0, 4, (60, 3)) * scale
+        assert [adversarial_augment(c, x).t for c in (P1, P2, PINF)] == ts
+
+    @pytest.mark.parametrize("c", [P2, PINF])
+    def test_ladder_exhausted_on_gaussian_rows(self, c):
+        x = np.random.default_rng(0).standard_normal((100, 3))
+        with pytest.raises(DomainError, match="no scale t found"):
+            adversarial_augment(c, x, TiePolicy(relative_tolerance=1.0))
+
+    @pytest.mark.parametrize("entry", [10**400, Fraction(1, 10**400)], ids=["huge", "tiny"])
+    def test_exact_entry_outside_the_float_range(self, entry):
+        # float() of a huge entry overflows; of a tiny nonzero one it gives 0.0
+        x = np.array([[0], [entry], [3]], dtype=object)
+        with pytest.raises(DomainError, match="data has an exact entry outside the float range"):
+            adversarial_augment(P1, x)
+
     def test_rejects_squared_euclidean(self):
         with pytest.raises(DomainError):
             adversarial_augment(SquaredEuclidean(), TRIANGLE)
