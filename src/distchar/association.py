@@ -83,8 +83,8 @@ def hadamard(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Correlation of two distance matrices; ``rho`` is None when either
-    variance is degenerate (all entries equal, e.g. n = 1 or duplicate rows)."""
+    """Correlation of two distance matrices; ``rho`` is None when either is
+    degenerate: constant over the sample space, or of variance <= VARIANCE_FLOOR."""
 
     rho: float | None
     covariance: float
@@ -121,13 +121,20 @@ def matrix_correlation(
         var_ab = var_a * var_b
     if not np.isfinite([cov, var_a, var_b, var_ab]).all():
         raise DomainError("distance-matrix moments overflow; rescale the data")
-    if var_a <= VARIANCE_FLOOR or var_b <= VARIANCE_FLOOR:
+    if var_a <= VARIANCE_FLOOR or var_b <= VARIANCE_FLOOR or _constant(convention, A, B):
         rho = None
     else:
         rho = cov / math.sqrt(var_ab)
     return CorrelationResult(
         rho=rho, covariance=cov, variances=(var_a, var_b), convention=convention
     )
+
+
+def _constant(convention: SampleSpace, *matrices: np.ndarray) -> bool:
+    """Whether one of ``matrices`` is one value over the entries ``convention`` averages."""
+    if convention is SampleSpace.UPPER_TRIANGLE:
+        return any(not np.triu(D != D[0, 1], 1).any() for D in matrices)
+    return not all(map(np.any, matrices))  # on the grid, the diagonal's 0
 
 
 def correlation(

@@ -1,10 +1,10 @@
 """Command-line front end: one subcommand per analysis (``distchar --help``
-lists them).
+lists them; ``verify`` runs the built-in golden-example checks).
 
-Each subcommand but ``verify`` is one row of ``_COMMANDS`` whose payload is
-what ``--format json`` prints (a dict; for ``distmat``, the distance matrix);
-the text output is the lines rendered from that same payload.  ``verify``
-runs the built-in golden-example checks.
+Every other subcommand is one row of ``_COMMANDS`` whose payload is what
+``--format json`` prints (a dict; for ``distmat``, the distance matrix); the
+text output is the lines rendered from that same payload.  Its flags become
+library values, checked in flag order, before anything is computed.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -58,11 +58,11 @@ _TIES = ("--rel-tol", "--abs-tol")
 class _Command(NamedTuple):
     """A subcommand: its help, its flags (keys of _OPTIONS; ``--format`` is
     added to all), ``payload(args)`` giving what ``_emit_json`` prints, and
-    ``text(payload)`` giving the lines of the text output.  Payloads reach
-    library functions as ``dc.<name>`` and io functions as ``dcio.<name>``;
-    both look the name up in its home module (``distchar.neighbors.nearest_sets``,
-    ...) at call time, so a tracer that rebinds it there sees the call, and a
-    subcommand imports only the modules it calls."""
+    ``text(payload)`` giving the lines of the text output.  A payload is its
+    row's one library call, on ``args`` holding library values (``_library_values``).
+    It names library and io functions ``dc.<name>`` and ``dcio.<name>``, looked
+    up in their home module at call time, so a tracer that rebinds one there
+    sees the call, and a subcommand imports only the modules it calls."""
 
     help: str
     options: tuple[str, ...]
@@ -80,19 +80,24 @@ def _emit_json(payload) -> None:
         sys.stdout.writelines(dcio.distance_matrix_json(payload))
 
 
-def _tie_policy(args) -> dc.TiePolicy:
-    return dc.TiePolicy(relative_tolerance=args.rel_tol, absolute_tolerance=args.abs_tol)
-
-
-def _distances(args):
-    return dc.build(dc.parse_coefficient(args.c), dcio.load_data_matrix(args.x))
+def _library_values(args) -> None:
+    """Replace each coefficient, data-matrix and ``--conv`` flag of ``args`` by
+    its library value, and the tie tolerances by ``args.tie``, in flag order."""
+    for flag in _COMMANDS[args.command].options:
+        if flag in ("--c", "--m", "--n"):
+            setattr(args, flag[2:], dc.parse_coefficient(getattr(args, flag[2:])))
+        elif flag in ("--x", "--xp"):
+            setattr(args, flag[2:], dcio.load_data_matrix(getattr(args, flag[2:])))
+        elif flag == "--conv":
+            args.conv = dc.SampleSpace(args.conv)
+        elif flag == "--rel-tol":  # --abs-tol follows it in _TIES
+            args.tie = dc.TiePolicy(args.rel_tol, args.abs_tol)
 
 
 def _explore_near(args) -> dict:
     budget = dc.SearchBudget(random_samples=args.random_samples,
                              random_cols=args.random_cols, grid_extent=args.grid_extent)
-    totals = dc.achievable_near_totals(args.rows, dc.parse_coefficient(args.c), budget,
-                                       args.seed)
+    totals = dc.achievable_near_totals(args.rows, args.c, budget, args.seed)
     return {"rows": args.rows, "totals": sorted(totals)}
 
 
@@ -144,41 +149,33 @@ def _delta_cf_text(p) -> list[str]:
 _COMMANDS = {
     "distmat": _Command(
         "distance matrix of a CSV data matrix", ("--c", "--x"),
-        _distances, lambda d: dcio.distance_matrix_csv(d)),
+        lambda a: dc.build(a.c, a.x), lambda d: dcio.distance_matrix_csv(d)),
     "near": _Command(
         "nearest-neighbor sets (1-based) and total", ("--c", "--x", "--positive-only", *_TIES),
         lambda a: dcio.neighbor_sets_dict(
-            dc.nearest_sets(_distances(a), _tie_policy(a), positive_only=a.positive_only)),
+            dc.nearest_sets(dc.build(a.c, a.x), a.tie, positive_only=a.positive_only)),
         _near_text),
     "rob-plus": _Command(
         "robustness against a one-column extension",
         ("--c", "--x", "--xp", "--positive-only", *_TIES),
-        lambda a: dcio.rational_dict(dc.rob_plus(
-            dc.parse_coefficient(a.c), dcio.load_data_matrix(a.x), dcio.load_data_matrix(a.xp),
-            _tie_policy(a), positive_only=a.positive_only)),
+        lambda a: dcio.rational_dict(
+            dc.rob_plus(a.c, a.x, a.xp, a.tie, positive_only=a.positive_only)),
         _score_text("robustness")),
     "rob-minus": _Command(
         "leave-one-column-out robustness", ("--c", "--x", "--positive-only", *_TIES),
-        lambda a: dcio.rational_dict(dc.rob_minus(
-            dc.parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a),
-            positive_only=a.positive_only)),
+        lambda a: dcio.rational_dict(dc.rob_minus(a.c, a.x, a.tie, positive_only=a.positive_only)),
         _score_text("robustness")),
     "concord": _Command(
         "concordance of two coefficients", ("--m", "--n", "--x", *_TIES),
-        lambda a: dcio.rational_dict(dc.concordance(
-            dc.parse_coefficient(a.m), dc.parse_coefficient(a.n), dcio.load_data_matrix(a.x),
-            _tie_policy(a))),
+        lambda a: dcio.rational_dict(dc.concordance(a.m, a.n, a.x, a.tie)),
         _score_text("concordance")),
     "corr": _Command(
         "correlation of two distance matrices", ("--m", "--n", "--x", "--conv"),
-        lambda a: dcio.correlation_dict(dc.correlation(
-            dc.parse_coefficient(a.m), dc.parse_coefficient(a.n), dcio.load_data_matrix(a.x),
-            dc.SampleSpace(a.conv))),
+        lambda a: dcio.correlation_dict(dc.correlation(a.m, a.n, a.x, a.conv)),
         _corr_text),
     "adversarial": _Command(
         "tie-breaking column augmentation (p-norm --c only)", ("--c", "--x", *_TIES),
-        lambda a: dcio.adversarial_dict(dc.adversarial_augment(
-            dc.parse_coefficient(a.c), dcio.load_data_matrix(a.x), _tie_policy(a))),
+        lambda a: dcio.adversarial_dict(dc.adversarial_augment(a.c, a.x, a.tie)),
         _adversarial_text),
     "explore-near": _Command(
         "observed neighbor totals over a searched family",
@@ -231,6 +228,7 @@ def run(argv=None) -> int:
     try:
         if args.command == "verify":
             return _verify()
+        _library_values(args)
         payload = _COMMANDS[args.command].payload(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

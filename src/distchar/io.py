@@ -86,10 +86,8 @@ def distance_matrix_csv(d) -> Iterator[str]:
     return _rows(d, "%.9g".__mod__)
 
 
-def distance_matrix_dict(d: np.ndarray) -> dict:
-    import numpy as np
-
-    arr = np.asarray(d, dtype=float)
+def distance_matrix_dict(d) -> dict:
+    arr = _floats(d)
     return {"order": arr.shape[0], "entries": arr.tolist()}
 
 
@@ -119,10 +117,7 @@ def _rows(d, fmt: Callable[[float], str]) -> Iterator[str]:
     most about n**2/4 of them are held at once, and no list of all n**2 floats
     or of the whole text is built.
     """
-    from .coefficients import as_floats  # numpy loads only here
-    from .distance import validate_distance_matrix
-
-    arr = as_floats(validate_distance_matrix(d), "distance matrix")
+    arr = _floats(d)
     owed: list[list[str]] = []  # owed[j]: row j's strings still to come, next one last
 
     def row(i: int) -> str:
@@ -132,6 +127,14 @@ def _rows(d, fmt: Callable[[float], str]) -> Iterator[str]:
         return line
 
     return map(row, range(len(arr)))
+
+
+def _floats(d) -> np.ndarray:
+    """``d`` as float64 once ``validate_distance_matrix`` accepts it."""
+    from .coefficients import as_floats  # numpy loads only here
+    from .distance import validate_distance_matrix
+
+    return as_floats(validate_distance_matrix(d), "distance matrix")
 
 
 def neighbor_sets_dict(sets: NeighborSets) -> dict:

@@ -18,6 +18,7 @@ from distchar import (
     hadamard,
     matrix_correlation,
 )
+from distchar.association import VARIANCE_FLOOR
 
 P1, P2, PINF = PNorm(1), PNorm(2), PNorm(math.inf)
 L = SquaredEuclidean()
@@ -181,6 +182,17 @@ class TestCorrelation:
         result = correlation(P1, P2, np.ones((3, 2)))
         assert result.rho is None
         assert result.variances == (0.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [1000, 1e5])
+    def test_undefined_for_equidistant_rows_on_the_upper_triangle(self, scale):
+        # one distinct upper-triangle entry per matrix, though the one-pass
+        # variance leaves rounding above VARIANCE_FLOOR
+        x = scale * np.eye(5)
+        result = correlation(P2, PNorm(3.5), x, SampleSpace.UPPER_TRIANGLE)
+        assert result.rho is None
+        assert min(result.variances) > VARIANCE_FLOOR
+        # the grid averages the zero diagonal too, so there the matrices vary
+        assert correlation(P2, PNorm(3.5), x).rho == pytest.approx(1.0)
 
     def test_symmetry_is_bitwise(self):
         rng = np.random.default_rng(42)

@@ -451,6 +451,25 @@ class TestContract:
         path = csv_file("x.csv", "1\n2\n")
         assert run(["distmat", "--c", "q9", "--x", path]) == 1
 
+    @pytest.mark.parametrize("argv, err", [
+        # p2 distances of over.csv overflow, so a build would be reported instead
+        (["near", "--c", "p2", "--x", "{over}", "--rel-tol", "-1"],
+         "tie tolerances must be finite and nonnegative"),
+        (["explore-near", "--rows", "3", "--c", "p0", "--random-samples", "-1"],
+         "p-norm requires p >= 1 or p = inf, got 0.0"),
+        (["rob-plus", "--c", "p0", "--x", "{over}", "--xp", "{missing}"],
+         "p-norm requires p >= 1 or p = inf, got 0.0"),
+    ], ids=["tolerance-before-build", "coefficient-before-budget", "coefficient-before-files"])
+    def test_first_bad_flag_is_reported_before_any_computation(
+            self, capsys, monkeypatch, csv_file, tmp_path, argv, err):
+        paths = {"over": csv_file("over.csv", "1e308,0\n-1e308,0\n"),
+                 "missing": str(tmp_path / "missing.csv")}
+        build, builds = dc.build, []
+        monkeypatch.setattr("distchar.distance.build", lambda *a: builds.append(a) or build(*a))
+        assert run([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert builds == []
+
     def test_usage_error_exits_two(self, capsys, csv_file):
         with pytest.raises(SystemExit) as excinfo:
             run(["distmat", "--nonsense"])

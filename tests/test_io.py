@@ -192,11 +192,13 @@ class TestDistanceMatrixJson:
     @pytest.mark.parametrize("d", [
         [[0.0, -1.0], [-1.0, 0.0]],
         [[1.0, 2.0], [2.0, 0.0]],
-    ], ids=["negative", "nonzero-diagonal"])
+        [[0.0, 1.0], [2.0, 0.0]],
+        [[0.0, 1.0 + 1.0j], [1.0 + 1.0j, 0.0]],
+    ], ids=["negative", "nonzero-diagonal", "asymmetric", "complex"])
     def test_refuses_what_nearest_sets_refuses(self, d):
         with pytest.raises(DomainError) as refused:
             nearest_sets(d)
-        for render in (distance_matrix_json, distance_matrix_csv):
+        for render in (distance_matrix_json, distance_matrix_csv, distance_matrix_dict):
             with pytest.raises(DomainError) as rendered:
                 render(d)
             assert str(rendered.value) == str(refused.value)
@@ -205,7 +207,7 @@ class TestDistanceMatrixJson:
     def test_exact_entry_outside_the_float_range(self, entry):
         # float() of a huge entry overflows; of a tiny nonzero one it gives 0.0
         d = np.array([[0, entry], [entry, 0]], dtype=object)
-        for render in (distance_matrix_json, distance_matrix_csv):
+        for render in (distance_matrix_json, distance_matrix_csv, distance_matrix_dict):
             with pytest.raises(DomainError, match="exact entry outside the float range"):
                 render(d)
         zero = "".join(distance_matrix_json(d * 0))  # exact zeros still print
