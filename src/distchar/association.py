@@ -5,14 +5,16 @@ matrices viewed as random variables over an index sample space.
 Two sample-space conventions exist: all n^2 index pairs with weight 1/n^2
 each ("grid", the default), or the strictly-upper-triangle pairs with weight
 2/(n(n-1)) each ("upper").  Expectations under the two differ by the factor
-n/(n-1), and the correlation differs as well; both are exposed.
+n/(n-1), and the correlation differs as well; both are exposed.  Moments are
+taken about an entry of the sample space, so rounding moves rho by O(N*u)
+over N pairs, and rho is undefined only for a constant matrix.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +29,8 @@ from .robustness import RationalScore
 
 __all__ = [*_EXPORTS["association"], "VARIANCE_FLOOR"]
 
-# Variances at or below this are treated as exactly degenerate geometry
-# (duplicate rows / n = 1), not as rounding noise.
+# An absolute variance floor, kept as a public name.  No code reads it: rho
+# is None only for a matrix that takes one value over its sample space.
 VARIANCE_FLOOR = 1e-24
 
 
@@ -44,26 +46,25 @@ def expectation(d, convention: SampleSpace = SampleSpace.FULL_GRID):
 
     With S the sum of the strictly-upper-triangle entries this is 2S/n^2 on
     the full grid and 2S/(n(n-1)) on the upper triangle (n >= 2 required).
-    Raises DomainError when the sum overflows.
+    Ints and Fractions stay exact.  Raises DomainError when the sum overflows.
     """
+    values, weight = _sample(validate_distance_matrix(d), convention)
     with np.errstate(over="ignore"):
-        mean = _mean(validate_distance_matrix(d), convention)
+        mean = values.sum() / weight
     checked_entries(np.asarray(mean), "distance-matrix expectation")
     return mean
 
 
-def _mean(D: np.ndarray, convention: SampleSpace):
+def _sample(D: np.ndarray, convention: SampleSpace) -> tuple[np.ndarray, Fraction]:
+    """D's strict-upper-triangle entries, row by row, and their total weight:
+    n^2/2 on the grid, whose n diagonal zeros add nothing, or n(n-1)/2."""
     if not isinstance(convention, SampleSpace):
         raise DomainError(f"convention must be a SampleSpace member, got {convention!r}")
     n = D.shape[0]
-    s = np.triu(D, 1).sum()
-    if isinstance(s, numbers.Integral):
-        s = Fraction(s)  # int / int would be float division
-    if convention is SampleSpace.FULL_GRID:
-        return 2 * s / (n * n)
-    if n < 2:
+    grid = convention is SampleSpace.FULL_GRID
+    if not grid and n < 2:
         raise DomainError("upper-triangle expectation needs n >= 2")
-    return 2 * s / (n * (n - 1))
+    return D[~np.tri(n, dtype=bool)], Fraction(n * (n if grid else n - 1), 2)
 
 
 def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +76,20 @@ def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def hadamard(a, b) -> np.ndarray:
     """Entrywise product of two distance matrices of the same order; exact
-    for exact input.  Raises DomainError when a product overflows."""
+    for exact input.  Raises DomainError when a product overflows, or when
+    the product of two nonzero entries underflows to 0."""
     A, B = _checked_pair(a, b)
     with np.errstate(over="ignore"):
-        return checked_entries(A * B, "Hadamard product")
+        product = checked_entries(A * B, "Hadamard product")
+    if ((product == 0) & (A != 0) & (B != 0)).any():
+        raise DomainError("Hadamard product underflows to 0; rescale the data")
+    return product
 
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Correlation of two distance matrices; ``rho`` is None when either is
-    degenerate: constant over the sample space, or of variance <= VARIANCE_FLOOR."""
+    """Correlation of two distance matrices: ``rho`` is within O(N*u) of the
+    exact value over N pairs, or None when either matrix is constant on them."""
 
     rho: float | None
     covariance: float
@@ -105,36 +110,38 @@ def matrix_correlation(
 ) -> CorrelationResult:
     """Pearson correlation of two distance matrices over the index space.
 
-    rho = [E(A o B) - E(A)E(B)] / sqrt(var(A) var(B)) with
-    var(D) = E(D o D) - E(D)^2 and o the entrywise product.  The formula is
-    evaluated symmetrically in A and B, so swapping the arguments gives a
-    bitwise-identical result.  Raises DomainError when the covariance, a
-    variance or their product overflows (distances beyond about 1e77).
+    rho = cov(A, B) / sqrt(var(A) var(B)), with moments about an entry of
+    the sample space (Chan, Golub & LeVeque 1983): the grid's diagonal 0 or
+    the first upper-triangle entry.  rho is None exactly when a shifted
+    matrix is all zeros, i.e. constant; otherwise var >= E(D^2)/N (Cauchy-
+    Schwarz; N the sample size, n on the grid), so rounding moves rho by
+    O(N*u), u = 2^-53.  Swapping A and B gives a bitwise equal result.
+    Raises DomainError when a moment overflows or the variance product
+    underflows (distances beyond about 1e77 or below about 1e-77).
     """
-    A, B = (as_floats(D, "distance matrix") for D in _checked_pair(a, b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_a = _mean(A, convention)
-        e_b = _mean(B, convention)
-        cov = _mean(A * B, convention) - e_a * e_b
-        var_a = _mean(A * A, convention) - e_a * e_a
-        var_b = _mean(B * B, convention) - e_b * e_b
-        var_ab = var_a * var_b
-    if not np.isfinite([cov, var_a, var_b, var_ab]).all():
-        raise DomainError("distance-matrix moments overflow; rescale the data")
-    if var_a <= VARIANCE_FLOOR or var_b <= VARIANCE_FLOOR or _constant(convention, A, B):
-        rho = None
-    else:
-        rho = cov / math.sqrt(var_ab)
-    return CorrelationResult(
-        rho=rho, covariance=cov, variances=(var_a, var_b), convention=convention
+    (x, weight), (y, _) = (
+        _sample(as_floats(D, "distance matrix"), convention) for D in _checked_pair(a, b)
     )
-
-
-def _constant(convention: SampleSpace, *matrices: np.ndarray) -> bool:
-    """Whether one of ``matrices`` is one value over the entries ``convention`` averages."""
     if convention is SampleSpace.UPPER_TRIANGLE:
-        return any(not np.triu(D != D[0, 1], 1).any() for D in matrices)
-    return not all(map(np.any, matrices))  # on the grid, the diagonal's 0
+        x -= x[0]
+        y -= y[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_x, e_y = x.sum() / weight, y.sum() / weight
+        cov = (x * y).sum() / weight - e_x * e_y
+        var_x = (x * x).sum() / weight - e_x * e_x
+        var_y = (y * y).sum() / weight - e_y * e_y
+        var_xy = var_x * var_y
+    if not np.isfinite([cov, var_x, var_y, var_xy]).all():
+        raise DomainError("distance-matrix moments overflow; rescale the data")
+    if not (x.any() and y.any()):
+        rho = None
+    elif var_xy < sys.float_info.min:
+        raise DomainError("distance-matrix moments underflow; rescale the data")
+    else:
+        rho = cov / math.sqrt(var_xy)
+    return CorrelationResult(
+        rho=rho, covariance=cov, variances=(var_x, var_y), convention=convention
+    )
 
 
 def correlation(

@@ -119,11 +119,12 @@ def as_floats(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _left_sum(terms: np.ndarray) -> np.ndarray:
-    # not np.sum: its pairwise blocks would regroup terms after prepended zeros
-    total = terms[:, 0]
-    for j in range(1, terms.shape[1]):
-        total = total + terms[:, j]
-    return total
+    # not np.sum: its pairwise blocks would regroup terms after prepended zeros.
+    # Reducing the outer axis of a C-ordered (k, R) array adds its rows in
+    # order, but at R = 1 numpy would sum the one row pairwise.
+    if terms.shape[0] == 1:
+        return np.cumsum(terms, axis=1)[:, -1]
+    return np.add.reduce(np.ascontiguousarray(terms.T), axis=0)
 
 
 def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:

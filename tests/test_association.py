@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distchar import (
     CorrelationResult,
@@ -18,7 +20,6 @@ from distchar import (
     hadamard,
     matrix_correlation,
 )
-from distchar.association import VARIANCE_FLOOR
 
 P1, P2, PINF = PNorm(1), PNorm(2), PNorm(math.inf)
 L = SquaredEuclidean()
@@ -29,15 +30,50 @@ EX8_Y = np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 0.0]])
 TRIANGLE = np.array([[2, 0], [-1, SQRT3], [-1, -SQRT3]])
 
 
+def flat(d, convention):
+    """The entries of ``d`` over the sample space, one per pair."""
+    d = np.asarray(d, dtype=float)
+    if convention is SampleSpace.FULL_GRID:
+        return d.ravel()
+    return d[np.triu_indices(d.shape[0], k=1)]
+
+
 def flat_pearson(a, b, convention):
     """Independent oracle: plain Pearson over the flattened sample space."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if convention is SampleSpace.FULL_GRID:
-        u, v = a.ravel(), b.ravel()
-    else:
-        iu = np.triu_indices(a.shape[0], k=1)
-        u, v = a[iu], b[iu]
-    return np.corrcoef(u, v)[0, 1]
+    return np.corrcoef(flat(a, convention), flat(b, convention))[0, 1]
+
+
+def fsum_two_pass(a, b, convention):
+    """Pearson over the flattened sample space: two passes, each sum exact."""
+    u, v = flat(a, convention), flat(b, convention)
+    du, dv = u - math.fsum(u) / u.size, v - math.fsum(v) / v.size
+    return math.fsum(du * dv) / math.sqrt(math.fsum(du * du) * math.fsum(dv * dv))
+
+
+def exact_rho(a, b, convention):
+    """rho of the float matrices in Fraction arithmetic, rounded once; None
+    when either is constant over the sample space."""
+    u, v = ([Fraction(e) for e in flat(d, convention)] for d in (a, b))
+    mu, mv = sum(u) / len(u), sum(v) / len(v)
+    cov = sum((p - mu) * (q - mv) for p, q in zip(u, v))
+    var_u, var_v = sum((p - mu) ** 2 for p in u), sum((q - mv) ** 2 for q in v)
+    if var_u == 0 or var_v == 0:
+        return None
+    return math.copysign(math.sqrt(cov * cov / (var_u * var_v)), cov)
+
+
+def one_pass_grid(a, b):
+    """Grid rho, covariance and variances in one pass, with E(D) =
+    2 sum(triu(D, 1)) / n^2 and var(D) = E(D o D) - E(D)^2."""
+    n = a.shape[0]
+
+    def mean(d):
+        return 2 * np.triu(d, 1).sum() / (n * n)
+
+    e_a, e_b = mean(a), mean(b)
+    cov = mean(a * b) - e_a * e_b
+    var_a, var_b = mean(a * a) - e_a * e_a, mean(b * b) - e_b * e_b
+    return cov / math.sqrt(var_a * var_b), cov, (var_a, var_b)
 
 
 class TestExpectation:
@@ -129,6 +165,14 @@ class TestHadamard:
         with pytest.raises(DomainError, match="finite"):
             hadamard(d.astype(object), d.astype(object))
 
+    def test_underflowing_product_raises(self):
+        # nonzero entries whose products round to 0
+        d = build(P2, 1e-170 * EX8_X)
+        with pytest.raises(DomainError, match="underflow"):
+            hadamard(d, d)
+        with pytest.raises(DomainError, match="underflow"):
+            hadamard(d.astype(object), d.astype(object))
+
     def test_exact_input_stays_exact(self):
         big = Fraction(10**200, 3)
         d = np.array([[0, big], [big, 0]], dtype=object)
@@ -185,12 +229,12 @@ class TestCorrelation:
 
     @pytest.mark.parametrize("scale", [1000, 1e5])
     def test_undefined_for_equidistant_rows_on_the_upper_triangle(self, scale):
-        # one distinct upper-triangle entry per matrix, though the one-pass
-        # variance leaves rounding above VARIANCE_FLOOR
+        # one distinct upper-triangle entry per matrix: taken about that entry,
+        # every moment is exactly 0, where a one-pass variance leaves rounding
         x = scale * np.eye(5)
         result = correlation(P2, PNorm(3.5), x, SampleSpace.UPPER_TRIANGLE)
         assert result.rho is None
-        assert min(result.variances) > VARIANCE_FLOOR
+        assert result.variances == (0.0, 0.0)
         # the grid averages the zero diagonal too, so there the matrices vary
         assert correlation(P2, PNorm(3.5), x).rho == pytest.approx(1.0)
 
@@ -244,12 +288,70 @@ class TestCorrelation:
 
     def test_power_of_two_scaling_is_bitwise_below_overflow(self):
         x = np.random.default_rng(45).standard_normal((5, 2))
-        base = correlation(P1, P2, x)
-        # (downward scaling soon meets the absolute VARIANCE_FLOOR instead)
-        for s in (-20, 100, 200, 250):
-            scaled = correlation(P1, P2, 2.0**s * x)
-            assert scaled.rho == base.rho
-            assert scaled.covariance == 2.0 ** (2 * s) * base.covariance
+        for convention in SampleSpace:
+            base = correlation(P1, P2, x, convention)
+            for s in (-200, -100, -20, 100, 200, 250):
+                scaled = correlation(P1, P2, 2.0**s * x, convention)
+                assert scaled.rho == base.rho
+                assert scaled.covariance == 2.0 ** (2 * s) * base.covariance
+
+    @pytest.mark.parametrize("scale", [1e5, 1e7])
+    def test_far_apart_rows_keep_their_correlation(self, scale):
+        # the distances are about scale * 2^(1/p) and vary by about 0.01, which
+        # a one-pass var = E(D^2) - E(D)^2 loses to cancellation
+        x = scale * np.eye(30) + 0.01 * np.random.default_rng(0).standard_normal((30, 30))
+        a, b = build(P1, x), build(P2, x)
+        got = matrix_correlation(a, b, SampleSpace.UPPER_TRIANGLE).rho
+        want = fsum_two_pass(a, b, SampleSpace.UPPER_TRIANGLE)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("convention", list(SampleSpace))
+    def test_tiny_distances_keep_their_correlation(self, convention):
+        # variances near 1e-26 are the data's, not rounding; only a variance
+        # product below the smallest normal float is refused
+        x = np.random.default_rng(26).standard_normal((5, 2))
+        base = correlation(P1, P2, x, convention).rho
+        assert correlation(P1, P2, 1e-13 * x, convention).rho == pytest.approx(base, abs=1e-12)
+        with pytest.raises(DomainError, match="underflow"):
+            correlation(P1, P2, 1e-100 * x, convention)
+
+    def test_integer_grid_moments_are_the_one_pass_moments_bitwise(self):
+        # integer sums are exact in any grouping, so summing the upper triangle
+        # once about the diagonal's 0 gives the one-pass formula's every bit
+        rng = np.random.default_rng(46)
+        for _ in range(40):
+            x = rng.integers(0, 50, (int(rng.integers(2, 9)), int(rng.integers(1, 4))))
+            for m, n in [(P1, PINF), (P1, L), (PINF, L)]:
+                a, b = build(m, x), build(n, x)
+                if not (a.any() and b.any()):
+                    continue
+                got = matrix_correlation(a, b)
+                assert (got.rho, got.covariance, got.variances) == one_pass_grid(a, b)
+
+
+LATTICE = st.integers(0, 3).map(float)
+REALS = st.floats(-1e3, 1e3, allow_subnormal=False).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+
+
+@st.composite
+def data_matrices(draw):
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    entries = draw(st.sampled_from([LATTICE, REALS]))
+    rows = st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)
+    return np.array(draw(rows))
+
+
+@given(x=data_matrices(), coefficients=st.sampled_from([(P1, P2), (P1, PINF), (P2, L)]),
+       convention=st.sampled_from(list(SampleSpace)))
+@settings(max_examples=200, deadline=None)
+def test_rho_is_the_exact_rho_of_the_matrices(x, coefficients, convention):
+    a, b = (build(c, x) for c in coefficients)
+    got = matrix_correlation(a, b, convention).rho
+    want = exact_rho(a, b, convention)
+    constant = any(len(set(flat(d, convention))) == 1 for d in (a, b))
+    assert (got is None) == (want is None) == constant
+    if want is not None:
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 # float() of the first overflows, and of the second, a nonzero, gives 0.0

@@ -666,8 +666,8 @@ GOLDEN = [
      'var = 0.35726559, 0.0478645131\n',
      ''),
     ('corr --m p1 --l pinf --x {ex9} --conv upper --format json', 0,
-     '{"convention":"upper","cov":-0.13076828180441957,"rho":-0.999999999999949,'
-     '"var_m":0.3572655899081667,"var_n":0.04786451314966378}\n',
+     '{"convention":"upper","cov":-0.13076828180442113,"rho":-0.9999999999999998,'
+     '"var_m":0.3572655899081634,"var_n":0.04786451314966052}\n',
      ''),
     ('corr --m p1 --n p2 --x {flat}', 0,
      'rho = undefined\n'

@@ -18,6 +18,7 @@ from distchar import (
     is_true_norm,
     parse_coefficient,
 )
+from distchar.distance import build_many
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, 7.0, math.inf]
 
@@ -207,13 +208,17 @@ def test_squared_euclidean_is_squared_two_norm(v):
 @pytest.mark.parametrize("c, term", [(PNorm(1), 0.1), (SquaredEuclidean(), 0.1 * 0.1)])
 def test_terms_are_summed_one_after_another(c, term, k):
     # np.add.reduce sums pairwise and would give another value; evaluate is
-    # the one-row case of the row kernel, and build's 2 x k matrix the same row
+    # the one-row case of the row kernel, build's 2 x k matrix the same row,
+    # and a stack of three such matrices has it in every one
     v = np.full(k, 0.1)
     sequential = functools.reduce(operator.add, [term] * k)
     assert sequential != np.sum(np.full(k, term))
     assert evaluate(c, v) == sequential
     d = build(c, np.vstack([np.zeros(k), v]))
     assert d[0, 1] == d[1, 0] == sequential
+    stack = next(build_many(c, [np.vstack([np.zeros(k), v])] * 3))
+    assert stack.shape[0] == 3
+    assert (stack[:, 0, 1] == sequential).all() and (stack[:, 1, 0] == sequential).all()
 
 
 def test_a_thousand_tenths_sum_sequentially():
