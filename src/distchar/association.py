@@ -46,12 +46,15 @@ def expectation(d, convention: SampleSpace = SampleSpace.FULL_GRID):
 
     With S the sum of the strictly-upper-triangle entries this is 2S/n^2 on
     the full grid and 2S/(n(n-1)) on the upper triangle (n >= 2 required).
-    Ints and Fractions stay exact.  Raises DomainError when the sum overflows.
+    Ints and Fractions stay exact.  Raises DomainError when the sum overflows,
+    or when the mean of a matrix with a nonzero entry underflows to 0.
     """
     values, weight = _sample(validate_distance_matrix(d), convention)
     with np.errstate(over="ignore"):
         mean = values.sum() / weight
     checked_entries(np.asarray(mean), "distance-matrix expectation")
+    if mean == 0 and values.any():
+        raise DomainError("distance-matrix expectation underflows to 0; rescale the data")
     return mean
 
 

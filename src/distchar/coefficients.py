@@ -90,16 +90,18 @@ def coefficient_name(coefficient: Coefficient) -> str:
 
 
 def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` with every entry checked to be a finite real; object dtype (ints,
-    Fractions) passes through, bool/int/float become float64, others raise."""
+    """``arr`` with every entry checked to be a finite real: the one test of
+    exactness.  An object array of ints and Fractions passes through as exact;
+    one with any other real entry, and bool/int/float arrays, become float64
+    (an exact entry must fit a float, see ``as_floats``); others raise."""
     if arr.dtype == object:
         for entry in arr.flat:
             if not isinstance(entry, numbers.Real):
                 raise DomainError(f"non-numeric entry {entry!r}")
-            if isinstance(entry, float) and not math.isfinite(entry):
-                raise DomainError(f"{what} must be finite")
-        return arr
-    if arr.dtype.kind not in "biuf":
+        if all(isinstance(entry, numbers.Rational) for entry in arr.flat):
+            return arr
+        arr = as_floats(arr, what)
+    elif arr.dtype.kind not in "biuf":
         raise DomainError(f"{what} entries must be real numbers, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -108,7 +110,7 @@ def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def as_floats(arr: np.ndarray, what: str) -> np.ndarray:
-    """A ``checked_entries`` array as float64; an exact entry must fit a float."""
+    """An array of real entries as float64; an exact entry must fit a float."""
     try:
         out = np.asarray(arr, dtype=float)
         if arr.dtype == object and ((out == 0) != (arr == 0)).any():
@@ -158,8 +160,8 @@ def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
 def evaluate(coefficient: Coefficient, v) -> float:
     """Evaluate the coefficient on a row vector.
 
-    Accepts any 1-D array-like of finite reals.  An object-dtype vector
-    (e.g. of ``fractions.Fraction``) is evaluated in exact arithmetic, which
+    Accepts any 1-D array-like of finite reals.  An object-dtype vector of
+    ints and ``fractions.Fraction`` is evaluated in exact arithmetic, which
     is possible for p = 1, p = inf and L; other p require floats.
 
     Finite p > 1 uses the scaled form m * (sum((|w_i|/m)^p))^(1/p) with

@@ -89,11 +89,14 @@ def _tiled(coefficient: Coefficient, xs: np.ndarray) -> np.ndarray:
 
 
 def validate_distance_matrix(d) -> np.ndarray:
-    """Square, exactly symmetric (floats bit for bit, as ``build`` mirrors
-    them), zero diagonal, finite nonnegative real entries, or DomainError."""
+    """Square with at least one row, exactly symmetric (floats bit for bit, as
+    ``build`` mirrors them), zero diagonal, finite nonnegative real entries,
+    or DomainError."""
     arr = checked_entries(np.asarray(d), "distance matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"distance matrix must be square, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DomainError("distance matrix needs at least one row")
     bits = arr if arr.dtype == object else arr.view(np.uint64)
     if not (bits == bits.T).all():
         raise DomainError("distance matrix must be symmetric")
@@ -109,6 +112,7 @@ def augment_constant_columns(x, constants) -> np.ndarray:
 
     Appending constant columns never changes the distance matrix: the
     within-column differences are zero and zero entries never contribute.
+    An exact ``x`` stays exact: float constants enter as Fractions.
     """
     X = as_data_matrix(x)
     try:
@@ -116,6 +120,10 @@ def augment_constant_columns(x, constants) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):  # not iterable, or not all numbers
         raise DomainError(f"constants must be an iterable of reals, got {constants!r}") from None
     row = checked_entries(row, "constant-column")
+    if row.dtype != X.dtype:  # float constants for an exact x
+        from fractions import Fraction  # not imported by the CLI's matrix paths
+
+        row = np.array([Fraction(v) for v in row.tolist()], dtype=object)
     return np.hstack([X, np.tile(row, (X.shape[0], 1))])
 
 

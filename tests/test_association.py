@@ -109,6 +109,21 @@ class TestExpectation:
         with pytest.raises(DomainError, match="finite"):
             expectation(d.astype(object), conv)
 
+    @pytest.mark.parametrize("conv", list(SampleSpace))
+    def test_underflowing_mean_raises(self, conv):
+        # the one nonzero pair is the smallest subnormal: its mean rounds to 0
+        d = np.zeros((10, 10))
+        d[0, 1] = d[1, 0] = 5e-324
+        with pytest.raises(DomainError, match="expectation underflows to 0; rescale the data"):
+            expectation(d, conv)
+
+    def test_empty_matrix_raises(self):
+        for conv in SampleSpace:
+            with pytest.raises(DomainError, match="at least one row"):
+                expectation(np.zeros((0, 0)), conv)
+            with pytest.raises(DomainError, match="at least one row"):
+                matrix_correlation(np.zeros((0, 0)), np.zeros((0, 0)), conv)
+
     def test_exact_input_stays_exact(self):
         d = np.array([[0, Fraction(1, 3)], [Fraction(1, 3), 0]], dtype=object)
         assert expectation(d) == Fraction(1, 6)

@@ -14,6 +14,8 @@ from distchar import (
     SquaredEuclidean,
     augment_constant_columns,
     build,
+    concordance,
+    correlation,
     evaluate,
     expectation,
     hadamard,
@@ -22,6 +24,8 @@ from distchar import (
     permute_rows,
     remove_column,
     remove_row,
+    rob_minus,
+    rob_plus,
     validate_distance_matrix,
 )
 from distchar import distance
@@ -273,6 +277,54 @@ class TestExactRationalMode:
         x = np.array([[Fraction(1)], [Fraction(2)]], dtype=object)
         with pytest.raises(DomainError):
             build(PNorm(3), x)
+
+
+class TestExactInput:
+    """An object array is exact only when every entry is an int or a Fraction;
+    one with a float entry is the float64 array it converts to."""
+
+    @pytest.mark.parametrize("c", [P1, P2, PINF, SquaredEuclidean(), PNorm(3.5)])
+    def test_object_floats_give_the_float64_results_bitwise(self, c):
+        rng = np.random.default_rng(24)
+        for x in (rng.standard_normal((6, 3)), rng.integers(0, 8, (7, 2)) / 2):
+            # a mix of floats and ints, as json or hand-built lists give
+            mixed = np.array([int(v) if v.is_integer() else v for v in x.ravel().tolist()],
+                             dtype=object).reshape(x.shape)
+            assert float in {type(v) for v in mixed.flat}
+            aug = np.hstack([x, x[:, :1] * 2])
+            mixed_aug = np.hstack([mixed, mixed[:, :1] * 2])
+            for obj, want in ((x.astype(object), x), (mixed, x)):
+                d = build(c, want)
+                assert_bitwise_equal(build(c, obj), d)
+                assert_bitwise_equal(validate_distance_matrix(d.astype(object)), d)
+                assert evaluate(c, obj[1] - obj[0]) == d[0, 1]
+                assert nearest_sets(d.astype(object)) == nearest_sets(d)
+                assert rob_minus(c, obj) == rob_minus(c, want)
+                assert rob_plus(c, obj, mixed_aug) == rob_plus(c, want, aug)
+                assert concordance(c, P1, obj) == concordance(c, P1, want)
+                assert correlation(c, P1, obj) == correlation(c, P1, want)
+
+    def test_object_floats_overflow_as_floats_do(self):
+        overflow = "coefficient value overflows the float range"
+        with pytest.raises(DomainError, match=overflow):
+            build(SquaredEuclidean(), np.array([[0.0], [1e200]], dtype=object))
+        with pytest.raises(DomainError, match=overflow):
+            evaluate(SquaredEuclidean(), np.array([1e200], dtype=object))
+        with pytest.raises(DomainError, match=overflow):
+            rob_minus(P1, np.array([[0, 0], [1e308, 1e308], [1, 1]], dtype=object))
+
+    @pytest.mark.parametrize("entry", [10**400, Fraction(1, 10**400)], ids=["huge", "tiny"])
+    def test_exact_entry_beside_a_float_must_fit_a_float(self, entry):
+        with pytest.raises(DomainError, match="data has an exact entry outside the float range"):
+            build(P1, np.array([[0.5], [entry]], dtype=object))
+
+    @pytest.mark.parametrize("c", [P1, PINF, SquaredEuclidean()])
+    def test_float_constants_keep_exact_input_exact(self, c):
+        x = np.array([[0, 1], [Fraction(1, 3), 2], [5, Fraction(-7, 2)]], dtype=object)
+        padded = augment_constant_columns(x, [0.5, 3])
+        assert padded.dtype == object
+        assert padded[0, 2] == Fraction(1, 2) and padded[2, 3] == 3
+        assert (build(c, padded) == build(c, x)).all()
 
 
 class TestValidation:

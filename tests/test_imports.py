@@ -5,7 +5,8 @@ is kept short by ``main()`` freezing the collector (tested in
 ``test_cli.py``); start is kept short here: ``--help`` and ``delta-cf``
 must not import numpy, ``near`` must not import the score, asymptotics or
 verification modules, and ``mc-nn`` must import none of the matrix
-modules.  Each case runs in a fresh interpreter, so
+modules.  A table pins the ``distchar`` modules of every subcommand, so a
+new import fails a test.  Each case runs in a fresh interpreter, so
 ``sys.modules`` starts clean.
 """
 
@@ -19,18 +20,21 @@ from pathlib import Path
 import pytest
 
 import distchar
+from distchar import cli
 from distchar.fixtures import fixture_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# Runs `distchar *argv`, then prints the loaded module names as JSON.
+# Runs `distchar *argv`, prints the loaded module names as JSON, and exits
+# with the subcommand's status.
 PROBE = """
 import json, sys
 from distchar.cli import main
 try:
     main()
-except SystemExit:
-    pass
+except SystemExit as exc:
+    status = exc.code
 print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+sys.exit(status)
 """
 
 
@@ -63,6 +67,42 @@ def test_mc_nn_loads_only_its_own_modules():
     unused = {f"distchar.{m}" for m in ("association", "distance", "neighbors", "robustness",
                                         "verification")}
     assert not unused & modules
+
+
+MATRIX = {"cli", "coefficients", "distance", "errors", "io"}
+NEAR = MATRIX | {"neighbors"}
+SCORES = NEAR | {"robustness"}
+ASSOCIATION = SCORES | {"association"}
+ASYMPTOTICS = {"asymptotics", "cli", "errors", "io"}
+# each subcommand's arguments ({ex4}, {ex6}: fixtures; {x}: ex6's first
+# column) and the distchar modules it loads
+SUBCOMMAND_MODULES = {
+    "distmat": (["--c", "p1", "--x", "{ex4}"], MATRIX),
+    "near": (["--c", "p2", "--x", "{ex4}"], NEAR),
+    "explore-near": (["--rows", "3", "--c", "p1", "--random-samples", "2"], NEAR),
+    "rob-plus": (["--c", "p1", "--x", "{x}", "--xp", "{ex6}"], SCORES),
+    "rob-minus": (["--c", "p1", "--x", "{ex4}"], SCORES),
+    "adversarial": (["--c", "p1", "--x", "{ex4}"], SCORES),
+    "concord": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], ASSOCIATION),
+    "corr": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], ASSOCIATION),
+    "mc-nn": (["--points", "2", "--samples", "10"], ASYMPTOTICS),
+    "delta-cf": ([], ASYMPTOTICS),
+    "verify": ([], ASSOCIATION | ASYMPTOTICS | {"fixtures", "verification"}),
+}
+
+
+def test_the_table_has_every_subcommand():
+    assert SUBCOMMAND_MODULES.keys() == {*cli._COMMANDS, "verify"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
+def test_subcommand_loads_exactly_its_modules(tmp_path, command):
+    args, modules = SUBCOMMAND_MODULES[command]
+    x = tmp_path / "x.csv"
+    x.write_text("2\n5\n1\n")
+    paths = {"ex4": fixture_path("ex4"), "ex6": fixture_path("ex6"), "x": x}
+    loaded = loaded_modules(command, *(arg.format(**paths) for arg in args))
+    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in modules}
 
 
 @pytest.mark.parametrize("name", distchar.__all__)

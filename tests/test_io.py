@@ -194,7 +194,8 @@ class TestDistanceMatrixJson:
         [[1.0, 2.0], [2.0, 0.0]],
         [[0.0, 1.0], [2.0, 0.0]],
         [[0.0, 1.0 + 1.0j], [1.0 + 1.0j, 0.0]],
-    ], ids=["negative", "nonzero-diagonal", "asymmetric", "complex"])
+        np.zeros((0, 0)),
+    ], ids=["negative", "nonzero-diagonal", "asymmetric", "complex", "empty"])
     def test_refuses_what_nearest_sets_refuses(self, d):
         with pytest.raises(DomainError) as refused:
             nearest_sets(d)

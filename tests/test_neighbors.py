@@ -330,6 +330,46 @@ class TestNearMaskOnStacks:
         assert near_mask(D, tie).sum(axis=(1, 2)).tolist() == [6, 4]
 
 
+@st.composite
+def lattices_or_decimals(draw):
+    """An n x k matrix, 2 <= n <= 12, 1 <= k <= 4, from the lattice {0..3} or
+    of reals in [-10, 10] with three decimals."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    entries = (st.integers(0, 3) if draw(st.booleans())
+               else st.integers(-10_000, 10_000).map(lambda v: v / 1000))
+    rows = st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)
+    return np.array(draw(rows), dtype=float)
+
+
+def normal_scales(c, x):
+    """The range of s for which every nonzero entry, difference and distance
+    of ``ldexp(x, s)``, and under L every squared difference, is a normal
+    finite float.  A value v = m 2^e (0.5 <= m < 1) times 2^t is one exactly
+    when -1021 <= e + t <= 1024; under L distances scale by 2^(2s)."""
+    differences = np.abs(x[:, None] - x[None]).ravel()
+    degree = 2 if isinstance(c, SquaredEuclidean) else 1
+    groups = [(np.abs(x).ravel(), 1), (differences, 1), (build(c, x).ravel(), degree)]
+    if degree == 2:
+        groups.append((differences * differences, 2))
+    lo, hi = -1100, 1100  # an all-zero x scales to itself
+    for values, power in groups:
+        values = values[values > 0]
+        if values.size:
+            lo = max(lo, -((1021 + math.frexp(values.min())[1]) // power))
+            hi = min(hi, (1024 - math.frexp(values.max())[1]) // power)
+    return lo, hi
+
+
+@given(x=lattices_or_decimals(), c=st.sampled_from(COEFFICIENTS),
+       tie=st.sampled_from([TiePolicy(), EXACT_TIES]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_near_mask_is_invariant_under_power_of_two_scaling(x, c, tie, data):
+    # x -> 2^s x scales every difference and distance by 2^s (2^2s under L)
+    # without rounding while they stay normal
+    s = data.draw(st.integers(*normal_scales(c, x)), label="s")
+    assert np.array_equal(near_mask(build(c, np.ldexp(x, s)), tie), near_mask(build(c, x), tie))
+
+
 def reference_matrices(n, budget=SearchBudget(), seed=0):
     """The matrices of the search, one at a time, in the order and from the
     seeded stream that ``achievable_near_totals`` used before it evaluated
