@@ -5,6 +5,10 @@ Every other subcommand is one row of ``_COMMANDS`` whose payload is what
 ``--format json`` prints (a dict; for ``distmat``, the distance matrix); the
 text output is the lines rendered from that same payload.  Its flags become
 library values, checked in flag order, before anything is computed.
+``run()`` takes that array path for every job.  ``main()``, the process
+entry, first offers small ``near``, ``distmat``, ``rob-plus``, ``rob-minus``
+and ``concord`` jobs to the list path (``_lists``), which prints the same
+bytes without importing numpy.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -53,6 +57,8 @@ _OPTIONS = {
 }
 _ALIASES = {"--n": ("--n", "--l")}
 _TIES = ("--rel-tol", "--abs-tol")
+# the subcommands main() offers to the list path first
+_LISTS = ("near", "distmat", "rob-plus", "rob-minus", "concord")
 
 
 class _Command(NamedTuple):
@@ -80,14 +86,17 @@ def _emit_json(payload) -> None:
         sys.stdout.writelines(dcio.distance_matrix_json(payload))
 
 
-def _library_values(args) -> None:
+def _library_values(args, parsed: dict) -> None:
     """Replace each coefficient, data-matrix and ``--conv`` flag of ``args`` by
-    its library value, and the tie tolerances by ``args.tie``, in flag order."""
+    its library value, and the tie tolerances by ``args.tie``, in flag order.
+    A CSV whose rows ``parsed`` holds (by path) is not read again."""
     for flag in _COMMANDS[args.command].options:
         if flag in ("--c", "--m", "--n"):
             setattr(args, flag[2:], dc.parse_coefficient(getattr(args, flag[2:])))
         elif flag in ("--x", "--xp"):
-            setattr(args, flag[2:], dcio.load_data_matrix(getattr(args, flag[2:])))
+            path = getattr(args, flag[2:])
+            setattr(args, flag[2:], dcio._array(parsed.pop(path)) if path in parsed
+                    else dcio.load_data_matrix(path))
         elif flag == "--conv":
             args.conv = dc.SampleSpace(args.conv)
         elif flag == "--rel-tol":  # --abs-tol follows it in _TIES
@@ -223,26 +232,69 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments, compute the payload and print it; returns the exit status."""
-    args = build_parser().parse_args(argv)
+    """Parse arguments, compute the payload on the array path and print it;
+    returns the exit status."""
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args, parsed=None) -> int:
+    """The array path: ``args``' payload from the library, printed; the exit
+    status.  ``parsed`` maps a CSV path to its rows, read already."""
     try:
         if args.command == "verify":
             return _verify()
-        _library_values(args)
+        _library_values(args, parsed or {})
         payload = _COMMANDS[args.command].payload(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(args, payload)
+    return 0
+
+
+def _emit(args, payload) -> None:
+    """Print ``payload`` in ``args.format``."""
     if args.format == "json":
         _emit_json(payload)
     else:
-        for line in _COMMANDS[args.command].text(payload):
-            print(line)
+        _print(_COMMANDS[args.command].text(payload))
+
+
+def _print(lines: Iterable[str]) -> None:
+    for line in lines:
+        print(line)
+
+
+def _lists_first(args) -> int:
+    """The list path (``_lists``, no numpy) for ``args``' job, or the array
+    path (``_run``) where the list path declines; the exit status.  Each CSV
+    is parsed once, and the array path takes the rows the list path read."""
+    from . import _lists
+
+    parsed: dict[str, list] = {}
+
+    def load(path: str) -> list:
+        if path not in parsed:
+            parsed[path] = dcio._load_rows(path)
+        return parsed[path]
+
+    try:
+        payload = _lists.payload(args, load)
+    except DomainError:
+        return _run(args, parsed)
+    if args.command != "distmat":
+        _emit(args, payload)
+    elif args.format == "json":  # distmat's rows are valid by construction: no check
+        sys.stdout.writelines(dcio._json(payload, len(payload)))
+    else:
+        _print(dcio._csv(payload))
     return 0
 
 
 def main() -> None:
-    """The ``distchar`` process: ``run()``, then stdout flushed, then exit.
+    """The ``distchar`` process: the job (the list path first for a small
+    ``near``, ``distmat``, ``rob-plus``, ``rob-minus`` or ``concord`` job,
+    else the array path of ``run()``), then stdout flushed, then exit.
 
     A write to stdout that fails (a closed pipe, a full disk) exits 1 with
     one ``error: cannot write output`` line; stdout is pointed at the null
@@ -253,10 +305,11 @@ def main() -> None:
     """
     try:
         try:
-            status = run()
+            args = build_parser().parse_args()
+            status = (_lists_first if args.command in _LISTS else _run)(args)
         finally:  # argparse's SystemExit (--help, usage errors) included
             sys.stdout.flush()
-    except OSError as exc:  # run() reports every other failure as a DomainError
+    except OSError as exc:  # _run() reports every other failure as a DomainError
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         status = 1

@@ -170,6 +170,10 @@ def evaluate(coefficient: Coefficient, v) -> float:
     independent of entry order and of zero entries, and bitwise equal to the
     matching ``build`` entry.  p = inf is exact; for k entries, p = 1, 2 and L
     are within 2k + 4 ulp of scipy's cdist, p = 3.5 within 2k + 16 (tested).
+    General p goes through numpy's vectorized ``**``, whose last bits depend
+    on the SIMD level numpy dispatches to (p = 3.5 differs under
+    ``NPY_DISABLE_CPU_FEATURES``): its bits are reproducible on one host,
+    not across hosts.  p = 1, 2, inf and L do not depend on it.
     An overflowing value raises DomainError.
     """
     arr = np.asarray(v)

@@ -16,7 +16,7 @@ from . import _EXPORTS
 from .errors import DomainError
 
 if TYPE_CHECKING:  # numpy and the result types load only where a caller needs them
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
 
     import numpy as np
 
@@ -32,8 +32,18 @@ __all__ = [*_EXPORTS["io"], "adversarial_dict", "convergents_dict", "correlation
 
 def parse_data_matrix(text: str, name: str = "<input>") -> np.ndarray:
     """Parse CSV text into a float data matrix; errors name line and column."""
+    return _array(_parse_rows(text, name))
+
+
+def _array(rows: list[list[float]]) -> np.ndarray:
     import numpy as np
 
+    return np.array(rows, dtype=float)
+
+
+def _parse_rows(text: str, name: str) -> list[list[float]]:
+    """The rows of CSV text as lists of finite floats, all of one length:
+    the one row loop of every data matrix the CLI reads."""
     rows: list[list[float]] = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -62,11 +72,21 @@ def parse_data_matrix(text: str, name: str = "<input>") -> np.ndarray:
         rows.append(values)
     if not rows:
         raise DomainError(f"{name}: no data rows")
-    return np.array(rows, dtype=float)
+    return rows
 
 
 def load_data_matrix(path) -> np.ndarray:
     """Read a data matrix from a CSV file."""
+    return parse_data_matrix(*_read(path))
+
+
+def _load_rows(path) -> list[list[float]]:
+    """``load_data_matrix(path)``'s rows, as lists of floats."""
+    return _parse_rows(*_read(path))
+
+
+def _read(path) -> tuple[str, str]:
+    """The text of a CSV file and the name its parse errors give."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -77,13 +97,17 @@ def load_data_matrix(path) -> np.ndarray:
             f"{p}: not UTF-8 text at byte offset {exc.start} ({exc.reason})") from None
     # a byte-order mark, as spreadsheet programs write; not "utf-8-sig", whose
     # error offsets would not count the mark's 3 bytes
-    return parse_data_matrix(text.removeprefix("\ufeff"), name=str(p))
+    return text.removeprefix("\ufeff"), str(p)
 
 
 def distance_matrix_csv(d) -> Iterator[str]:
     """The CSV lines of a distance matrix, one per row without a line end,
-    each entry printed ``"%.9g"``: the rows of ``_rows``, checked at the call."""
-    return _rows(d, "%.9g".__mod__)
+    each entry printed ``"%.9g"``: ``_csv`` of ``d``, checked at the call."""
+    return _csv(_tails(d))
+
+
+def _csv(tails: Iterable[list[float]]) -> Iterator[str]:
+    return _rows(tails, "%.9g".__mod__)
 
 
 def distance_matrix_dict(d) -> dict:
@@ -92,41 +116,50 @@ def distance_matrix_dict(d) -> dict:
 
 
 def distance_matrix_json(d) -> Iterator[str]:
-    """The JSON text of ``distance_matrix_dict(d)``, one chunk per row.
+    """The JSON text of ``distance_matrix_dict(d)``, one chunk per row:
+    ``_json`` of ``d``, checked at the call with ``validate_distance_matrix``
+    (float symmetry bit for bit included)."""
+    return _json(_tails(d), len(d))
+
+
+def _json(tails: Iterable[list[float]], n: int) -> Iterator[str]:
+    """The JSON text of an n x n distance matrix given by ``_rows``' tails.
 
     ``"".join`` of the chunks equals ``json.dumps(distance_matrix_dict(d),
     sort_keys=True, separators=(",", ":")) + "\n"`` byte for byte: json
     writes a finite float with ``float.__repr__``, and so does this.  The
-    rows come from ``_rows``, which checks ``d`` at the call with
-    ``validate_distance_matrix`` (float symmetry bit for bit included).  The
     chunks are the opening, each row, and the closing: n + 2 in all.
     """
-    rows = (f"{',' if i else ''}[{row}]" for i, row in enumerate(_rows(d, repr)))
-    return itertools.chain(['{"entries":['], rows, [f'],"order":{len(d)}}}\n'])
+    rows = (f"{',' if i else ''}[{row}]" for i, row in enumerate(_rows(tails, repr)))
+    return itertools.chain(['{"entries":['], rows, [f'],"order":{n}}}\n'])
 
 
-def _rows(d, fmt: Callable[[float], str]) -> Iterator[str]:
-    """The rows of a distance matrix, each its entries ``fmt``-ed and joined
-    with ``,``: the one walk of a distance matrix for output.
-
-    It takes exactly the matrices ``validate_distance_matrix`` accepts (float
-    entries symmetric bit for bit) and raises its ``DomainError`` at the call,
-    before the first row.  Each unordered pair is formatted once: row i
-    formats entries (i, i..n-1), and takes entry (i, j) for j < i from the
-    strings row j made.  Those strings wait in one list per earlier row, so at
-    most about n**2/4 of them are held at once, and no list of all n**2 floats
-    or of the whole text is built.
-    """
+def _tails(d) -> Iterator[list[float]]:
+    """Row i's entries i..n-1 of ``d``, as floats, for i = 0..n-1, once
+    ``validate_distance_matrix`` accepts ``d`` (at the call)."""
     arr = _floats(d)
+    return (arr[i, i:].tolist() for i in range(len(arr)))
+
+
+def _rows(tails: Iterable[list[float]], fmt: Callable[[float], str]) -> Iterator[str]:
+    """The rows of a symmetric matrix given by its tails (row i's entries
+    i..n-1), each row's entries ``fmt``-ed and joined with ``,``: the one
+    walk of a distance matrix for output, on arrays and on lists alike.
+
+    Each unordered pair is formatted once: row i formats its tail, and takes
+    entry (i, j) for j < i from the strings row j made.  Those strings wait
+    in one list per earlier row, so at most about n**2/4 of them are held at
+    once, and no list of all n**2 floats or of the whole text is built.
+    """
     owed: list[list[str]] = []  # owed[j]: row j's strings still to come, next one last
 
-    def row(i: int) -> str:
-        upper = list(map(fmt, arr[i, i:].tolist()))
+    def row(tail: list[float]) -> str:
+        upper = list(map(fmt, tail))
         line = ",".join([*map(list.pop, owed), *upper])
         owed.append(upper[:0:-1])
         return line
 
-    return map(row, range(len(arr)))
+    return map(row, tails)
 
 
 def _floats(d) -> np.ndarray:

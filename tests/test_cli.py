@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import errno
+import functools
 import gc
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import distchar as dc
 from distchar import verification
-from distchar.cli import _emit_json, run
+from distchar.cli import _emit_json, main, run
 from distchar.errors import DomainError
 from distchar.fixtures import fixture_path
 from distchar.io import distance_matrix_dict
@@ -801,16 +802,33 @@ GOLDEN = [
 ]
 
 
+def run_main(monkeypatch, argv) -> int:
+    """``main()`` in this process, with ``sys.argv`` set; its exit status.
+    The objects it freezes out of the collector are unfrozen."""
+    monkeypatch.setattr(sys, "argv", ["distchar", *argv])
+    try:
+        main()
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        gc.unfreeze()
+    raise AssertionError("main() returned without exiting")
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize(
         "command, status, out, err", GOLDEN, ids=[case[0] for case in GOLDEN]
     )
-    def test_exact_output(self, capsys, tmp_path, command, status, out, err):
+    def test_exact_output(self, capsys, monkeypatch, tmp_path, command, status, out, err):
+        """Both entries, ``run(argv)`` (the array path) and the process's
+        ``main()`` (the list path first), print the same bytes."""
         paths = {f"ex{i}": str(fixture_path(f"ex{i}")) for i in range(4, 10)}
         for name, text in GOLDEN_CSV.items():
             paths[name] = str(tmp_path / f"{name}.csv")
             (tmp_path / f"{name}.csv").write_text(text)
-        assert run([token.format(**paths) for token in command.split()]) == status
-        captured = capsys.readouterr()
-        assert captured.out == out
-        assert captured.err == err.format(**paths)
+        argv = [token.format(**paths) for token in command.split()]
+        for entry in (run, functools.partial(run_main, monkeypatch)):
+            assert entry(argv) == status
+            captured = capsys.readouterr()
+            assert captured.out == out
+            assert captured.err == err.format(**paths)

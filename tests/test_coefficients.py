@@ -1,7 +1,12 @@
 import functools
+import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +23,11 @@ from distchar import (
     is_true_norm,
     parse_coefficient,
 )
+from distchar import _lists
+from distchar.cli import run
 from distchar.distance import build_many
 
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 P_VALUES = [1.0, 1.5, 2.0, 3.0, 7.0, math.inf]
 
 finite_floats = st.floats(
@@ -204,12 +212,26 @@ def test_squared_euclidean_is_squared_two_norm(v):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
+def cli_distances(tmp_path, capsys, c: str, x) -> list[float]:
+    """Entry (1, 2) of ``distmat --c c --format json`` on the rows ``x``, as
+    ``run()`` and a ``distchar`` process (``main()``) print it."""
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(",".join(map(repr, row)) for row in x))
+    argv = ["distmat", "--c", c, "--x", str(path), "--format", "json"]
+    assert run(argv) == 0
+    process = subprocess.run([sys.executable, "-m", "distchar.cli", *argv], check=True,
+                             capture_output=True, text=True, env=SUBPROCESS_ENV)
+    return [json.loads(out)["entries"][0][1] for out in (capsys.readouterr().out, process.stdout)]
+
+
 @pytest.mark.parametrize("k", [1000, 20_000, 100_000])
 @pytest.mark.parametrize("c, term", [(PNorm(1), 0.1), (SquaredEuclidean(), 0.1 * 0.1)])
-def test_terms_are_summed_one_after_another(c, term, k):
+def test_terms_are_summed_one_after_another(tmp_path, capsys, c, term, k):
     # np.add.reduce sums pairwise and would give another value; evaluate is
     # the one-row case of the row kernel, build's 2 x k matrix the same row,
-    # and a stack of three such matrices has it in every one
+    # and a stack of three such matrices has it in every one; the list
+    # kernel adds the same way, and both CLI entries print it, on the list
+    # path (k <= 20000) and on the array path
     v = np.full(k, 0.1)
     sequential = functools.reduce(operator.add, [term] * k)
     assert sequential != np.sum(np.full(k, term))
@@ -219,6 +241,18 @@ def test_terms_are_summed_one_after_another(c, term, k):
     stack = next(build_many(c, [np.vstack([np.zeros(k), v])] * 3))
     assert stack.shape[0] == 3
     assert (stack[:, 0, 1] == sequential).all() and (stack[:, 1, 0] == sequential).all()
+    assert _lists._KERNELS[coefficient_name(c)](v.tolist()) == sequential
+    assert cli_distances(tmp_path, capsys, coefficient_name(c), [[0.0] * k, [0.1] * k]) == \
+        [sequential] * 2
+
+
+def test_terms_are_not_summed_compensated(tmp_path, capsys):
+    # math.fsum, and sum() of floats from Python 3.12, round the exact sum
+    # once and give 0.6
+    v = [0.1, 0.2, 0.3]
+    assert math.fsum(v) == 0.6
+    assert evaluate(PNorm(1), v) == _lists._KERNELS["p1"](v) == 0.6000000000000001
+    assert cli_distances(tmp_path, capsys, "p1", [[0.0] * 3, v]) == [0.6000000000000001] * 2
 
 
 def test_a_thousand_tenths_sum_sequentially():

@@ -3,15 +3,18 @@
 Process start and exit decide the time of a short ``distchar`` run.  Exit
 is kept short by ``main()`` freezing the collector (tested in
 ``test_cli.py``); start is kept short here: ``--help`` and ``delta-cf``
-must not import numpy, ``near`` must not import the score, asymptotics or
-verification modules, and ``mc-nn`` must import none of the matrix
-modules.  A table pins the ``distchar`` modules of every subcommand, so a
-new import fails a test.  Each case runs in a fresh interpreter, so
-``sys.modules`` starts clean.
+must not import numpy, a small ``near``, ``distmat``, ``rob-plus``,
+``rob-minus`` or ``concord`` job runs on the list path and must not import
+numpy either, a ``near`` job on the array path must not import the score,
+asymptotics or verification modules, and ``mc-nn`` must import none of the
+matrix modules.  A table pins the ``distchar`` modules of every
+subcommand, so a new import fails a test.  Each case runs in a fresh
+interpreter, so ``sys.modules`` starts clean.
 """
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import distchar
-from distchar import cli
+from distchar import _lists, cli
 from distchar.fixtures import fixture_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,11 +53,12 @@ def loaded_modules(*argv: str) -> set[str]:
 def test_runs_without_numpy(argv):
     modules = loaded_modules(*argv)
     assert "distchar.cli" in modules
-    assert "numpy" not in modules
+    assert not {"numpy", "distchar._lists"} & modules
 
 
 def test_near_loads_only_its_own_modules():
-    modules = loaded_modules("near", "--c", "p2", "--x", str(fixture_path("ex4")))
+    # p3.5 is not on the list path
+    modules = loaded_modules("near", "--c", "p3.5", "--x", str(fixture_path("ex4")))
     assert {"numpy", "distchar.neighbors", "distchar.distance"} <= modules
     unused = {f"distchar.{m}" for m in ("association", "asymptotics", "robustness",
                                         "verification")}
@@ -69,21 +73,23 @@ def test_mc_nn_loads_only_its_own_modules():
     assert not unused & modules
 
 
+LISTS = {"_lists", "cli", "errors", "io"}
 MATRIX = {"cli", "coefficients", "distance", "errors", "io"}
 NEAR = MATRIX | {"neighbors"}
 SCORES = NEAR | {"robustness"}
 ASSOCIATION = SCORES | {"association"}
 ASYMPTOTICS = {"asymptotics", "cli", "errors", "io"}
 # each subcommand's arguments ({ex4}, {ex6}: fixtures; {x}: ex6's first
-# column) and the distchar modules it loads
+# column) and the distchar modules it loads; the first five run small jobs
+# on the list path
 SUBCOMMAND_MODULES = {
-    "distmat": (["--c", "p1", "--x", "{ex4}"], MATRIX),
-    "near": (["--c", "p2", "--x", "{ex4}"], NEAR),
+    "distmat": (["--c", "p1", "--x", "{ex4}"], LISTS),
+    "near": (["--c", "p2", "--x", "{ex4}"], LISTS),
+    "rob-plus": (["--c", "p1", "--x", "{x}", "--xp", "{ex6}"], LISTS),
+    "rob-minus": (["--c", "p1", "--x", "{ex4}"], LISTS),
+    "concord": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], LISTS),
     "explore-near": (["--rows", "3", "--c", "p1", "--random-samples", "2"], NEAR),
-    "rob-plus": (["--c", "p1", "--x", "{x}", "--xp", "{ex6}"], SCORES),
-    "rob-minus": (["--c", "p1", "--x", "{ex4}"], SCORES),
     "adversarial": (["--c", "p1", "--x", "{ex4}"], SCORES),
-    "concord": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], ASSOCIATION),
     "corr": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], ASSOCIATION),
     "mc-nn": (["--points", "2", "--samples", "10"], ASYMPTOTICS),
     "delta-cf": ([], ASYMPTOTICS),
@@ -103,6 +109,30 @@ def test_subcommand_loads_exactly_its_modules(tmp_path, command):
     paths = {"ex4": fixture_path("ex4"), "ex6": fixture_path("ex6"), "x": x}
     loaded = loaded_modules(command, *(arg.format(**paths) for arg in args))
     assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in modules}
+
+
+# the modules of the five list-path subcommands' jobs on the array path:
+# those of a job the list path declines, the list module included
+ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus": SCORES,
+                 "concord": ASSOCIATION}
+
+
+@pytest.mark.parametrize("declined", ["large", "p3.5"])
+@pytest.mark.parametrize("command", ARRAY_MODULES)
+def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
+    # n x 2 with n(n-1) above the list path's size: each command's pair-terms
+    # are at least n(n-1)/2 * 2
+    n = math.isqrt(_lists._MAX_TERMS) + 2
+    x, xp = tmp_path / "x.csv", tmp_path / "xp.csv"
+    rows = [f"{i},{i % 3}" for i in range(n)] if declined == "large" else ["0,0", "1,2", "3,1"]
+    x.write_text("".join(f"{row}\n" for row in rows))
+    xp.write_text("".join(f"{row},1\n" for row in rows))
+    c = "p3.5" if declined == "p3.5" else "p1"
+    flags = {"concord": ["--m", c, "--n", "p2"], "rob-plus": ["--c", c, "--xp", str(xp)]}
+    loaded = loaded_modules(command, *flags.get(command, ["--c", c]), "--x", str(x))
+    assert "numpy" in loaded
+    want = ARRAY_MODULES[command] | {"_lists"}
+    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
 
 
 @pytest.mark.parametrize("name", distchar.__all__)
