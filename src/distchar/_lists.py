@@ -1,31 +1,28 @@
 """The list path: the CLI's small ``near``, ``distmat``, ``rob-plus``,
-``rob-minus`` and ``concord`` jobs computed on Python lists, so that the
-process never imports numpy.
+``rob-minus``, ``concord``, ``corr`` and ``adversarial`` jobs computed on
+Python lists, so that the process never imports numpy.
 
 Every value is bitwise the array path's.  ``_KERNELS`` gives
 ``coefficients.row_values``' bits for p1, p2, pinf and L: terms sorted
 ascending and added one after another (never ``sum()``, which compensates
 from Python 3.12), p2 as m * sqrt(sum((t/m) * (t/m))).  ``_near_sets`` is
-``neighbors.near_mask``'s rule.  General p keeps the array path: its powers
-go through numpy's ``**``, whose bits depend on the SIMD level numpy
-dispatches to.
+``neighbors.near_mask``'s rule.  ``_sum`` is numpy's ``x.sum()`` of a
+float64 vector, which ``matrix_correlation`` takes of every moment.  General
+p keeps the array path: its powers go through numpy's ``**``, whose bits
+depend on the SIMD level numpy dispatches to.
 
-``payload`` covers a job or raises ``DomainError``: then the caller runs
-the array path, which computes the job or reports its error itself.
+``cli`` checks a job's coefficient spellings and size before this module
+loads.  ``payload`` covers the job or raises ``DomainError``: then the
+caller runs the array path, which computes the job or reports its error
+itself.
 """
 
 import math
+import operator
+import sys
+from functools import reduce
 
 from .errors import DomainError
-
-# The largest job that runs here, in pair-terms: n(n-1)/2 * k summed over
-# the job's builds.  The worst case is k = 1, where the n^2 neighbor scan
-# and output, which pair-terms do not count, weigh most.  There, on a 2-vCPU
-# VM (CPython 3.11, numpy 2.4; median of 9 alternating process runs),
-# `near --c p2` on a 316 x 1 matrix (49770 pair-terms) took 121 ms on this
-# path and 150 ms on the array path, whose numpy import alone is ~100 ms;
-# `concord --m p1 --n p2` on 130 x 3 (50310) took 81 against 157 ms.
-_MAX_TERMS = 50_000
 
 
 def _p1(terms: list[float]) -> float:
@@ -59,6 +56,31 @@ def _squared(terms: list[float]) -> float:
 _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
 
 
+def _sum(values: list[float]) -> float:
+    """numpy's ``x.sum()`` of the float64 vector ``values``, bit for bit,
+    signed zero included: 0.0 plus numpy's pairwise sum (``_pairwise``)."""
+    return 0.0 + _pairwise(values)
+
+
+def _pairwise(a: list[float]) -> float:
+    """numpy's pairwise sum: below 8 entries, 0.0 and each entry in turn;
+    up to 128, eight accumulators, accumulator j adding entries j, j + 8,
+    ... of the longest multiple-of-8 head in turn, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest of the
+    entries added in turn; above 128, the sum of both halves, split after
+    n//2 - (n//2) % 8 entries."""
+    n = len(a)
+    if n < 8:
+        return reduce(operator.add, a, 0.0)
+    if n <= 128:
+        head = n - n % 8
+        r = [reduce(operator.add, a[j:head:8]) for j in range(8)]
+        return reduce(operator.add, a[head:],
+                      ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise(a[:half]) + _pairwise(a[half:])
+
+
 def _distances(kernel, x: list[list[float]]) -> list[list[float]]:
     """The distance matrix of the rows ``x``, each pair evaluated once."""
     n = len(x)
@@ -90,83 +112,133 @@ def _near_sets(D, tie, positive_only: bool) -> list[list[int]]:
     return sets
 
 
+class _Job:
+    """A job's flags (``args``), CSV loader and rows ``x``, its kernels (one
+    per coefficient flag, in flag order) and the pair-terms its builds may
+    hold (``max_terms``)."""
+
+    def __init__(self, args, load, max_terms: int):
+        self.args, self.load, self.max_terms = args, load, max_terms
+        self.kernels = [_KERNELS[getattr(args, a)] for a in ("c", "m", "n") if hasattr(args, a)]
+        self.tie = (getattr(args, "rel_tol", 0.0), getattr(args, "abs_tol", 0.0))
+        if not all(math.isfinite(t) and t >= 0 for t in self.tie):
+            raise DomainError("tie tolerances must be finite and nonnegative")
+        self.x = load(args.x)
+
+    def sets(self, kernel, rows: list[list[float]]) -> list[list[int]]:
+        return _near_sets(_distances(kernel, rows), self.tie,
+                          getattr(self.args, "positive_only", False))
+
+
 def _score(num: int, den: int) -> dict:
     return {"num": num, "den": den, "value": num / den}
 
 
-def _near(sets, kernels, x, xp) -> dict:
-    near = sets(*kernels, x)
+def _near(job) -> dict:
+    near = job.sets(*job.kernels, job.x)
     return {"sets": [[j + 1 for j in s] for s in near], "total": sum(map(len, near))}
 
 
-def _distmat(sets, kernels, x, xp) -> list[list[float]]:
+def _distmat(job) -> list[list[float]]:
     """Row i's entries i..n-1, as ``io._rows`` walks them."""
-    return [row[i:] for i, row in enumerate(_distances(*kernels, x))]
+    return [row[i:] for i, row in enumerate(_distances(*job.kernels, job.x))]
 
 
-def _rob_plus(sets, kernels, x, xp) -> dict:
+def _rob_plus(job) -> dict:
+    x, xp = job.x, job.load(job.args.xp)
     k = len(x[0])
     if len(x) < 2 or len(xp) != len(x) or len(xp[0]) != k + 1:
         raise DomainError("not a one-column extension of at least two rows")
     if any(row[:k] != base for row, base in zip(xp, x)):
         raise DomainError("extension disagrees with x")
-    base, aug = sets(*kernels, x), sets(*kernels, xp)
+    base, aug = job.sets(*job.kernels, x), job.sets(*job.kernels, xp)
     den = sum(map(len, base))
     if den == 0:
         raise DomainError("score denominator must be positive")
     return _score(sum(len(set(b).intersection(a)) for b, a in zip(base, aug)), den)
 
 
-def _rob_minus(sets, kernels, x, xp) -> dict:
+def _rob_minus(job) -> dict:
+    x, (kernel,) = job.x, job.kernels
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
-    base = sets(*kernels, x)
+    base = job.sets(kernel, x)
     changed = sum(s != b for j in range(k)
-                  for s, b in zip(sets(*kernels, [row[:j] + row[j + 1:] for row in x]), base))
+                  for s, b in zip(job.sets(kernel, [row[:j] + row[j + 1:] for row in x]), base))
     return _score(n * k - changed, n * k)
 
 
-def _concord(sets, kernels, x, xp) -> dict:
-    near_m, near_n = (sets(c, x) for c in kernels)
-    return _score(sum(a == b for a, b in zip(near_m, near_n)), len(x))
+def _concord(job) -> dict:
+    near_m, near_n = (job.sets(c, job.x) for c in job.kernels)
+    return _score(sum(a == b for a, b in zip(near_m, near_n)), len(job.x))
 
 
-# command -> (its payload, its builds' pair-terms per pair of rows, given k)
-_JOBS = {
-    "near": (_near, lambda k: k),
-    "distmat": (_distmat, lambda k: k),
-    "rob-plus": (_rob_plus, lambda k: 2 * k + 1),
-    "rob-minus": (_rob_minus, lambda k: k * k),
-    "concord": (_concord, lambda k: 2 * k),
-}
+def _corr(job) -> dict:
+    """``matrix_correlation``'s moments in its order: both strict upper
+    triangles, row by row, each shifted by its first entry under ``upper``;
+    each moment summed by ``_sum`` and divided by the float of the weight
+    (n^2/2 or n(n-1)/2).  Declines where it raises."""
+    n, conv = len(job.x), job.args.conv
+    if conv == "upper" and n < 2:
+        raise DomainError("upper-triangle expectation needs n >= 2")
+    a, b = ([d for i, row in enumerate(_distances(c, job.x)) for d in row[i + 1:]]
+            for c in job.kernels)
+    if conv == "upper":
+        a, b = [v - a[0] for v in a], [v - b[0] for v in b]
+    weight = n * (n if conv == "grid" else n - 1) / 2
+    e_a, e_b = _sum(a) / weight, _sum(b) / weight
+    cov = _sum([u * v for u, v in zip(a, b)]) / weight - e_a * e_b
+    var_a = _sum([v * v for v in a]) / weight - e_a * e_a
+    var_b = _sum([v * v for v in b]) / weight - e_b * e_b
+    var_ab = var_a * var_b
+    if not all(map(math.isfinite, (cov, var_a, var_b, var_ab))):
+        raise DomainError("distance-matrix moments overflow")
+    if not (any(a) and any(b)):
+        rho = None
+    elif var_ab < sys.float_info.min:
+        raise DomainError("distance-matrix moments underflow")
+    else:
+        rho = cov / math.sqrt(var_ab)
+        if abs(rho) > 1 + 1e-12:
+            raise DomainError("correlation outside [-1, 1]")
+    return {"rho": rho, "cov": cov, "var_m": var_a, "var_n": var_b, "convention": conv}
 
 
-def payload(args, load):
+def _adversarial(job) -> dict:
+    """``adversarial_augment``'s ladder: the scales t in its order, each rung
+    appending the column t * 2^i and deciding with ``_near_sets``.  A rung
+    builds n(n-1)/2 * (k+1) pair-terms, and the rungs run while their sum is
+    at most ``max_terms``: a longer ladder declines."""
+    x, (kernel,) = job.x, job.kernels
+    n = len(x)
+    if kernel is _squared or not 2 <= n <= 1024:
+        raise DomainError("the augmentation needs a p-norm and 2 <= n <= 1024")
+    scales = [2.0**i for i in range(1025 - n)]
+    if kernel is not max:
+        scales = [2.0**-i for i in range(200)] + scales[1:]
+    for t in scales[:job.max_terms // (n * (n - 1) // 2 * (len(x[0]) + 1))]:
+        augmented = [[*row, t * 2.0**i] for i, row in enumerate(x)]
+        if sum(map(len, job.sets(kernel, augmented))) == n:
+            return {"t": t, "spacing": [2**i for i in range(n)],
+                    "column": [row[-1] for row in augmented],
+                    "achieved_near_total": n, "augmented": augmented}
+    raise DomainError("no scale t found within the list path's size")
+
+
+_JOBS = {"near": _near, "distmat": _distmat, "rob-plus": _rob_plus, "rob-minus": _rob_minus,
+         "concord": _concord, "corr": _corr, "adversarial": _adversarial}
+
+
+def payload(args, load, max_terms: int):
     """The payload of ``args``' job, as the array path's ``cli._COMMANDS`` row
     gives it (for ``distmat``, the rows of ``_distmat``); ``load(path)``
-    gives a CSV's rows.  ``args`` holds the parsed flags, unconverted.
+    gives a CSV's rows.  ``args`` holds the parsed flags, unconverted, and
+    its coefficients are spelled as keys of ``_KERNELS``.
 
-    Raises DomainError where the list path declines: a coefficient spelling
-    other than those of ``_KERNELS``, a tolerance ``TiePolicy`` refuses, a
-    CSV ``load`` refuses, a job above ``_MAX_TERMS``, a non-finite distance,
-    or a shape or score the array path refuses.
+    Raises DomainError where the list path declines: a tolerance
+    ``TiePolicy`` refuses, a CSV ``load`` refuses, an adversarial ladder
+    above ``max_terms`` pair-terms, a non-finite distance, or a shape, score
+    or moment the array path refuses.
     """
-    job, terms = _JOBS[args.command]
-    spellings = (args.m, args.n) if args.command == "concord" else (args.c,)
-    if not all(s in _KERNELS for s in spellings):
-        raise DomainError("the list path covers p1, p2, pinf and L")
-    tie = (getattr(args, "rel_tol", 0.0), getattr(args, "abs_tol", 0.0))
-    if not all(math.isfinite(t) and t >= 0 for t in tie):
-        raise DomainError("tie tolerances must be finite and nonnegative")
-    x = load(args.x)
-    n, k = len(x), len(x[0])
-    if n * (n - 1) // 2 * terms(k) > _MAX_TERMS:
-        raise DomainError("job above the list path's size")
-    positive_only = getattr(args, "positive_only", False)
-
-    def sets(kernel, rows):
-        return _near_sets(_distances(kernel, rows), tie, positive_only)
-
-    xp = load(args.xp) if args.command == "rob-plus" else None
-    return job(sets, [_KERNELS[s] for s in spellings], x, xp)
+    return _JOBS[args.command](_Job(args, load, max_terms))

@@ -6,9 +6,9 @@ Every other subcommand is one row of ``_COMMANDS`` whose payload is what
 text output is the lines rendered from that same payload.  Its flags become
 library values, checked in flag order, before anything is computed.
 ``run()`` takes that array path for every job.  ``main()``, the process
-entry, first offers small ``near``, ``distmat``, ``rob-plus``, ``rob-minus``
-and ``concord`` jobs to the list path (``_lists``), which prints the same
-bytes without importing numpy.
+entry, first offers small ``near``, ``distmat``, ``rob-plus``, ``rob-minus``,
+``concord``, ``corr`` and ``adversarial`` jobs to the list path
+(``_lists``), which prints the same bytes without importing numpy.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -57,8 +57,22 @@ _OPTIONS = {
 }
 _ALIASES = {"--n": ("--n", "--l")}
 _TIES = ("--rel-tol", "--abs-tol")
-# the subcommands main() offers to the list path first
-_LISTS = ("near", "distmat", "rob-plus", "rob-minus", "concord")
+# The list path's size, in pair-terms: n(n-1)/2 * k summed over a job's
+# builds.  The worst case is k = 1, where the n^2 neighbor scan and output,
+# which pair-terms do not count, weigh most.  There, on a 2-vCPU VM (CPython
+# 3.11, numpy 2.4; median of 9 alternating process runs), `near --c p2` on a
+# 316 x 1 matrix (49770 pair-terms) took 121 ms on the list path and 150 ms
+# on the array path, whose numpy import alone is ~100 ms; `concord --m p1
+# --n p2` on 130 x 3 (50310) took 81 against 157 ms.
+_MAX_TERMS = 50_000
+# the subcommands main() offers to the list path first -> their builds'
+# pair-terms per pair of rows, given k; for adversarial, its first rung's
+# (``_lists`` bounds the rest of its ladder)
+_LISTS = {"near": lambda k: k, "distmat": lambda k: k, "rob-plus": lambda k: 2 * k + 1,
+          "rob-minus": lambda k: k * k, "concord": lambda k: 2 * k, "corr": lambda k: 2 * k,
+          "adversarial": lambda k: k + 1}
+# the coefficient spellings the list path takes (the keys of _lists._KERNELS)
+_LIST_SPELLINGS = {"p1", "p2", "pinf", "L"}
 
 
 class _Command(NamedTuple):
@@ -265,12 +279,27 @@ def _print(lines: Iterable[str]) -> None:
         print(line)
 
 
-def _lists_first(args) -> int:
-    """The list path (``_lists``, no numpy) for ``args``' job, or the array
-    path (``_run``) where the list path declines; the exit status.  Each CSV
-    is parsed once, and the array path takes the rows the list path read."""
+def _list_payload(args, load):
+    """The list path's payload of ``args``' job (``_lists.payload``);
+    ``load(path)`` gives a CSV's rows.  Raises DomainError where the list
+    path declines.  A coefficient spelling outside ``_LIST_SPELLINGS`` and a
+    job above ``_MAX_TERMS`` pair-terms decline before ``_lists`` loads."""
+    spellings = [getattr(args, a) for a in ("c", "m", "n") if hasattr(args, a)]
+    if not _LIST_SPELLINGS.issuperset(spellings):
+        raise DomainError("the list path covers p1, p2, pinf and L")
+    x = load(args.x)
+    if len(x) * (len(x) - 1) // 2 * _LISTS[args.command](len(x[0])) > _MAX_TERMS:
+        raise DomainError("job above the list path's size")
     from . import _lists
 
+    return _lists.payload(args, load, _MAX_TERMS)
+
+
+def _lists_first(args) -> int:
+    """The list path (``_list_payload``, no numpy) for ``args``' job, or the
+    array path (``_run``) where the list path declines; the exit status.
+    Each CSV is parsed once, and the array path takes the rows the list path
+    read."""
     parsed: dict[str, list] = {}
 
     def load(path: str) -> list:
@@ -279,7 +308,7 @@ def _lists_first(args) -> int:
         return parsed[path]
 
     try:
-        payload = _lists.payload(args, load)
+        payload = _list_payload(args, load)
     except DomainError:
         return _run(args, parsed)
     if args.command != "distmat":
@@ -293,8 +322,9 @@ def _lists_first(args) -> int:
 
 def main() -> None:
     """The ``distchar`` process: the job (the list path first for a small
-    ``near``, ``distmat``, ``rob-plus``, ``rob-minus`` or ``concord`` job,
-    else the array path of ``run()``), then stdout flushed, then exit.
+    ``near``, ``distmat``, ``rob-plus``, ``rob-minus``, ``concord``, ``corr``
+    or ``adversarial`` job, else the array path of ``run()``), then stdout
+    flushed, then exit.
 
     A write to stdout that fails (a closed pipe, a full disk) exits 1 with
     one ``error: cannot write output`` line; stdout is pointed at the null

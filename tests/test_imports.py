@@ -4,8 +4,9 @@ Process start and exit decide the time of a short ``distchar`` run.  Exit
 is kept short by ``main()`` freezing the collector (tested in
 ``test_cli.py``); start is kept short here: ``--help`` and ``delta-cf``
 must not import numpy, a small ``near``, ``distmat``, ``rob-plus``,
-``rob-minus`` or ``concord`` job runs on the list path and must not import
-numpy either, a ``near`` job on the array path must not import the score,
+``rob-minus``, ``concord``, ``corr`` or ``adversarial`` job runs on the list
+path and must not import numpy either, a job the list path declines by its
+coefficient or size must not import the list module, a ``near`` job on the array path must not import the score,
 asymptotics or verification modules, and ``mc-nn`` must import none of the
 matrix modules.  A table pins the ``distchar`` modules of every
 subcommand, so a new import fails a test.  Each case runs in a fresh
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import distchar
-from distchar import _lists, cli
+from distchar import cli
 from distchar.fixtures import fixture_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,7 +81,7 @@ SCORES = NEAR | {"robustness"}
 ASSOCIATION = SCORES | {"association"}
 ASYMPTOTICS = {"asymptotics", "cli", "errors", "io"}
 # each subcommand's arguments ({ex4}, {ex6}: fixtures; {x}: ex6's first
-# column) and the distchar modules it loads; the first five run small jobs
+# column) and the distchar modules it loads; the first seven run small jobs
 # on the list path
 SUBCOMMAND_MODULES = {
     "distmat": (["--c", "p1", "--x", "{ex4}"], LISTS),
@@ -88,9 +89,9 @@ SUBCOMMAND_MODULES = {
     "rob-plus": (["--c", "p1", "--x", "{x}", "--xp", "{ex6}"], LISTS),
     "rob-minus": (["--c", "p1", "--x", "{ex4}"], LISTS),
     "concord": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], LISTS),
+    "corr": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], LISTS),
+    "adversarial": (["--c", "p1", "--x", "{ex4}"], LISTS),
     "explore-near": (["--rows", "3", "--c", "p1", "--random-samples", "2"], NEAR),
-    "adversarial": (["--c", "p1", "--x", "{ex4}"], SCORES),
-    "corr": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], ASSOCIATION),
     "mc-nn": (["--points", "2", "--samples", "10"], ASYMPTOTICS),
     "delta-cf": ([], ASYMPTOTICS),
     "verify": ([], ASSOCIATION | ASYMPTOTICS | {"fixtures", "verification"}),
@@ -111,10 +112,11 @@ def test_subcommand_loads_exactly_its_modules(tmp_path, command):
     assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in modules}
 
 
-# the modules of the five list-path subcommands' jobs on the array path:
-# those of a job the list path declines, the list module included
+# the modules of the seven list-path subcommands' jobs on the array path:
+# those of a job the list path declines by its coefficient or size, which
+# never loads the list module
 ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus": SCORES,
-                 "concord": ASSOCIATION}
+                 "concord": ASSOCIATION, "corr": ASSOCIATION, "adversarial": SCORES}
 
 
 @pytest.mark.parametrize("declined", ["large", "p3.5"])
@@ -122,16 +124,17 @@ ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus
 def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
     # n x 2 with n(n-1) above the list path's size: each command's pair-terms
     # are at least n(n-1)/2 * 2
-    n = math.isqrt(_lists._MAX_TERMS) + 2
+    n = math.isqrt(cli._MAX_TERMS) + 2
     x, xp = tmp_path / "x.csv", tmp_path / "xp.csv"
     rows = [f"{i},{i % 3}" for i in range(n)] if declined == "large" else ["0,0", "1,2", "3,1"]
     x.write_text("".join(f"{row}\n" for row in rows))
     xp.write_text("".join(f"{row},1\n" for row in rows))
     c = "p3.5" if declined == "p3.5" else "p1"
-    flags = {"concord": ["--m", c, "--n", "p2"], "rob-plus": ["--c", c, "--xp", str(xp)]}
+    flags = {"concord": ["--m", c, "--n", "p2"], "corr": ["--m", c, "--n", "p2"],
+             "rob-plus": ["--c", c, "--xp", str(xp)]}
     loaded = loaded_modules(command, *flags.get(command, ["--c", c]), "--x", str(x))
     assert "numpy" in loaded
-    want = ARRAY_MODULES[command] | {"_lists"}
+    want = ARRAY_MODULES[command]
     assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
 
 

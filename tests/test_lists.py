@@ -1,15 +1,18 @@
 """The list path against the array path: ``main()`` runs small ``near``,
-``distmat``, ``rob-plus``, ``rob-minus`` and ``concord`` jobs on lists
-(``distchar._lists``), and ``run()`` on arrays; both print the same bytes,
-the same errors and the same exit status.  A job the list path does not
-cover goes to the array path, which then reports its error itself."""
+``distmat``, ``rob-plus``, ``rob-minus``, ``concord``, ``corr`` and
+``adversarial`` jobs on lists (``distchar._lists``), and ``run()`` on
+arrays; both print the same bytes, the same errors and the same exit
+status.  A job the list path does not cover goes to the array path, which
+then reports its error itself."""
 
 import contextlib
 import gc
 import io
+import json
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +26,17 @@ TIES = {
     "default": [],
     "exact": ["--rel-tol", "0", "--abs-tol", "0"],
     "relative-1": ["--rel-tol", "1"],
+    "absolute": ["--abs-tol", "0.5"],
     "positive-only": ["--positive-only"],
 }
-# each subcommand's tie settings: distmat has no tie flags, concord no --positive-only
-SETTINGS = {"distmat": ["default"], "concord": ["default", "exact", "relative-1"],
+# each subcommand's tie settings: distmat and corr have no tie flags,
+# concord and adversarial no --positive-only
+WITHOUT_POSITIVE_ONLY = [tie for tie in TIES if tie != "positive-only"]
+SETTINGS = {"distmat": ["default"], "corr": ["default"], "concord": WITHOUT_POSITIVE_ONLY,
+            "adversarial": WITHOUT_POSITIVE_ONLY,
             "near": [*TIES], "rob-plus": [*TIES], "rob-minus": [*TIES]}
+# the coefficients each subcommand's --c or --m takes on the list path
+FIRST = {command: COEFFICIENTS for command in SETTINGS} | {"adversarial": ("p1", "p2", "pinf")}
 TOKENS = {"lattice": st.integers(0, 3).map(str),
           "one-decimal": st.integers(-30, 30).map(lambda i: str(i / 10))}
 
@@ -55,7 +64,7 @@ def main(argv) -> int:
 def covered(argv) -> bool:
     """Whether the list path takes the job of ``argv``."""
     try:
-        _lists.payload(cli.build_parser().parse_args(argv), dcio._load_rows)
+        cli._list_payload(cli.build_parser().parse_args(argv), dcio._load_rows)
     except DomainError:
         return False
     return True
@@ -76,22 +85,24 @@ def write(path, rows) -> str:
 @st.composite
 def jobs(draw, command, c):
     """Rows of {0..3} or one-decimal tokens, n = 1..6, k = 1..5, drawn from a
-    pool of at most n distinct rows (so duplicates are common), a column to
-    append for rob-plus's --xp, and the flags other than the files."""
+    pool of at most n distinct rows (so duplicates, and constant distance
+    matrices, are common), a column to append for rob-plus's --xp, and the
+    flags other than the files."""
     n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     token = TOKENS[draw(st.sampled_from(sorted(TOKENS)))]
     pool = draw(st.lists(st.lists(token, min_size=k, max_size=k), min_size=1, max_size=n))
     rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     column = draw(st.lists(token, min_size=n, max_size=n))
     coefficients = ["--m", c, "--n", draw(st.sampled_from(COEFFICIENTS))] \
-        if command == "concord" else ["--c", c]
-    flags = [*coefficients, *TIES[draw(st.sampled_from(SETTINGS[command]))],
+        if command in ("concord", "corr") else ["--c", c]
+    conv = ["--conv", draw(st.sampled_from(["grid", "upper"]))] if command == "corr" else []
+    flags = [*coefficients, *conv, *TIES[draw(st.sampled_from(SETTINGS[command]))],
              "--format", draw(st.sampled_from(["text", "json"]))]
     return rows, column, flags
 
 
-@pytest.mark.parametrize("c", COEFFICIENTS)
-@pytest.mark.parametrize("command", SETTINGS)
+@pytest.mark.parametrize("command, c", [(command, c) for command in SETTINGS
+                                        for c in FIRST[command]])
 def test_list_path_prints_what_the_array_path_prints(tmp_path, command, c):
     @given(job=jobs(command, c))
     @settings(max_examples=60, deadline=None)
@@ -136,6 +147,24 @@ DECLINED = [
        "error: coefficient value overflows the float range\n") for c in COEFFICIENTS),
     (["concord", "--m", "p1", "--n", "L"], rows("0,1e200 1,-1e200 2,0"), 1,
      "error: coefficient value overflows the float range\n"),
+    (["corr", "--m", "p3.5", "--n", "p1"], EX, 0, ""),
+    (["corr", "--m", "p1", "--n", "p2", "--conv", "upper"], rows("1,2"), 1,
+     "error: upper-triangle expectation needs n >= 2\n"),
+    (["corr", "--m", "p1", "--n", "p2"], rows("0 1e200 -1e200"), 1,
+     "error: distance-matrix moments overflow; rescale the data\n"),
+    (["corr", "--m", "p1", "--n", "p2"], rows("0 1e-170 3e-170"), 1,
+     "error: distance-matrix moments underflow; rescale the data\n"),
+    (["adversarial", "--c", "p3.5"], EX, 0, ""),
+    (["adversarial", "--c", "L"], EX, 1,
+     "error: the tie-breaking augmentation is defined for p-norms only\n"),
+    (["adversarial", "--c", "p2"], rows("1,2"), 1,
+     "error: augmentation needs n > 1 so that neighbors exist\n"),
+    # ladders past the list path's size: t = 1024 at the 211th rung (16 x 2,
+    # 360 pair-terms a rung), and no t at all (20 x 1, 380 a rung)
+    (["adversarial", "--c", "p1"], [[f"{a}e12", f"{b}e12"] for a in range(4) for b in range(4)],
+     0, ""),
+    (["adversarial", "--c", "p1", "--rel-tol", "1"], [[str(i)] for i in range(20)], 1,
+     "error: no scale t found: every t tried left a tie or overflowed\n"),
 ]
 
 
@@ -156,11 +185,12 @@ def test_declined_job_ends_in_the_array_path(tmp_path, argv, x, status, err):
 def test_the_size_threshold_changes_speed_only(tmp_path, command):
     # the largest n x 2 job of the command at or below the list path's size,
     # and one row more; pair-terms are n(n-1)/2 times a command's factor
-    factor = {"near": 2, "distmat": 2, "rob-plus": 5, "rob-minus": 4, "concord": 4}[command]
-    n = max(n for n in range(2, 400) if n * (n - 1) // 2 * factor <= _lists._MAX_TERMS)
+    factor = {"near": 2, "distmat": 2, "rob-plus": 5, "rob-minus": 4, "concord": 4, "corr": 4,
+              "adversarial": 3}[command]
+    n = max(n for n in range(2, 400) if n * (n - 1) // 2 * factor <= cli._MAX_TERMS)
     for size, expected in [(n, True), (n + 1, False)]:
         x = [[str(i % 7), str(i * i % 11)] for i in range(size)]
-        flags = {"concord": ["--m", "p1", "--n", "L"],
+        flags = {"concord": ["--m", "p1", "--n", "L"], "corr": ["--m", "p1", "--n", "L"],
                  "rob-plus": ["--c", "p2", "--xp", write(tmp_path / "xp.csv",
                                                          [[*r, "1"] for r in x])]}
         argv = [command, *flags.get(command, ["--c", "p2"]), "--format", "json",
@@ -176,3 +206,51 @@ def test_each_list_spelling_parses_to_the_coefficient_its_kernel_computes(spelli
 
 def test_main_offers_the_list_path_exactly_its_subcommands():
     assert set(cli._LISTS) == set(_lists._JOBS)
+
+
+def test_cli_gates_on_exactly_the_list_spellings():
+    assert cli._LIST_SPELLINGS == set(_lists._KERNELS)
+
+
+# (rows, whether rho is defined on the grid); under upper each matrix here
+# is constant, and one row has no upper triangle
+CONSTANT = {"one row": (rows("1,2"), False), "one repeated row": (rows("1,2 1,2 1,2"), False),
+            "equidistant rows": (rows("1,0,0 0,1,0 0,0,1"), True)}
+
+
+@pytest.mark.parametrize("conv", ["grid", "upper"])
+@pytest.mark.parametrize("case", CONSTANT)
+def test_corr_of_a_constant_matrix(tmp_path, conv, case):
+    x, defined_on_grid = CONSTANT[case]
+    argv = ["corr", "--m", "p1", "--n", "L", "--conv", conv, "--format", "json",
+            "--x", write(tmp_path / "x.csv", x)]
+    out, _, status = both_entries(argv)
+    if conv == "upper" and len(x) == 1:
+        assert not covered(argv) and status == 1
+    else:
+        assert covered(argv) and status == 0
+        assert (json.loads(out)["rho"] is not None) == (defined_on_grid and conv == "grid")
+
+
+def numpy_sum_cases():
+    """(label, values): every size 0..300 and 4950, three more draws at the
+    sizes where numpy's pairwise sum changes its method, from log-uniform
+    magnitudes in 1e-150..1e150 with random signs and from cancelling
+    mixtures of huge, unit, tiny and signed-zero values."""
+    rng = np.random.default_rng(27)
+    mixture = np.array([1e150, -1e150, 1e16, -1e16, 1.0, -1.0, 1e-150, 0.0, -0.0])
+    sizes = [*range(301), 4950, *[n for n in (7, 8, 9, 127, 128, 129, 255, 256, 257)
+                                  for _ in range(3)]]
+    for i, n in enumerate(sizes):
+        spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+        yield f"spread-{n}-{i}", spread
+        yield f"mixture-{n}-{i}", rng.choice(mixture, n)
+    for n in (1, 7, 8, 129):
+        yield f"negative-zeros-{n}", np.full(n, -0.0)
+
+
+def test_list_sum_is_numpys_sum_bit_for_bit():
+    for label, values in numpy_sum_cases():
+        expected = float(np.add.reduce(values))
+        assert _lists._sum(values.tolist()).hex() == expected.hex(), label
+        assert float(values.sum()).hex() == expected.hex(), label
