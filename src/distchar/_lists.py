@@ -12,9 +12,13 @@ p keeps the array path: its powers go through numpy's ``**``, whose bits
 depend on the SIMD level numpy dispatches to.
 
 ``cli`` checks a job's coefficient spellings and size before this module
-loads.  ``payload`` covers the job or raises ``DomainError``: then the
-caller runs the array path, which computes the job or reports its error
-itself.
+loads.  The size is a cost in pair-terms, n(n-1)/2 * (k_b + c) summed over
+the job's builds b, where k_b is the build's column count and c a pair's
+overhead (the kernel call, its sort, the neighbor scan).  Above
+``cli._MAX_TERMS`` the numpy import this module spares no longer pays for
+its slower loops, and the job runs on arrays.
+``payload`` covers the job or raises ``DomainError``: then the caller runs
+the array path, which computes the job or reports its error itself.
 """
 
 import math
@@ -114,11 +118,11 @@ def _near_sets(D, tie, positive_only: bool) -> list[list[int]]:
 
 class _Job:
     """A job's flags (``args``), CSV loader and rows ``x``, its kernels (one
-    per coefficient flag, in flag order) and the pair-terms its builds may
-    hold (``max_terms``)."""
+    per coefficient flag, in flag order) and the pair-terms an adversarial
+    ladder may hold (``ladder_terms``)."""
 
-    def __init__(self, args, load, max_terms: int):
-        self.args, self.load, self.max_terms = args, load, max_terms
+    def __init__(self, args, load, ladder_terms: int):
+        self.args, self.load, self.ladder_terms = args, load, ladder_terms
         self.kernels = [_KERNELS[getattr(args, a)] for a in ("c", "m", "n") if hasattr(args, a)]
         self.tie = (getattr(args, "rel_tol", 0.0), getattr(args, "abs_tol", 0.0))
         if not all(math.isfinite(t) and t >= 0 for t in self.tie):
@@ -209,7 +213,7 @@ def _adversarial(job) -> dict:
     """``adversarial_augment``'s ladder: the scales t in its order, each rung
     appending the column t * 2^i and deciding with ``_near_sets``.  A rung
     builds n(n-1)/2 * (k+1) pair-terms, and the rungs run while their sum is
-    at most ``max_terms``: a longer ladder declines."""
+    at most ``ladder_terms``: a longer ladder declines."""
     x, (kernel,) = job.x, job.kernels
     n = len(x)
     if kernel is _squared or not 2 <= n <= 1024:
@@ -217,7 +221,7 @@ def _adversarial(job) -> dict:
     scales = [2.0**i for i in range(1025 - n)]
     if kernel is not max:
         scales = [2.0**-i for i in range(200)] + scales[1:]
-    for t in scales[:job.max_terms // (n * (n - 1) // 2 * (len(x[0]) + 1))]:
+    for t in scales[:job.ladder_terms // (n * (n - 1) // 2 * (len(x[0]) + 1))]:
         augmented = [[*row, t * 2.0**i] for i, row in enumerate(x)]
         if sum(map(len, job.sets(kernel, augmented))) == n:
             return {"t": t, "spacing": [2**i for i in range(n)],
@@ -230,7 +234,7 @@ _JOBS = {"near": _near, "distmat": _distmat, "rob-plus": _rob_plus, "rob-minus":
          "concord": _concord, "corr": _corr, "adversarial": _adversarial}
 
 
-def payload(args, load, max_terms: int):
+def payload(args, load, ladder_terms: int):
     """The payload of ``args``' job, as the array path's ``cli._COMMANDS`` row
     gives it (for ``distmat``, the rows of ``_distmat``); ``load(path)``
     gives a CSV's rows.  ``args`` holds the parsed flags, unconverted, and
@@ -238,7 +242,7 @@ def payload(args, load, max_terms: int):
 
     Raises DomainError where the list path declines: a tolerance
     ``TiePolicy`` refuses, a CSV ``load`` refuses, an adversarial ladder
-    above ``max_terms`` pair-terms, a non-finite distance, or a shape, score
-    or moment the array path refuses.
+    above ``ladder_terms`` pair-terms, a non-finite distance, or a shape,
+    score or moment the array path refuses.
     """
-    return _JOBS[args.command](_Job(args, load, max_terms))
+    return _JOBS[args.command](_Job(args, load, ladder_terms))

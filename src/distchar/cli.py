@@ -57,20 +57,57 @@ _OPTIONS = {
 }
 _ALIASES = {"--n": ("--n", "--l")}
 _TIES = ("--rel-tol", "--abs-tol")
-# The list path's size, in pair-terms: n(n-1)/2 * k summed over a job's
-# builds.  The worst case is k = 1, where the n^2 neighbor scan and output,
-# which pair-terms do not count, weigh most.  There, on a 2-vCPU VM (CPython
-# 3.11, numpy 2.4; median of 9 alternating process runs), `near --c p2` on a
-# 316 x 1 matrix (49770 pair-terms) took 121 ms on the list path and 150 ms
-# on the array path, whose numpy import alone is ~100 ms; `concord --m p1
-# --n p2` on 130 x 3 (50310) took 81 against 157 ms.
-_MAX_TERMS = 50_000
-# the subcommands main() offers to the list path first -> their builds'
-# pair-terms per pair of rows, given k; for adversarial, its first rung's
-# (``_lists`` bounds the rest of its ladder)
-_LISTS = {"near": lambda k: k, "distmat": lambda k: k, "rob-plus": lambda k: 2 * k + 1,
-          "rob-minus": lambda k: k * k, "concord": lambda k: 2 * k, "corr": lambda k: 2 * k,
-          "adversarial": lambda k: k + 1}
+# The list path's cost of a job, in pair-terms: n(n-1)/2 * (k_b + _PAIR_COST)
+# summed over its builds b, k_b the build's column count.  _PAIR_COST is a
+# pair's overhead (the kernel call, its sort, the neighbor scan) in terms.
+# A job costing more than _MAX_TERMS runs on the array path: there the list
+# path's loops take longer than the numpy import they spare.  Both numbers
+# are fitted to `near --c p2` on Gaussian n x k matrices, timed as main()
+# processes (median of 9 alternating runs per path; 2-vCPU VM, CPython
+# 3.11, numpy 2.4).  Each k's largest admitted n, and a declined n near the
+# break-even:
+#
+#      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
+#      1   316: 298 620       168 / 187         350: 366 450       226 / 205
+#      4   258: 298 377       189 / 214         300: 403 650       213 / 227
+#      8   215: 299 065       187 / 220         260: 437 710       228 / 219
+#     16   169: 298 116       184 / 224         220: 505 890       227 / 219
+#     32   127: 296 037       144 / 181         170: 531 505       176 / 172
+#    128    67: 294 063       166 / 182          95: 593 845       235 / 204
+#   2000    17: 272 680       197 / 233          20: 380 950       240 / 243
+#  20000     5: 200 050       242 / 294           7: 420 105       328 / 298
+#
+# At c = 5 the break-even cost is about 330 000 at k = 1, about 480 000 at
+# k = 16 .. 128, and about 350 000 again from k = 2000, where a pair's sort
+# costs more per term; the bound sits under all of them.  The benchmark's
+# 120 x 12 lattice near, distmat, corr, concord and rob-plus jobs (cost
+# 121 380 .. 249 900; 114-160 against 203-227 ms) and 40 x 16 rob-minus
+# (265 980; 125-149 against 175-208 ms) are admitted; its 120 x 12
+# rob-minus (1 492 260; 450 against 235 ms) and 300 x 16 jobs (near:
+# 941 850; 324 against 208 ms) are not.  At k = 1 the bound admits what a
+# flat cap of 50 000 pair-terms admitted (rob-minus, which needs k > 1,
+# aside), and at every k at least that.
+_PAIR_COST = 5
+_MAX_TERMS = 300_000
+
+
+def _build(k: int) -> int:
+    """One build's cost per pair of rows at k columns."""
+    return k + _PAIR_COST
+
+
+# the subcommands main() offers to the list path first -> a job's cost per
+# pair of rows, given k.  adversarial's is its first rung's, charged as k + 1
+# one-column builds; ``_lists`` charges the rest of its ladder the same way,
+# running rungs while their pair-terms sum to at most _LADDER_TERMS (50 000),
+# so that a ladder it gives up on, which the array path then repeats, wastes
+# no more than that.
+_LISTS = {"near": _build, "distmat": _build,
+          "rob-plus": lambda k: _build(k) + _build(k + 1),
+          "rob-minus": lambda k: _build(k) + k * _build(k - 1),
+          "concord": lambda k: 2 * _build(k), "corr": lambda k: 2 * _build(k),
+          "adversarial": lambda k: (k + 1) * _build(1)}
+_LADDER_TERMS = _MAX_TERMS // _build(1)
 # the coefficient spellings the list path takes (the keys of _lists._KERNELS)
 _LIST_SPELLINGS = {"p1", "p2", "pinf", "L"}
 
@@ -283,7 +320,8 @@ def _list_payload(args, load):
     """The list path's payload of ``args``' job (``_lists.payload``);
     ``load(path)`` gives a CSV's rows.  Raises DomainError where the list
     path declines.  A coefficient spelling outside ``_LIST_SPELLINGS`` and a
-    job above ``_MAX_TERMS`` pair-terms decline before ``_lists`` loads."""
+    job whose cost (``_LISTS``) is above ``_MAX_TERMS`` decline before
+    ``_lists`` loads."""
     spellings = [getattr(args, a) for a in ("c", "m", "n") if hasattr(args, a)]
     if not _LIST_SPELLINGS.issuperset(spellings):
         raise DomainError("the list path covers p1, p2, pinf and L")
@@ -292,7 +330,7 @@ def _list_payload(args, load):
         raise DomainError("job above the list path's size")
     from . import _lists
 
-    return _lists.payload(args, load, _MAX_TERMS)
+    return _lists.payload(args, load, _LADDER_TERMS)
 
 
 def _lists_first(args) -> int:

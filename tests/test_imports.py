@@ -14,8 +14,8 @@ interpreter, so ``sys.modules`` starts clean.
 """
 
 import importlib
+import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -122,9 +122,10 @@ ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus
 @pytest.mark.parametrize("declined", ["large", "p3.5"])
 @pytest.mark.parametrize("command", ARRAY_MODULES)
 def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
-    # n x 2 with n(n-1) above the list path's size: each command's pair-terms
-    # are at least n(n-1)/2 * 2
-    n = math.isqrt(cli._MAX_TERMS) + 2
+    # the fewest rows n of an n x 2 job above the list path's bound: its
+    # n(n-1)/2 pairs at the command's cost per pair
+    n = next(n for n in itertools.count(2)
+             if n * (n - 1) // 2 * cli._LISTS[command](2) > cli._MAX_TERMS)
     x, xp = tmp_path / "x.csv", tmp_path / "xp.csv"
     rows = [f"{i},{i % 3}" for i in range(n)] if declined == "large" else ["0,0", "1,2", "3,1"]
     x.write_text("".join(f"{row}\n" for row in rows))

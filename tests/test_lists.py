@@ -181,22 +181,70 @@ def test_declined_job_ends_in_the_array_path(tmp_path, argv, x, status, err):
     array_path.assert_called_once()
 
 
+def largest_covered(command, k) -> int:
+    """The most rows an n x k job of ``command`` may have within the list
+    path's bound: n(n-1)/2 pairs at the command's cost per pair."""
+    cost = cli._LISTS[command](k)
+    return max(n for n in range(2, 1000) if n * (n - 1) // 2 * cost <= cli._MAX_TERMS)
+
+
 @pytest.mark.parametrize("command", SETTINGS)
 def test_the_size_threshold_changes_speed_only(tmp_path, command):
-    # the largest n x 2 job of the command at or below the list path's size,
-    # and one row more; pair-terms are n(n-1)/2 times a command's factor
-    factor = {"near": 2, "distmat": 2, "rob-plus": 5, "rob-minus": 4, "concord": 4, "corr": 4,
-              "adversarial": 3}[command]
-    n = max(n for n in range(2, 400) if n * (n - 1) // 2 * factor <= cli._MAX_TERMS)
-    for size, expected in [(n, True), (n + 1, False)]:
-        x = [[str(i % 7), str(i * i % 11)] for i in range(size)]
-        flags = {"concord": ["--m", "p1", "--n", "L"], "corr": ["--m", "p1", "--n", "L"],
-                 "rob-plus": ["--c", "p2", "--xp", write(tmp_path / "xp.csv",
-                                                         [[*r, "1"] for r in x])]}
-        argv = [command, *flags.get(command, ["--c", "p2"]), "--format", "json",
-                "--x", write(tmp_path / "x.csv", x)]
-        assert covered(argv) is expected
-        assert both_entries(argv)[1:] == ("", 0)
+    # at k = 1, 2, 12 and 500 columns, the largest n x k job of the command
+    # within the list path's bound, and one row more (rob-minus needs k > 1)
+    for k in (2, 12, 500) if command == "rob-minus" else (1, 2, 12, 500):
+        n = largest_covered(command, k)
+        for size, expected in [(n, True), (n + 1, False)]:
+            x = [[str((i * (j + 1) + i * i) % 7) for j in range(k)] for i in range(size)]
+            flags = {"concord": ["--m", "p1", "--n", "L"], "corr": ["--m", "p1", "--n", "L"],
+                     "rob-plus": ["--c", "p2", "--xp", write(tmp_path / "xp.csv",
+                                                             [[*r, "1"] for r in x])]}
+            argv = [command, *flags.get(command, ["--c", "p2"]), "--format", "json",
+                    "--x", write(tmp_path / "x.csv", x)]
+            assert covered(argv) is expected, (k, size)
+            assert both_entries(argv)[1:] == ("", 0)
+
+
+def test_a_declined_ladder_is_no_longer_than_under_the_flat_cap(tmp_path):
+    # the 16 x 2 ladder of DECLINED (t = 1024 at its 211th rung): a rung holds
+    # 120 * 3 = 360 pair-terms, and the list path gives up after the 138
+    # rungs that 50 000 pair-terms hold, as under a flat 50 000 pair-term cap
+    x = [[f"{a}e12", f"{b}e12"] for a in range(4) for b in range(4)]
+    argv = ["adversarial", "--c", "p1", "--x", write(tmp_path / "x.csv", x)]
+    with mock.patch.object(_lists, "_near_sets", wraps=_lists._near_sets) as near_sets:
+        assert not covered(argv)
+    assert near_sets.call_count == 50_000 // 360 == 138
+
+
+def scale_inputs(tmp_path) -> dict[str, tuple[str, str]]:
+    """A seeded 120 x 12 {0..3} lattice (heavy ties) and a 40 x 16 Gaussian,
+    each with a one-column extension: name -> (x path, xp path)."""
+    rng = np.random.default_rng(28)
+    lattice = rng.integers(0, 4, (120, 13)).astype(str).tolist()
+    gauss = [[repr(v) for v in row] for row in rng.standard_normal((40, 17)).tolist()]
+    return {name: (write(tmp_path / f"{name}.csv", [row[:-1] for row in rows]),
+                   write(tmp_path / f"{name}_ext.csv", rows))
+            for name, rows in (("lattice", lattice), ("gauss", gauss))}
+
+
+# the list-path subcommands the bound admits on each matrix of scale_inputs:
+# the lattice's rob-minus and adversarial jobs stay on numpy
+ADMITTED = {"lattice": ("near", "distmat", "rob-plus", "concord", "corr"), "gauss": (*SETTINGS,)}
+
+
+@pytest.mark.parametrize("matrix, command, c", [
+    (matrix, command, c) for matrix, commands in ADMITTED.items()
+    for command in commands for c in FIRST[command]])
+def test_list_path_at_the_admitted_scale_prints_what_the_array_path_prints(
+        tmp_path, matrix, command, c):
+    x, xp = scale_inputs(tmp_path)[matrix]
+    other = COEFFICIENTS[(COEFFICIENTS.index(c) + 1) % len(COEFFICIENTS)]
+    flags = {"concord": ["--m", c, "--n", other],
+             "corr": ["--m", c, "--n", other, "--conv", "grid" if matrix == "lattice" else "upper"],
+             "rob-plus": ["--c", c, "--xp", xp]}
+    argv = [command, *flags.get(command, ["--c", c]), "--format", "json", "--x", x]
+    assert covered(argv)
+    assert both_entries(argv)[1:] == ("", 0)
 
 
 @pytest.mark.parametrize("spelling", sorted(_lists._KERNELS))
