@@ -11,10 +11,20 @@ float64 vector, which ``matrix_correlation`` takes of every moment.  General
 p keeps the array path: its powers go through numpy's ``**``, whose bits
 depend on the SIMD level numpy dispatches to.
 
+``rob-minus`` and ``rob-plus`` derive a matrix one column away from X's by
+an O(n^2) update (``_without``, ``_with``) where ``errors.exact_updates``
+holds: always under pinf, whose values are terms selected exactly, and under
+p1 and L on integer-valued data whose column spans (L: their squares) sum to
+at most 2^53, where every term and partial sum is an exact integer, so that
+adding or subtracting a column's terms gives the rebuild's bits.  p2, and
+p1 and L on other data, rebuild each matrix.
+
 ``cli`` checks a job's coefficient spellings and size before this module
 loads.  The size is a cost in pair-terms, n(n-1)/2 * (k_b + c) summed over
 the job's builds b, where k_b is the build's column count and c a pair's
-overhead (the kernel call, its sort, the neighbor scan).  Above
+overhead (the kernel call, its sort, the neighbor scan); rob-minus's k
+leave-one-out matrices, where they are updates, cost a column's update each
+instead (``cli._UPDATE_COST``).  Above
 ``cli._MAX_TERMS`` the numpy import this module spares no longer pays for
 its slower loops, and the job runs on arrays.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
@@ -26,7 +36,7 @@ import operator
 import sys
 from functools import reduce
 
-from .errors import DomainError
+from .errors import DomainError, exact_updates
 
 
 def _p1(terms: list[float]) -> float:
@@ -102,18 +112,66 @@ def _near_sets(D, tie, positive_only: bool) -> list[list[int]]:
     """Each row's nearest neighbors (0-based, ascending): the candidates j != i
     (with D[i][j] > 0 under ``positive_only``) with D[i][j] <= bound, where
     m is the row's least candidate, slack = max(abs_tol, rel_tol * m) and
-    bound is m when slack is 0, else m + slack."""
+    bound is m when slack is 0, else m + slack.  As distances are
+    nonnegative, the positive candidates are the nonzero entries, and the
+    zero diagonal is at most every bound."""
     rel, absolute = tie
     sets = []
     for i, row in enumerate(D):
-        candidates = [j for j, d in enumerate(row) if j != i and (d > 0 or not positive_only)]
-        if candidates:
-            m = min(row[j] for j in candidates)
-            slack = max(absolute, rel * m)
-            bound = m if slack == 0 else m + slack
-            candidates = [j for j in candidates if row[j] <= bound]
-        sets.append(candidates)
+        m = min(filter(None, row) if positive_only else row[:i] + row[i + 1:], default=None)
+        if m is None:  # n = 1, or no positive candidate
+            sets.append([])
+            continue
+        slack = max(absolute, rel * m)
+        bound = m if slack == 0 else m + slack
+        if positive_only:
+            sets.append([j for j, d in enumerate(row) if 0 < d <= bound])
+        else:
+            near = [j for j, d in enumerate(row) if d <= bound]
+            near.remove(i)
+            sets.append(near)
     return sets
+
+
+def _top_two(x: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """pinf's distance matrix of the rows ``x`` (k >= 2) and the matrix of
+    each pair's second largest term, in one pass over the pairs."""
+    n = len(x)
+    D, S = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
+    for i, a in enumerate(x):
+        for j in range(i + 1, n):
+            *_, s, d = sorted([abs(u - v) for u, v in zip(a, x[j])])
+            if not math.isfinite(d):
+                raise DomainError("coefficient value overflows the float range")
+            D[i][j] = D[j][i] = d
+            S[i][j] = S[j][i] = s
+    return D, S
+
+
+def _without(kernel, D, S, column) -> list[list[float]]:
+    """The distance matrix of the rows of ``D`` without ``column``: its terms
+    subtracted under p1 and L; under pinf (``max``), a pair's second largest
+    term (``S``) where the column's term is its largest, which then is the
+    column's unless that largest is repeated, and ``S`` holds it too."""
+    if kernel is max:
+        return [[s if abs(a - b) == d else d for d, s, b in zip(row, second, column)]
+                for row, second, a in zip(D, S, column)]
+    if kernel is _p1:
+        return [[d - abs(a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
+    return [[d - (a - b) * (a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
+
+
+def _with(kernel, D, column) -> list[list[float]]:
+    """The distance matrix of the rows of ``D`` with ``column`` appended: its
+    terms added under p1 and L, taken as a maximum under pinf."""
+    if kernel is max:
+        D = [[max(d, abs(a - b)) for d, b in zip(row, column)] for row, a in zip(D, column)]
+        if any(math.inf in row for row in D):
+            raise DomainError("coefficient value overflows the float range")
+        return D
+    if kernel is _p1:
+        return [[d + abs(a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
+    return [[d + (a - b) * (a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
 
 
 class _Job:
@@ -130,8 +188,10 @@ class _Job:
         self.x = load(args.x)
 
     def sets(self, kernel, rows: list[list[float]]) -> list[list[int]]:
-        return _near_sets(_distances(kernel, rows), self.tie,
-                          getattr(self.args, "positive_only", False))
+        return self.near(_distances(kernel, rows))
+
+    def near(self, D) -> list[list[int]]:
+        return _near_sets(D, self.tie, getattr(self.args, "positive_only", False))
 
 
 def _score(num: int, den: int) -> dict:
@@ -149,13 +209,18 @@ def _distmat(job) -> list[list[float]]:
 
 
 def _rob_plus(job) -> dict:
-    x, xp = job.x, job.load(job.args.xp)
+    """X's matrix, extended by the new column's update where ``exact_updates``
+    holds for the extension, else rebuilt from it."""
+    x, xp, (kernel,) = job.x, job.load(job.args.xp), job.kernels
     k = len(x[0])
     if len(x) < 2 or len(xp) != len(x) or len(xp[0]) != k + 1:
         raise DomainError("not a one-column extension of at least two rows")
     if any(row[:k] != base for row, base in zip(xp, x)):
         raise DomainError("extension disagrees with x")
-    base, aug = job.sets(*job.kernels, x), job.sets(*job.kernels, xp)
+    D = _distances(kernel, x)
+    base = job.near(D)
+    aug = job.near(_with(kernel, D, [row[k] for row in xp])
+                   if exact_updates(job.args.c, zip(*xp)) else _distances(kernel, xp))
     den = sum(map(len, base))
     if den == 0:
         raise DomainError("score denominator must be positive")
@@ -163,13 +228,20 @@ def _rob_plus(job) -> dict:
 
 
 def _rob_minus(job) -> dict:
+    """X's matrix, then each leave-one-out matrix by one column's update
+    (``_without``) where ``exact_updates`` holds, else rebuilt."""
     x, (kernel,) = job.x, job.kernels
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
-    base = job.sets(kernel, x)
-    changed = sum(s != b for j in range(k)
-                  for s, b in zip(job.sets(kernel, [row[:j] + row[j + 1:] for row in x]), base))
+    if exact_updates(job.args.c, zip(*x)):
+        D, S = _top_two(x) if kernel is max else (_distances(kernel, x), None)
+        matrices = (_without(kernel, D, S, column) for column in zip(*x))
+    else:
+        D = _distances(kernel, x)
+        matrices = (_distances(kernel, [row[:j] + row[j + 1:] for row in x]) for j in range(k))
+    base = job.near(D)
+    changed = sum(s != b for M in matrices for s, b in zip(job.near(M), base))
     return _score(n * k - changed, n * k)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 import distchar as dc
 
 from . import io as dcio
-from .errors import DomainError
+from .errors import DomainError, exact_updates
 
 __all__ = ["main", "run"]
 
@@ -82,12 +82,34 @@ _TIES = ("--rel-tol", "--abs-tol")
 # costs more per term; the bound sits under all of them.  The benchmark's
 # 120 x 12 lattice near, distmat, corr, concord and rob-plus jobs (cost
 # 121 380 .. 249 900; 114-160 against 203-227 ms) and 40 x 16 rob-minus
-# (265 980; 125-149 against 175-208 ms) are admitted; its 120 x 12
-# rob-minus (1 492 260; 450 against 235 ms) and 300 x 16 jobs (near:
-# 941 850; 324 against 208 ms) are not.  At k = 1 the bound admits what a
+# (265 980; 125-149 against 175-208 ms) are admitted; its 300 x 16 jobs
+# (near: 941 850; 324 against 208 ms) are not, nor was its 120 x 12
+# rob-minus when every job rebuilt (1 492 260; 450 against 235 ms, see
+# _UPDATE_COST below).  At k = 1 the bound admits what a
 # flat cap of 50 000 pair-terms admitted (rob-minus, which needs k > 1,
 # aside), and at every k at least that.
+#
+# _UPDATE_COST is one column's update of an n x n matrix and its neighbor
+# scan, per pair, in terms: rob-minus under ``exact_updates`` costs
+# n(n-1)/2 * (k + 5 + 2k).  It is fitted the same way, to `rob-minus --c p1`
+# on {0..3} lattices against the array path, which updates too:
+#
+#      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
+#      2   234: 299 871       141 / 190         300: 493 350       124 / 126
+#      4   188: 298 826       103 / 150         240: 487 560       138 / 150
+#     12   121: 297 660       120 / 158         180: 660 510       196 / 194
+#     32    77: 295 526       129 / 186         100: 499 950       163 / 173
+#    128    39: 288 249       134 / 168          50: 476 525       144 / 161
+#   2000    10: 270 225       170 / 223          13: 468 390       223 / 230
+#  20000     3: 180 015       418 / 827           5: 600 050       490 / 666
+#
+# Each declined row, at 468 000 to 660 000, is at or below the break-even;
+# the bound sits under all of them.  The benchmark's 120 x 12 lattice rob-minus (292 740) is
+# admitted under p1 (list / array 120 / 158 ms at 121 rows), pinf (151 /
+# 197) and L (144 / 195), and so is CI's 8 x 2000 lattice (168 140; 174 /
+# 238); under p2, which rebuilds (1 492 260), it is not.
 _PAIR_COST = 5
+_UPDATE_COST = 2
 _MAX_TERMS = 300_000
 
 
@@ -96,15 +118,22 @@ def _build(k: int) -> int:
     return k + _PAIR_COST
 
 
+def _rebuilds(k: int) -> int:
+    """rob-minus's cost per pair of rows where ``exact_updates`` fails: one
+    build of k columns and k of k - 1."""
+    return _build(k) + k * _build(k - 1)
+
+
 # the subcommands main() offers to the list path first -> a job's cost per
-# pair of rows, given k.  adversarial's is its first rung's, charged as k + 1
-# one-column builds; ``_lists`` charges the rest of its ladder the same way,
-# running rungs while their pair-terms sum to at most _LADDER_TERMS (50 000),
-# so that a ladder it gives up on, which the array path then repeats, wastes
-# no more than that.
+# pair of rows, given k.  rob-minus's is one build and k one-column updates
+# at _UPDATE_COST each, where ``exact_updates`` holds, else ``_rebuilds``.
+# adversarial's is its first rung's, charged as k + 1 one-column builds;
+# ``_lists`` charges the rest of its ladder the same way, running rungs while
+# their pair-terms sum to at most _LADDER_TERMS (50 000), so that a ladder it
+# gives up on, which the array path then repeats, wastes no more than that.
 _LISTS = {"near": _build, "distmat": _build,
           "rob-plus": lambda k: _build(k) + _build(k + 1),
-          "rob-minus": lambda k: _build(k) + k * _build(k - 1),
+          "rob-minus": lambda k: _build(k) + k * _UPDATE_COST,
           "concord": lambda k: 2 * _build(k), "corr": lambda k: 2 * _build(k),
           "adversarial": lambda k: (k + 1) * _build(1)}
 _LADDER_TERMS = _MAX_TERMS // _build(1)
@@ -326,7 +355,11 @@ def _list_payload(args, load):
     if not _LIST_SPELLINGS.issuperset(spellings):
         raise DomainError("the list path covers p1, p2, pinf and L")
     x = load(args.x)
-    if len(x) * (len(x) - 1) // 2 * _LISTS[args.command](len(x[0])) > _MAX_TERMS:
+    k = len(x[0])
+    cost = _LISTS[args.command](k)
+    if args.command == "rob-minus" and not exact_updates(args.c, zip(*x)):
+        cost = _rebuilds(k)
+    if len(x) * (len(x) - 1) // 2 * cost > _MAX_TERMS:
         raise DomainError("job above the list path's size")
     from . import _lists
 

@@ -1,4 +1,5 @@
-"""The exception type and the integer-argument check shared across the package."""
+"""The exception type and the integer checks shared across the package: of
+integer arguments, and of integer-valued data whose sums are exact."""
 
 import numbers
 
@@ -21,3 +22,33 @@ def require_integers(**named) -> None:
     for name, value in named.items():
         if not isinstance(value, numbers.Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def exact_updates(name: str, columns) -> bool:
+    """Whether one-column updates of a distance matrix under the coefficient
+    named ``name`` (``coefficient_name``'s spelling) are bitwise the rebuild,
+    for the data matrix whose float ``columns`` are given.
+
+    An update derives a matrix with one column fewer or more from the
+    matrix at hand: removing or adding column j's terms, |x_ij - x_lj| under
+    p1 and (x_ij - x_lj)^2 under L, or under pinf taking a pair's second
+    largest term or a maximum.  pinf always qualifies: its values are terms,
+    selected exactly.  p1 and L qualify when every entry is integer-valued
+    and the column spans, span_j = max - min of column j, satisfy
+    sum(span_j) <= 2^53 under p1 or sum(span_j^2) <= 2^53 under L.  Then
+    each term and each partial sum of a pair's terms, in any order, is an
+    integer of at most 2^53, which is a float: every difference, product,
+    sum and update is exact, as is the rebuild's sorted sum.  Other
+    coefficients never qualify.
+    """
+    if name == "pinf":
+        return True
+    if name not in ("p1", "L"):
+        return False
+    total = 0
+    for column in columns:
+        if not all(map(float.is_integer, column)):
+            return False
+        span = int(max(column)) - int(min(column))  # exact: no float rounding
+        total += span if name == "p1" else span * span
+    return total <= 2**53

@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient, PNorm, as_floats
+from .coefficients import Coefficient, PNorm, SquaredEuclidean, as_floats, coefficient_name
 from .distance import as_data_matrix, build, build_many
-from .errors import DomainError, require_integers
+from .errors import DomainError, exact_updates, require_integers
 from .neighbors import TiePolicy, near_mask
 
 __all__ = list(_EXPORTS["robustness"])
@@ -99,8 +99,13 @@ def rob_minus(
     """Leave-one-column-out robustness 1 - (sum of change counts)/(n*k).
 
     For each column j, count the rows whose nearest-neighbor set changes when
-    column j is removed.  Requires n > 1 and k > 1.  X is built once; the k
-    leave-one-out matrices go through ``build_many`` in bounded stacks.
+    column j is removed.  Requires n > 1 and k > 1.  X is built once.  On
+    float input for which ``exact_updates`` holds (pinf always; p1 and L on
+    integer-valued data whose column spans, or their squares, sum to at most
+    2^53), each leave-one-out matrix is derived from X's by one O(n^2)
+    update (``_without_each_column``), every value an exact integer or a
+    selected term and so bitwise the rebuild.  Otherwise the k leave-one-out
+    matrices go through ``build_many`` in bounded stacks.
     """
     X = as_data_matrix(x)
     n, k = X.shape
@@ -108,10 +113,46 @@ def rob_minus(
         raise DomainError("robustness needs n > 1 so that neighbors exist")
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
-    base = near_mask(build(coefficient, X), tie, positive_only)
-    changed = sum(int((near_mask(D, tie, positive_only) != base).any(axis=2).sum())
-                  for D in build_many(coefficient, (np.delete(X, j, axis=1) for j in range(k))))
+    updates = X.dtype != object and exact_updates(coefficient_name(coefficient), X.T.tolist())
+    D = build(coefficient, X)
+    base = near_mask(D, tie, positive_only)
+    if updates:
+        matrices = _without_each_column(coefficient, X, D)
+    else:
+        matrices = build_many(coefficient, (np.delete(X, j, axis=1) for j in range(k)))
+    changed = sum(int((near_mask(M, tie, positive_only) != base).any(axis=-1).sum())
+                  for M in matrices)
     return RationalScore(n * k - changed, n * k)
+
+
+def _without_each_column(coefficient: Coefficient, X: np.ndarray, D: np.ndarray):
+    """The distance matrices of the float matrix X without column j, for each
+    j in turn, from X's matrix D: D minus column j's terms (|x_ij - x_lj|, or
+    its square under L), or under pinf each pair's second largest term where
+    column j's term is the pair's largest, else D.  One n x n buffer is
+    reused: each matrix is valid until the next is taken."""
+    n = len(X)
+    terms, out = np.empty((n, n)), np.empty((n, n))
+    squared = isinstance(coefficient, SquaredEuclidean)
+
+    def terms_of(column):
+        np.subtract(column[:, None], column[None, :], out=terms)
+        return np.multiply(terms, terms, out=terms) if squared else np.abs(terms, out=terms)
+
+    pinf = not squared and math.isinf(coefficient.p)
+    if pinf:
+        first, second = np.zeros((n, n)), np.zeros((n, n))
+        for column in X.T:  # each pair's two largest terms so far
+            t = terms_of(column)
+            np.maximum(second, np.minimum(first, t, out=out), out=second)
+            np.maximum(first, t, out=first)
+    for column in X.T:
+        if pinf:
+            np.copyto(out, D)
+            np.copyto(out, second, where=terms_of(column) == D)
+        else:
+            np.subtract(D, terms_of(column), out=out)
+        yield out
 
 
 def spacing_values(n: int) -> np.ndarray:

@@ -181,28 +181,33 @@ def test_declined_job_ends_in_the_array_path(tmp_path, argv, x, status, err):
     array_path.assert_called_once()
 
 
-def largest_covered(command, k) -> int:
-    """The most rows an n x k job of ``command`` may have within the list
-    path's bound: n(n-1)/2 pairs at the command's cost per pair."""
-    cost = cli._LISTS[command](k)
+def largest_covered(cost: int) -> int:
+    """The most rows an n x k job may have within the list path's bound:
+    n(n-1)/2 pairs at ``cost``, its command's cost per pair at k columns."""
     return max(n for n in range(2, 1000) if n * (n - 1) // 2 * cost <= cli._MAX_TERMS)
 
 
 @pytest.mark.parametrize("command", SETTINGS)
 def test_the_size_threshold_changes_speed_only(tmp_path, command):
     # at k = 1, 2, 12 and 500 columns, the largest n x k job of the command
-    # within the list path's bound, and one row more (rob-minus needs k > 1)
-    for k in (2, 12, 500) if command == "rob-minus" else (1, 2, 12, 500):
-        n = largest_covered(command, k)
-        for size, expected in [(n, True), (n + 1, False)]:
-            x = [[str((i * (j + 1) + i * i) % 7) for j in range(k)] for i in range(size)]
-            flags = {"concord": ["--m", "p1", "--n", "L"], "corr": ["--m", "p1", "--n", "L"],
-                     "rob-plus": ["--c", "p2", "--xp", write(tmp_path / "xp.csv",
-                                                             [[*r, "1"] for r in x])]}
-            argv = [command, *flags.get(command, ["--c", "p2"]), "--format", "json",
-                    "--x", write(tmp_path / "x.csv", x)]
-            assert covered(argv) is expected, (k, size)
-            assert both_entries(argv)[1:] == ("", 0)
+    # within the list path's bound, and one row more (rob-minus needs k > 1;
+    # on these integer rows it is charged one-column updates under p1 and
+    # k rebuilds under p2)
+    costs = {"p2": cli._LISTS[command]}
+    if command == "rob-minus":
+        costs = {"p1": cli._LISTS[command], "p2": cli._rebuilds}
+    for c, cost in costs.items():
+        for k in (2, 12, 500) if command == "rob-minus" else (1, 2, 12, 500):
+            n = largest_covered(cost(k))
+            for size, expected in [(n, True), (n + 1, False)]:
+                x = [[str((i * (j + 1) + i * i) % 7) for j in range(k)] for i in range(size)]
+                flags = {"concord": ["--m", "p1", "--n", "L"], "corr": ["--m", "p1", "--n", "L"],
+                         "rob-plus": ["--c", c, "--xp", write(tmp_path / "xp.csv",
+                                                              [[*r, "1"] for r in x])]}
+                argv = [command, *flags.get(command, ["--c", c]), "--format", "json",
+                        "--x", write(tmp_path / "x.csv", x)]
+                assert covered(argv) is expected, (c, k, size)
+                assert both_entries(argv)[1:] == ("", 0)
 
 
 def test_a_declined_ladder_is_no_longer_than_under_the_flat_cap(tmp_path):
@@ -227,14 +232,18 @@ def scale_inputs(tmp_path) -> dict[str, tuple[str, str]]:
             for name, rows in (("lattice", lattice), ("gauss", gauss))}
 
 
-# the list-path subcommands the bound admits on each matrix of scale_inputs:
-# the lattice's rob-minus and adversarial jobs stay on numpy
-ADMITTED = {"lattice": ("near", "distmat", "rob-plus", "concord", "corr"), "gauss": (*SETTINGS,)}
+# the list-path subcommands the bound admits on each matrix of scale_inputs,
+# each with the coefficients it admits: on the lattice, rob-minus's one-column
+# updates (p1, pinf, L) but not its p2 rebuilds, and no adversarial job
+ADMITTED = {"lattice": {command: FIRST[command]
+                        for command in ("near", "distmat", "rob-plus", "concord", "corr")}
+            | {"rob-minus": ("p1", "pinf", "L")},
+            "gauss": FIRST}
 
 
 @pytest.mark.parametrize("matrix, command, c", [
     (matrix, command, c) for matrix, commands in ADMITTED.items()
-    for command in commands for c in FIRST[command]])
+    for command, coefficients in commands.items() for c in coefficients])
 def test_list_path_at_the_admitted_scale_prints_what_the_array_path_prints(
         tmp_path, matrix, command, c):
     x, xp = scale_inputs(tmp_path)[matrix]
@@ -244,6 +253,14 @@ def test_list_path_at_the_admitted_scale_prints_what_the_array_path_prints(
              "rob-plus": ["--c", c, "--xp", xp]}
     argv = [command, *flags.get(command, ["--c", c]), "--format", "json", "--x", x]
     assert covered(argv)
+    assert both_entries(argv)[1:] == ("", 0)
+
+
+def test_list_path_declines_the_lattice_rob_minus_under_p2(tmp_path):
+    # p2 has no exact one-column update: k rebuilds, above the bound
+    x, _ = scale_inputs(tmp_path)["lattice"]
+    argv = ["rob-minus", "--c", "p2", "--format", "json", "--x", x]
+    assert not covered(argv)
     assert both_entries(argv)[1:] == ("", 0)
 
 

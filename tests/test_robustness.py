@@ -1,6 +1,8 @@
+import argparse
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,16 +15,20 @@ from distchar import (
     RationalScore,
     SquaredEuclidean,
     TiePolicy,
+    _lists,
     adversarial_augment,
     as_data_matrix,
     augment_constant_columns,
     build,
+    coefficient_name,
     distance,
     nearest_sets,
     rob_minus,
     rob_plus,
+    robustness,
     spacing_values,
 )
+from distchar.errors import exact_updates
 from distchar.neighbors import EXACT_TIES, near_mask
 
 P1, P2, PINF = PNorm(1), PNorm(2), PNorm(math.inf)
@@ -220,6 +226,130 @@ class TestRobMinusInStacks:
             patch.setattr(distance, "_STACK_ENTRIES", per_stack * n * max(n, k - 1))
             got = outcome(rob_minus, c, x, *rule)
         assert got == outcome(reference_rob_minus, c, x, *rule)
+
+
+def list_outcome(c, x, tie, positive_only, x_aug=None):
+    """(numerator, denominator) of the list path's rob-minus of ``x``, or its
+    rob-plus against ``x_aug``, under ``c`` (a list-path spelling), or
+    "error" where it raises DomainError."""
+    rows = {"x": x.tolist(), "xp": None if x_aug is None else x_aug.tolist()}
+    args = argparse.Namespace(command="rob-minus" if x_aug is None else "rob-plus",
+                              c=coefficient_name(c), x="x", xp="xp", positive_only=positive_only,
+                              rel_tol=tie.relative_tolerance, abs_tol=tie.absolute_tolerance)
+    try:
+        result = _lists.payload(args, rows.get, 0)
+    except DomainError:
+        return "error"
+    return result["num"], result["den"]
+
+
+def column_with_span(draw, n, span):
+    """n integer-valued floats whose max - min is ``span`` <= 2^53: a low
+    end, the high end, then entries between them, all exact floats."""
+    low = draw(st.integers(-3, 0))
+    inner = draw(st.lists(st.integers(0, 3), min_size=n - 2, max_size=n - 2))
+    return [float(low), float(low + span), *(float(low + min(span, t)) for t in inner)]
+
+
+@st.composite
+def update_cases(draw):
+    """(kind, coefficient, x, x with one more column): an integer-valued
+    float matrix, n <= 7 and k <= 6, of one of these kinds, the appended
+    column of its kind (for the span kinds, a column of ones):
+
+    * ``lattice``: entries in -3..3, with -0.0 for some zeros;
+    * ``repeated-max``: entries 0 or 2, so that most pairs' largest term
+      under pinf is repeated;
+    * ``span-2^53`` and ``span-2^53+2``: column spans (under L, squared)
+      summing to 2^53 or 2^53 + 2, with the drawn coefficient p1 or L;
+    * ``1e300``: a lattice with some columns of +-1e300 multiples, constant
+      (span 0) or not.
+    """
+    kind = draw(st.sampled_from(["lattice", "repeated-max", "span-2^53", "span-2^53+2",
+                                 "1e300"]))
+    n, k = draw(st.integers(2, 7)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    c = draw(st.sampled_from([P1, PINF, SquaredEuclidean()]))
+    if kind.startswith("span"):
+        c = draw(st.sampled_from([P1, SquaredEuclidean()]))
+        total = 2**53 + (2 if kind.endswith("+2") else 0)
+        if c == P1:  # k spans: k - 1 small ones, then the rest
+            small = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))[1:]
+            spans = [*small, total - sum(small)]
+        else:  # 2^53 = 2 * (2^26)^2, and 2^53 + 2 adds two spans of 1
+            spans = [2**26, 2**26, *([1, 1] if kind.endswith("+2") else [])]
+        x = np.array([column_with_span(draw, n, s) for s in spans]).T
+        x = x[:, rng.permutation(len(spans))]
+        return kind, c, x, np.hstack([x, np.ones((n, 1))])
+
+    levels = [0, 2] if kind == "repeated-max" else [-3, -2, -1, 0, 1, 2, 3]
+    x = rng.choice(np.array(levels, dtype=float), (n, k + 1))
+    if kind == "lattice":
+        x[(x == 0) & (rng.random((n, k + 1)) < 0.5)] = -0.0
+    elif kind == "1e300":
+        for j in range(k + 1):
+            if rng.random() < 0.5:  # constant, or +-1e300 multiples
+                x[:, j] = 1e300 if rng.random() < 0.5 else x[:, j] * 1e300
+    return kind, c, x[:, :-1], x
+
+
+TIE_RULES = [(TiePolicy(), False), (EXACT_TIES, False),
+             (TiePolicy(relative_tolerance=1.0), False), (TiePolicy(), True)]
+
+
+class TestRobMinusByUpdates:
+    """One-column updates where ``exact_updates`` holds, on the array path
+    (``rob_minus``) and on the list path (``_lists``), against one build per
+    leave-one-out matrix."""
+
+    @given(case=update_cases(), rule=st.sampled_from(TIE_RULES))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_one_build_per_column(self, case, rule):
+        kind, c, x, x_aug = case
+        expected = outcome(reference_rob_minus, c, x, *rule)
+        assert outcome(rob_minus, c, x, *rule) == expected
+        assert list_outcome(c, x, *rule) == (expected if isinstance(expected, tuple)
+                                             else "error")
+        if kind.startswith("span"):  # the boundary: 2^53 updates, 2^53 + 2 rebuilds
+            assert exact_updates(coefficient_name(c), x.T.tolist()) == (kind == "span-2^53")
+
+    @given(case=update_cases(), rule=st.sampled_from(TIE_RULES))
+    @settings(max_examples=200, deadline=None)
+    def test_list_rob_plus_equals_the_array_path(self, case, rule):
+        _, c, x, x_aug = case
+        try:
+            score = rob_plus(c, x, x_aug, *rule)
+            expected = score.numerator, score.denominator
+        except DomainError:
+            expected = "error"
+        assert list_outcome(c, x, *rule, x_aug=x_aug) == expected
+
+    def test_list_rob_plus_update_overflow_is_refused(self):
+        # the appended column's difference overflows: pinf's update, a
+        # maximum, would hold inf where the rebuild raises
+        x, x_aug = np.zeros((2, 1)), np.array([[0.0, 1e308], [0.0, -1e308]])
+        with pytest.raises(DomainError, match="overflows"):
+            rob_plus(PINF, x, x_aug)
+        assert list_outcome(PINF, x, TiePolicy(), False, x_aug=x_aug) == "error"
+
+    @given(case=update_cases(), rule=st.sampled_from(TIE_RULES))
+    @settings(max_examples=100, deadline=None)
+    def test_list_and_array_paths_take_the_same_decision(self, case, rule):
+        # each path asks exact_updates once, on its own representation of x
+        _, c, x, _ = case
+        answers = {robustness: [], _lists: []}
+        for module, run in [(robustness, lambda: outcome(rob_minus, c, x, *rule)),
+                            (_lists, lambda: list_outcome(c, x, *rule))]:
+            def asked(*args, answers=answers[module]):
+                answers.append(exact_updates(*args))
+                return answers[-1]
+
+            with mock.patch.object(module, "exact_updates", side_effect=asked):
+                run()
+        # k = 1 is refused before the question
+        assert len(answers[robustness]) == (x.shape[1] > 1)
+        assert answers[robustness] == answers[_lists]
 
 
 class TestSpacingValues:
