@@ -19,14 +19,16 @@ at most 2^53, where every term and partial sum is an exact integer, so that
 adding or subtracting a column's terms gives the rebuild's bits.  p2, and
 p1 and L on other data, rebuild each matrix.
 
-``cli`` checks a job's coefficient spellings and size before this module
-loads.  The size is a cost in pair-terms, n(n-1)/2 * (k_b + c) summed over
-the job's builds b, where k_b is the build's column count and c a pair's
-overhead (the kernel call, its sort, the neighbor scan); rob-minus's k
-leave-one-out matrices, where they are updates, cost a column's update each
-instead (``cli._UPDATE_COST``).  Above
-``cli._MAX_TERMS`` the numpy import this module spares no longer pays for
-its slower loops, and the job runs on arrays.
+Each job charges its plan before it builds anything (``_Job.charge``), in
+pair-terms per pair of rows: a build of k columns costs k + c, c being
+``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
+``distmat`` make one build, ``concord`` and ``corr`` two; ``rob-minus`` one
+and k updates where ``exact_updates`` holds, else one and k builds of k - 1
+columns; ``rob-plus`` one and an update where it holds for the extension,
+else one and a build of k + 1; ``adversarial`` rungs of k + 1 one-column
+builds while they sum to at most ``_LADDER_TERMS``.  A plan above
+``cli._MAX_TERMS`` declines.  ``cli`` checks the coefficient spellings and
+one build of X, a lower bound of every plan, before this module loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
 the array path, which computes the job or reports its error itself.
 """
@@ -36,7 +38,45 @@ import operator
 import sys
 from functools import reduce
 
+from .cli import _MAX_TERMS, _PAIR_COST
 from .errors import DomainError, exact_updates
+
+# _UPDATE_COST is one column's update of an n x n matrix and its neighbor
+# scan, per pair, in terms.  It is fitted as cli's bound is (the table above
+# cli._MAX_TERMS), to `rob-minus --c p1` on {0..3} lattices against the array
+# path, which updates too:
+#
+#      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
+#      2   234: 299 871       141 / 190         300: 493 350       124 / 126
+#      4   188: 298 826       103 / 150         240: 487 560       138 / 150
+#     12   121: 297 660       120 / 158         180: 660 510       196 / 194
+#     32    77: 295 526       129 / 186         100: 499 950       163 / 173
+#    128    39: 288 249       134 / 168          50: 476 525       144 / 161
+#   2000    10: 270 225       170 / 223          13: 468 390       223 / 230
+#  20000     3: 180 015       418 / 827           5: 600 050       490 / 666
+#
+# Each declined row, at 468 000 to 660 000, is at or below the break-even;
+# the bound sits under all of them.  The benchmark's 120 x 12 lattice
+# rob-minus (292 740) is admitted under p1 (list / array 120 / 158 ms at 121
+# rows), pinf (151 / 197) and L (144 / 195), and so is CI's 8 x 2000 lattice
+# (168 140; 174 / 238); under p2, which rebuilds (1 492 260), it is not.
+# rob-plus where it updates, one build and one update, at its largest
+# admitted n on {0..3} lattices (list / array ms, timed the same way):
+#
+#      k   admitted n: cost   p1 list / array   pinf list / array
+#      2   258: 298 377       182 / 237         132 / 171
+#     12   178: 299 307       116 / 174         110 / 159
+#    128    67: 298 485       127 / 185         111 / 195
+_UPDATE_COST = 2
+# an adversarial rung of k + 1 columns is charged as k + 1 one-column builds,
+# so its ladder holds at most this many pair-terms (50 000): a ladder given
+# up on, which the array path then repeats, wastes little
+_LADDER_TERMS = _MAX_TERMS // (1 + _PAIR_COST)
+
+
+def _build(k: int) -> int:
+    """A build's cost per pair of rows at k columns."""
+    return k + _PAIR_COST
 
 
 def _p1(terms: list[float]) -> float:
@@ -175,17 +215,22 @@ def _with(kernel, D, column) -> list[list[float]]:
 
 
 class _Job:
-    """A job's flags (``args``), CSV loader and rows ``x``, its kernels (one
-    per coefficient flag, in flag order) and the pair-terms an adversarial
-    ladder may hold (``ladder_terms``)."""
+    """A job's flags (``args``), CSV loader and rows ``x``, and its kernels
+    (one per coefficient flag, in flag order)."""
 
-    def __init__(self, args, load, ladder_terms: int):
-        self.args, self.load, self.ladder_terms = args, load, ladder_terms
+    def __init__(self, args, load):
+        self.args, self.load = args, load
         self.kernels = [_KERNELS[getattr(args, a)] for a in ("c", "m", "n") if hasattr(args, a)]
         self.tie = (getattr(args, "rel_tol", 0.0), getattr(args, "abs_tol", 0.0))
         if not all(math.isfinite(t) and t >= 0 for t in self.tie):
             raise DomainError("tie tolerances must be finite and nonnegative")
         self.x = load(args.x)
+
+    def charge(self, per_pair: int) -> None:
+        """Decline the job if n(n-1)/2 * ``per_pair`` exceeds ``_MAX_TERMS``."""
+        n = len(self.x)
+        if n * (n - 1) // 2 * per_pair > _MAX_TERMS:
+            raise DomainError("job above the list path's size")
 
     def sets(self, kernel, rows: list[list[float]]) -> list[list[int]]:
         return self.near(_distances(kernel, rows))
@@ -199,12 +244,14 @@ def _score(num: int, den: int) -> dict:
 
 
 def _near(job) -> dict:
+    job.charge(_build(len(job.x[0])))
     near = job.sets(*job.kernels, job.x)
     return {"sets": [[j + 1 for j in s] for s in near], "total": sum(map(len, near))}
 
 
 def _distmat(job) -> list[list[float]]:
     """Row i's entries i..n-1, as ``io._rows`` walks them."""
+    job.charge(_build(len(job.x[0])))
     return [row[i:] for i, row in enumerate(_distances(*job.kernels, job.x))]
 
 
@@ -217,10 +264,12 @@ def _rob_plus(job) -> dict:
         raise DomainError("not a one-column extension of at least two rows")
     if any(row[:k] != base for row, base in zip(xp, x)):
         raise DomainError("extension disagrees with x")
+    exact = exact_updates(job.args.c, zip(*xp))
+    job.charge(_build(k) + (_UPDATE_COST if exact else _build(k + 1)))
     D = _distances(kernel, x)
     base = job.near(D)
-    aug = job.near(_with(kernel, D, [row[k] for row in xp])
-                   if exact_updates(job.args.c, zip(*xp)) else _distances(kernel, xp))
+    aug = job.near(_with(kernel, D, [row[k] for row in xp]) if exact
+                   else _distances(kernel, xp))
     den = sum(map(len, base))
     if den == 0:
         raise DomainError("score denominator must be positive")
@@ -234,7 +283,9 @@ def _rob_minus(job) -> dict:
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
-    if exact_updates(job.args.c, zip(*x)):
+    exact = exact_updates(job.args.c, zip(*x))
+    job.charge(_build(k) + k * (_UPDATE_COST if exact else _build(k - 1)))
+    if exact:
         D, S = _top_two(x) if kernel is max else (_distances(kernel, x), None)
         matrices = (_without(kernel, D, S, column) for column in zip(*x))
     else:
@@ -246,6 +297,7 @@ def _rob_minus(job) -> dict:
 
 
 def _concord(job) -> dict:
+    job.charge(2 * _build(len(job.x[0])))
     near_m, near_n = (job.sets(c, job.x) for c in job.kernels)
     return _score(sum(a == b for a, b in zip(near_m, near_n)), len(job.x))
 
@@ -258,6 +310,7 @@ def _corr(job) -> dict:
     n, conv = len(job.x), job.args.conv
     if conv == "upper" and n < 2:
         raise DomainError("upper-triangle expectation needs n >= 2")
+    job.charge(2 * _build(len(job.x[0])))
     a, b = ([d for i, row in enumerate(_distances(c, job.x)) for d in row[i + 1:]]
             for c in job.kernels)
     if conv == "upper":
@@ -285,7 +338,7 @@ def _adversarial(job) -> dict:
     """``adversarial_augment``'s ladder: the scales t in its order, each rung
     appending the column t * 2^i and deciding with ``_near_sets``.  A rung
     builds n(n-1)/2 * (k+1) pair-terms, and the rungs run while their sum is
-    at most ``ladder_terms``: a longer ladder declines."""
+    at most ``_LADDER_TERMS``: a longer ladder declines."""
     x, (kernel,) = job.x, job.kernels
     n = len(x)
     if kernel is _squared or not 2 <= n <= 1024:
@@ -293,7 +346,7 @@ def _adversarial(job) -> dict:
     scales = [2.0**i for i in range(1025 - n)]
     if kernel is not max:
         scales = [2.0**-i for i in range(200)] + scales[1:]
-    for t in scales[:job.ladder_terms // (n * (n - 1) // 2 * (len(x[0]) + 1))]:
+    for t in scales[:_LADDER_TERMS // (n * (n - 1) // 2 * (len(x[0]) + 1))]:
         augmented = [[*row, t * 2.0**i] for i, row in enumerate(x)]
         if sum(map(len, job.sets(kernel, augmented))) == n:
             return {"t": t, "spacing": [2**i for i in range(n)],
@@ -306,15 +359,15 @@ _JOBS = {"near": _near, "distmat": _distmat, "rob-plus": _rob_plus, "rob-minus":
          "concord": _concord, "corr": _corr, "adversarial": _adversarial}
 
 
-def payload(args, load, ladder_terms: int):
+def payload(args, load):
     """The payload of ``args``' job, as the array path's ``cli._COMMANDS`` row
     gives it (for ``distmat``, the rows of ``_distmat``); ``load(path)``
     gives a CSV's rows.  ``args`` holds the parsed flags, unconverted, and
     its coefficients are spelled as keys of ``_KERNELS``.
 
     Raises DomainError where the list path declines: a tolerance
-    ``TiePolicy`` refuses, a CSV ``load`` refuses, an adversarial ladder
-    above ``ladder_terms`` pair-terms, a non-finite distance, or a shape,
-    score or moment the array path refuses.
+    ``TiePolicy`` refuses, a CSV ``load`` refuses, a plan above
+    ``_MAX_TERMS`` or a ladder above ``_LADDER_TERMS`` pair-terms, a
+    non-finite distance, or a shape, score or moment the array path refuses.
     """
-    return _JOBS[args.command](_Job(args, load, ladder_terms))
+    return _JOBS[args.command](_Job(args, load))

@@ -6,9 +6,9 @@ Every other subcommand is one row of ``_COMMANDS`` whose payload is what
 text output is the lines rendered from that same payload.  Its flags become
 library values, checked in flag order, before anything is computed.
 ``run()`` takes that array path for every job.  ``main()``, the process
-entry, first offers small ``near``, ``distmat``, ``rob-plus``, ``rob-minus``,
-``concord``, ``corr`` and ``adversarial`` jobs to the list path
-(``_lists``), which prints the same bytes without importing numpy.
+entry, first offers each job that takes ``--x`` to the list path
+(``_lists``, whose docstring gives what a job costs there), which prints
+the same bytes without importing numpy.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 import distchar as dc
 
 from . import io as dcio
-from .errors import DomainError, exact_updates
+from .errors import DomainError
 
 __all__ = ["main", "run"]
 
@@ -57,12 +57,12 @@ _OPTIONS = {
 }
 _ALIASES = {"--n": ("--n", "--l")}
 _TIES = ("--rel-tol", "--abs-tol")
-# The list path's cost of a job, in pair-terms: n(n-1)/2 * (k_b + _PAIR_COST)
-# summed over its builds b, k_b the build's column count.  _PAIR_COST is a
-# pair's overhead (the kernel call, its sort, the neighbor scan) in terms.
-# A job costing more than _MAX_TERMS runs on the array path: there the list
-# path's loops take longer than the numpy import they spare.  Both numbers
-# are fitted to `near --c p2` on Gaussian n x k matrices, timed as main()
+# The list path's bound.  A build of k columns costs n(n-1)/2 * (k +
+# _PAIR_COST) pair-terms there, _PAIR_COST being a pair's overhead (the
+# kernel call, its sort, the neighbor scan).  A job whose plan (``_lists``)
+# costs more than _MAX_TERMS runs on arrays: there the list path's loops
+# take longer than the numpy import they spare.  Both numbers are fitted to
+# `near --c p2`, one build, on Gaussian n x k matrices timed as main()
 # processes (median of 9 alternating runs per path; 2-vCPU VM, CPython
 # 3.11, numpy 2.4).  Each k's largest admitted n, and a declined n near the
 # break-even:
@@ -83,60 +83,9 @@ _TIES = ("--rel-tol", "--abs-tol")
 # 120 x 12 lattice near, distmat, corr, concord and rob-plus jobs (cost
 # 121 380 .. 249 900; 114-160 against 203-227 ms) and 40 x 16 rob-minus
 # (265 980; 125-149 against 175-208 ms) are admitted; its 300 x 16 jobs
-# (near: 941 850; 324 against 208 ms) are not, nor was its 120 x 12
-# rob-minus when every job rebuilt (1 492 260; 450 against 235 ms, see
-# _UPDATE_COST below).  At k = 1 the bound admits what a
-# flat cap of 50 000 pair-terms admitted (rob-minus, which needs k > 1,
-# aside), and at every k at least that.
-#
-# _UPDATE_COST is one column's update of an n x n matrix and its neighbor
-# scan, per pair, in terms: rob-minus under ``exact_updates`` costs
-# n(n-1)/2 * (k + 5 + 2k).  It is fitted the same way, to `rob-minus --c p1`
-# on {0..3} lattices against the array path, which updates too:
-#
-#      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
-#      2   234: 299 871       141 / 190         300: 493 350       124 / 126
-#      4   188: 298 826       103 / 150         240: 487 560       138 / 150
-#     12   121: 297 660       120 / 158         180: 660 510       196 / 194
-#     32    77: 295 526       129 / 186         100: 499 950       163 / 173
-#    128    39: 288 249       134 / 168          50: 476 525       144 / 161
-#   2000    10: 270 225       170 / 223          13: 468 390       223 / 230
-#  20000     3: 180 015       418 / 827           5: 600 050       490 / 666
-#
-# Each declined row, at 468 000 to 660 000, is at or below the break-even;
-# the bound sits under all of them.  The benchmark's 120 x 12 lattice rob-minus (292 740) is
-# admitted under p1 (list / array 120 / 158 ms at 121 rows), pinf (151 /
-# 197) and L (144 / 195), and so is CI's 8 x 2000 lattice (168 140; 174 /
-# 238); under p2, which rebuilds (1 492 260), it is not.
+# (near: 941 850; 324 against 208 ms) are not.
 _PAIR_COST = 5
-_UPDATE_COST = 2
 _MAX_TERMS = 300_000
-
-
-def _build(k: int) -> int:
-    """One build's cost per pair of rows at k columns."""
-    return k + _PAIR_COST
-
-
-def _rebuilds(k: int) -> int:
-    """rob-minus's cost per pair of rows where ``exact_updates`` fails: one
-    build of k columns and k of k - 1."""
-    return _build(k) + k * _build(k - 1)
-
-
-# the subcommands main() offers to the list path first -> a job's cost per
-# pair of rows, given k.  rob-minus's is one build and k one-column updates
-# at _UPDATE_COST each, where ``exact_updates`` holds, else ``_rebuilds``.
-# adversarial's is its first rung's, charged as k + 1 one-column builds;
-# ``_lists`` charges the rest of its ladder the same way, running rungs while
-# their pair-terms sum to at most _LADDER_TERMS (50 000), so that a ladder it
-# gives up on, which the array path then repeats, wastes no more than that.
-_LISTS = {"near": _build, "distmat": _build,
-          "rob-plus": lambda k: _build(k) + _build(k + 1),
-          "rob-minus": lambda k: _build(k) + k * _UPDATE_COST,
-          "concord": lambda k: 2 * _build(k), "corr": lambda k: 2 * _build(k),
-          "adversarial": lambda k: (k + 1) * _build(1)}
-_LADDER_TERMS = _MAX_TERMS // _build(1)
 # the coefficient spellings the list path takes (the keys of _lists._KERNELS)
 _LIST_SPELLINGS = {"p1", "p2", "pinf", "L"}
 
@@ -348,22 +297,18 @@ def _print(lines: Iterable[str]) -> None:
 def _list_payload(args, load):
     """The list path's payload of ``args``' job (``_lists.payload``);
     ``load(path)`` gives a CSV's rows.  Raises DomainError where the list
-    path declines.  A coefficient spelling outside ``_LIST_SPELLINGS`` and a
-    job whose cost (``_LISTS``) is above ``_MAX_TERMS`` decline before
-    ``_lists`` loads."""
+    path declines.  A coefficient spelling outside ``_LIST_SPELLINGS``, and
+    a job whose one build of X costs more than ``_MAX_TERMS``, a lower bound
+    of its plan, decline before ``_lists`` loads."""
     spellings = [getattr(args, a) for a in ("c", "m", "n") if hasattr(args, a)]
     if not _LIST_SPELLINGS.issuperset(spellings):
         raise DomainError("the list path covers p1, p2, pinf and L")
     x = load(args.x)
-    k = len(x[0])
-    cost = _LISTS[args.command](k)
-    if args.command == "rob-minus" and not exact_updates(args.c, zip(*x)):
-        cost = _rebuilds(k)
-    if len(x) * (len(x) - 1) // 2 * cost > _MAX_TERMS:
+    if len(x) * (len(x) - 1) // 2 * (len(x[0]) + _PAIR_COST) > _MAX_TERMS:
         raise DomainError("job above the list path's size")
     from . import _lists
 
-    return _lists.payload(args, load, _LADDER_TERMS)
+    return _lists.payload(args, load)
 
 
 def _lists_first(args) -> int:
@@ -392,10 +337,9 @@ def _lists_first(args) -> int:
 
 
 def main() -> None:
-    """The ``distchar`` process: the job (the list path first for a small
-    ``near``, ``distmat``, ``rob-plus``, ``rob-minus``, ``concord``, ``corr``
-    or ``adversarial`` job, else the array path of ``run()``), then stdout
-    flushed, then exit.
+    """The ``distchar`` process: the job (the list path first for a job that
+    takes ``--x``, else the array path of ``run()``), then stdout flushed,
+    then exit.
 
     A write to stdout that fails (a closed pipe, a full disk) exits 1 with
     one ``error: cannot write output`` line; stdout is pointed at the null
@@ -407,7 +351,8 @@ def main() -> None:
     try:
         try:
             args = build_parser().parse_args()
-            status = (_lists_first if args.command in _LISTS else _run)(args)
+            command = _COMMANDS.get(args.command)  # None for verify
+            status = (_lists_first if command and "--x" in command.options else _run)(args)
         finally:  # argparse's SystemExit (--help, usage errors) included
             sys.stdout.flush()
     except OSError as exc:  # _run() reports every other failure as a DomainError
@@ -420,4 +365,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    sys.modules["distchar.cli"] = sys.modules[__name__]  # _lists reads the bound here
     main()

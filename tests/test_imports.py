@@ -6,7 +6,8 @@ is kept short by ``main()`` freezing the collector (tested in
 must not import numpy, a small ``near``, ``distmat``, ``rob-plus``,
 ``rob-minus``, ``concord``, ``corr`` or ``adversarial`` job runs on the list
 path and must not import numpy either, a job the list path declines by its
-coefficient or size must not import the list module, a ``near`` job on the array path must not import the score,
+coefficient or by one build of X must not import the list module, a
+``near`` job on the array path must not import the score,
 asymptotics or verification modules, and ``mc-nn`` must import none of the
 matrix modules.  A table pins the ``distchar`` modules of every
 subcommand, so a new import fails a test.  Each case runs in a fresh
@@ -113,8 +114,8 @@ def test_subcommand_loads_exactly_its_modules(tmp_path, command):
 
 
 # the modules of the seven list-path subcommands' jobs on the array path:
-# those of a job the list path declines by its coefficient or size, which
-# never loads the list module
+# those of a job the list path declines by its coefficient or by one build of
+# X, which never loads the list module
 ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus": SCORES,
                  "concord": ASSOCIATION, "corr": ASSOCIATION, "adversarial": SCORES}
 
@@ -122,10 +123,10 @@ ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus
 @pytest.mark.parametrize("declined", ["large", "p3.5"])
 @pytest.mark.parametrize("command", ARRAY_MODULES)
 def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
-    # the fewest rows n of an n x 2 job above the list path's bound: its
-    # n(n-1)/2 pairs at the command's cost per pair
+    # the fewest rows n of an n x 2 job whose one build of X is above the
+    # list path's bound
     n = next(n for n in itertools.count(2)
-             if n * (n - 1) // 2 * cli._LISTS[command](2) > cli._MAX_TERMS)
+             if n * (n - 1) // 2 * (2 + cli._PAIR_COST) > cli._MAX_TERMS)
     x, xp = tmp_path / "x.csv", tmp_path / "xp.csv"
     rows = [f"{i},{i % 3}" for i in range(n)] if declined == "large" else ["0,0", "1,2", "3,1"]
     x.write_text("".join(f"{row}\n" for row in rows))
@@ -136,6 +137,17 @@ def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
     loaded = loaded_modules(command, *flags.get(command, ["--c", c]), "--x", str(x))
     assert "numpy" in loaded
     want = ARRAY_MODULES[command]
+    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
+
+
+def test_job_its_plan_declines_loads_the_list_module_and_its_array_modules(tmp_path):
+    # one build of this 200 x 8 matrix is within the bound, corr's two are not
+    x = tmp_path / "x.csv"
+    x.write_text("".join(",".join(str((i * j) % 11) for j in range(1, 9)) + "\n"
+                         for i in range(200)))
+    loaded = loaded_modules("corr", "--m", "p1", "--n", "p2", "--x", str(x))
+    assert "numpy" in loaded
+    want = ARRAY_MODULES["corr"] | {"_lists"}
     assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
 
 

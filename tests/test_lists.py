@@ -181,33 +181,57 @@ def test_declined_job_ends_in_the_array_path(tmp_path, argv, x, status, err):
     array_path.assert_called_once()
 
 
-def largest_covered(cost: int) -> int:
-    """The most rows an n x k job may have within the list path's bound:
-    n(n-1)/2 pairs at ``cost``, its command's cost per pair at k columns."""
-    return max(n for n in range(2, 1000) if n * (n - 1) // 2 * cost <= cli._MAX_TERMS)
+# each command's largest n x k job its plan admits, by coefficient (concord
+# and corr: --m p1 --n L) and k, on the integer rows of threshold_job; where
+# one-column updates are exact (rob-minus under p1, rob-plus under p1 and
+# pinf) they are charged as updates, and p2 rebuilds
+EDGES = {
+    "near": {"p2": {1: 316, 2: 293, 12: 188, 500: 34}},
+    "distmat": {"p2": {1: 316, 2: 293, 12: 188, 500: 34}},
+    "rob-plus": {"p1": {1: 274, 2: 258, 12: 178, 500: 34},
+                 "pinf": {1: 274, 2: 258, 12: 178, 500: 34},
+                 "p2": {1: 215, 2: 200, 12: 131, 500: 24}},
+    "rob-minus": {"p1": {2: 234, 12: 121, 500: 20}, "p2": {2: 178, 12: 54, 500: 2}},
+    "concord": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
+    "corr": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
+    "adversarial": {"p2": {1: 224, 2: 183, 12: 88, 500: 14}},
+}
+
+
+def threshold_job(tmp_path, command, c, n, k) -> list[str]:
+    """The argv of an n x k job of integer rows (with a column of ones
+    appended for rob-plus's --xp) under the coefficient ``c``."""
+    x = [[str((i * (j + 1) + i * i) % 7) for j in range(k)] for i in range(n)]
+    flags = {"concord": ["--m", c, "--n", "L"], "corr": ["--m", c, "--n", "L"],
+             "rob-plus": ["--c", c, "--xp", write(tmp_path / "xp.csv", [[*r, "1"] for r in x])]}
+    return [command, *flags.get(command, ["--c", c]), "--format", "json",
+            "--x", write(tmp_path / "x.csv", x)]
 
 
 @pytest.mark.parametrize("command", SETTINGS)
 def test_the_size_threshold_changes_speed_only(tmp_path, command):
-    # at k = 1, 2, 12 and 500 columns, the largest n x k job of the command
-    # within the list path's bound, and one row more (rob-minus needs k > 1;
-    # on these integer rows it is charged one-column updates under p1 and
-    # k rebuilds under p2)
-    costs = {"p2": cli._LISTS[command]}
-    if command == "rob-minus":
-        costs = {"p1": cli._LISTS[command], "p2": cli._rebuilds}
-    for c, cost in costs.items():
-        for k in (2, 12, 500) if command == "rob-minus" else (1, 2, 12, 500):
-            n = largest_covered(cost(k))
+    for c, edges in EDGES[command].items():
+        for k, n in edges.items():
             for size, expected in [(n, True), (n + 1, False)]:
-                x = [[str((i * (j + 1) + i * i) % 7) for j in range(k)] for i in range(size)]
-                flags = {"concord": ["--m", "p1", "--n", "L"], "corr": ["--m", "p1", "--n", "L"],
-                         "rob-plus": ["--c", c, "--xp", write(tmp_path / "xp.csv",
-                                                              [[*r, "1"] for r in x])]}
-                argv = [command, *flags.get(command, ["--c", c]), "--format", "json",
-                        "--x", write(tmp_path / "x.csv", x)]
+                argv = threshold_job(tmp_path, command, c, size, k)
                 assert covered(argv) is expected, (c, k, size)
                 assert both_entries(argv)[1:] == ("", 0)
+
+
+@pytest.mark.parametrize("command", SETTINGS)
+def test_the_one_build_precheck_declines_only_what_the_plan_declines(tmp_path, command):
+    # the fewest rows whose one build of X is above the bound: the plan, given
+    # them without cli's pre-check, declines before it builds anything
+    for c in EDGES[command]:
+        for k in (1, 2, 12, 500):
+            n = next(n for n in range(2, 1000)
+                     if n * (n - 1) // 2 * (k + cli._PAIR_COST) > cli._MAX_TERMS)
+            args = cli.build_parser().parse_args(threshold_job(tmp_path, command, c, n, k))
+            with mock.patch.object(_lists, "_distances") as distances, \
+                    mock.patch.object(_lists, "_top_two") as top_two:
+                with pytest.raises(DomainError):
+                    _lists.payload(args, dcio._load_rows)
+            assert distances.call_count == top_two.call_count == 0, (c, k)
 
 
 def test_a_declined_ladder_is_no_longer_than_under_the_flat_cap(tmp_path):
@@ -256,12 +280,25 @@ def test_list_path_at_the_admitted_scale_prints_what_the_array_path_prints(
     assert both_entries(argv)[1:] == ("", 0)
 
 
-def test_list_path_declines_the_lattice_rob_minus_under_p2(tmp_path):
-    # p2 has no exact one-column update: k rebuilds, above the bound
-    x, _ = scale_inputs(tmp_path)["lattice"]
-    argv = ["rob-minus", "--c", "p2", "--format", "json", "--x", x]
-    assert not covered(argv)
-    assert both_entries(argv)[1:] == ("", 0)
+@pytest.mark.parametrize("job", ["rob-minus p2 lattice", "corr 200x8"])
+def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
+    # one build of X is within the bound, so the list module is asked, but
+    # the plan is not: k rebuilds (p2 has no exact one-column update), or
+    # corr's two builds of a 200 x 8 matrix (2 * 258 700 pair-terms)
+    if job == "corr 200x8":
+        gauss = np.random.default_rng(30).standard_normal((200, 8)).tolist()
+        argv = ["corr", "--m", "p1", "--n", "p2", "--format", "json",
+                "--x", write(tmp_path / "x.csv", [[repr(v) for v in row] for row in gauss])]
+    else:
+        argv = ["rob-minus", "--c", "p2", "--format", "json",
+                "--x", scale_inputs(tmp_path)["lattice"][0]]
+    with mock.patch.object(_lists, "payload", wraps=_lists.payload) as payload, \
+            mock.patch.object(_lists, "_distances") as distances, \
+            mock.patch.object(_lists, "_top_two") as top_two:
+        assert both_entries(argv)[1:] == ("", 0)
+        assert not covered(argv)
+    assert payload.call_count == 2
+    assert distances.call_count == top_two.call_count == 0
 
 
 @pytest.mark.parametrize("spelling", sorted(_lists._KERNELS))
@@ -269,8 +306,9 @@ def test_each_list_spelling_parses_to_the_coefficient_its_kernel_computes(spelli
     assert coefficient_name(parse_coefficient(spelling)) == spelling
 
 
-def test_main_offers_the_list_path_exactly_its_subcommands():
-    assert set(cli._LISTS) == set(_lists._JOBS)
+def test_every_subcommand_taking_x_has_a_list_job():
+    assert {name for name, command in cli._COMMANDS.items()
+            if "--x" in command.options} == set(_lists._JOBS)
 
 
 def test_cli_gates_on_exactly_the_list_spellings():

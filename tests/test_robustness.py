@@ -237,7 +237,7 @@ def list_outcome(c, x, tie, positive_only, x_aug=None):
                               c=coefficient_name(c), x="x", xp="xp", positive_only=positive_only,
                               rel_tol=tie.relative_tolerance, abs_tol=tie.absolute_tolerance)
     try:
-        result = _lists.payload(args, rows.get, 0)
+        result = _lists.payload(args, rows.get)
     except DomainError:
         return "error"
     return result["num"], result["den"]
