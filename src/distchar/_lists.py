@@ -9,7 +9,17 @@ from Python 3.12), p2 as m * sqrt(sum((t/m) * (t/m))).  ``_near_sets`` is
 ``neighbors.near_mask``'s rule.  ``_sum`` is numpy's ``x.sum()`` of a
 float64 vector, which ``matrix_correlation`` takes of every moment.  General
 p keeps the array path: its powers go through numpy's ``**``, whose bits
-depend on the SIMD level numpy dispatches to.
+depend on the SIMD level numpy dispatches to.  An L value whose nonzero
+terms all underflow to 0 raises, as ``row_values`` does.
+
+``_distances`` is the one entry for a build.  On integer-valued rows it
+takes an exact route (``_integer_tails``) where that is the faster one (the
+table above ``_ROUTE_ROWS``): p1 and pinf from thermometer codes of the
+rows, one Python int each (``_unary``), and L as s_i + s_j - 2 * y_i . y_j
+on Python ints where ``exact_updates`` holds.  There every term and partial
+sum of the sorted kernel is an exact integer, so the sort changes no bit
+and the route gives the sorted kernel's values.  p2 and other data keep
+the sorted kernels.
 
 ``rob-minus`` and ``rob-plus`` derive a matrix one column away from X's by
 an O(n^2) update (``_without``, ``_with``) where ``errors.exact_updates``
@@ -37,6 +47,7 @@ import math
 import operator
 import sys
 from functools import reduce
+from itertools import chain
 
 from .cli import _MAX_TERMS, _PAIR_COST
 from .errors import DomainError, exact_updates
@@ -102,12 +113,38 @@ def _squared(terms: list[float]) -> float:
     total = 0.0
     for t in sorted(terms):
         total += t * t
+    if total == 0 and any(terms):
+        raise DomainError("coefficient value underflows the float range")
     return total
 
 
 # the spellings the list path takes: each is the coefficient_name of the
 # coefficient its kernel computes
 _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
+
+# The integer route (``_integer_tails``) takes a build of n rows whose
+# largest column span is S where n >= _ROUTE_ROWS[kernel] and, for the unary
+# codes, S <= n - 5 under p1 (a row's S planes are encoded once for its n - 1
+# pairs) and S <= 3 under pinf (a pair's loop takes up to S steps); under L
+# where exact_updates holds.  Fitted to in-process builds of n x k {0..S}
+# lattices, sorted kernel / route in ms, best of 3 alternating runs (2-vCPU
+# VM, CPython 3.11):
+#
+#         n, S    k = 1          k = 12         k = 128        k = 2000
+#  p1     8, 3    0.025 / 0.023  0.055 / 0.044  0.448 / 0.235  6.89 / 2.95
+#  p1    12, 7    0.054 / 0.035  0.116 / 0.074
+#  p1    20, 15   0.149 / 0.085  0.332 / 0.130
+#  pinf  12, 3    0.045 / 0.042  0.098 / 0.078  0.591 / 0.316  8.25 / 4.73
+#  L     12, 3    0.066 / 0.055  0.134 / 0.102  1.02 / 0.789   17.6 / 10.5
+#
+# Just outside the bounds the route is near or past the break-even (runs
+# spread by about 10 %): p1 at 6 rows, S = 3 (0.028 / 0.035, 0.058 / 0.059)
+# and at 8 rows, S = 7 (0.057 / 0.052, 0.056 / 0.048); pinf at 8 rows (0.021
+# / 0.026, 0.040 / 0.045) and at 12 rows, S = 7 (0.044 / 0.046, 0.095 /
+# 0.099); L at 8 rows (0.030 / 0.029, 0.057 / 0.064).  The benchmark's 120 x
+# 12 {0..3} lattice builds in 13.2 / 1.38 (p1), 9.93 / 2.82 (pinf) and 13.6
+# / 4.89 (L).
+_ROUTE_ROWS = {_p1: 8, max: 12, _squared: 12}
 
 
 def _sum(values: list[float]) -> float:
@@ -136,7 +173,14 @@ def _pairwise(a: list[float]) -> float:
 
 
 def _distances(kernel, x: list[list[float]]) -> list[list[float]]:
-    """The distance matrix of the rows ``x``, each pair evaluated once."""
+    """The distance matrix of the rows ``x``, each pair evaluated once: from
+    ``_integer_tails`` where it applies, else by ``kernel``."""
+    tails = _integer_tails(kernel, x)
+    if tails is not None:
+        D: list[list[float]] = []
+        for i, tail in enumerate(tails):
+            D.append([row[i] for row in D] + [0.0] + tail)
+        return D
     n = len(x)
     D = [[0.0] * n for _ in range(n)]
     for i, a in enumerate(x):
@@ -146,6 +190,73 @@ def _distances(kernel, x: list[list[float]]) -> list[list[float]]:
                 raise DomainError("coefficient value overflows the float range")
             D[i][j] = D[j][i] = d
     return D
+
+
+def _integer_tails(kernel, x: list[list[float]]) -> list[list[float]] | None:
+    """Each row's distances to the rows after it, computed on Python ints,
+    where ``x`` is integer-valued and the route's bounds hold (see the table
+    above ``_ROUTE_ROWS``); else None.  Each value is the exact integer
+    distance, which is the sorted kernel's: there every term and partial sum
+    is an integer of at most 2^53.
+
+    p1 and pinf read the thermometer codes U of ``_unary``: p1 is the number
+    of set bits of U_i ^ U_l, and pinf the longest run of them one plane
+    (k bits) apart (``_longest_run``).  L is s_i + s_l - 2 * sum(y_i * y_l),
+    y being a row less the column minima and s_i = sum(y_i * y_i), where
+    ``exact_updates`` holds for L."""
+    n = len(x)
+    if n < _ROUTE_ROWS.get(kernel, math.inf):  # p2 has no integer route
+        return None
+    if kernel is _squared:
+        if not exact_updates("L", zip(*x)):
+            return None
+        mins = list(map(min, *x))
+        y = [list(map(int, map(operator.sub, row, mins))) for row in x]
+        s = [sum(map(operator.mul, r, r)) for r in y]
+        return [[float(si + sj - 2 * sum(map(operator.mul, a, b)))
+                 for sj, b in zip(s[i + 1:], y[i + 1:])]
+                for i, (si, a) in enumerate(zip(s, y))]
+    codes = _unary(x, n - 5 if kernel is _p1 else 3)
+    if codes is None:
+        return None
+    if kernel is _p1:
+        return [[float((a ^ b).bit_count()) for b in codes[i + 1:]] for i, a in enumerate(codes)]
+    k = len(x[0])
+    return [[float(_longest_run(a ^ b, k)) for b in codes[i + 1:]] for i, a in enumerate(codes)]
+
+
+def _unary(x: list[list[float]], bound: int) -> list[int] | None:
+    """The rows of ``x`` as thermometer codes, where every entry is
+    integer-valued and every column's span (max - min) is at most ``bound``;
+    else None.  Row i's code holds one k-bit plane per threshold t = 0 ..
+    S - 1, S the largest span: bit j of plane t is set iff y_ij > t, y_ij
+    being x_ij less column j's minimum.  So |x_ij - x_lj| is the number of
+    planes in which bit j of U_i ^ U_l is set, and those planes are
+    consecutive (Wendt, Coyle & Gallagher's threshold decomposition).  Each
+    plane is one ``bytes.translate`` of the row's y as bytes."""
+    if not all(map(float.is_integer, chain.from_iterable(x))):
+        return None
+    mins = list(map(min, *x))
+    try:  # a span above 255 is no byte
+        y = [bytes(map(int, map(operator.sub, row, mins))) for row in x]
+    except ValueError:
+        return None
+    span = max(map(max, y))
+    if span > bound:
+        return None
+    # plane t maps each byte value v to b"1" if v > t, else b"0"
+    planes = [b"0" * (t + 1) + b"1" * (255 - t) for t in range(span)]
+    return [int(b"".join([r.translate(p) for p in planes]) or b"0", 2) for r in y]
+
+
+def _longest_run(v: int, k: int) -> int:
+    """The longest run of set bits of ``v`` at positions p, p + k, p + 2k,
+    ...: each step keeps the bits whose neighbor k above is set too."""
+    run = 0
+    while v:
+        v &= v >> k
+        run += 1
+    return run
 
 
 def _near_sets(D, tie, positive_only: bool) -> list[list[int]]:

@@ -135,6 +135,8 @@ def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
     Rows are sorted ascending and summed left to right, so results are
     bitwise independent of column order and of zero entries (they sort to
     the front and add exactly 0).  Object dtype is exact for p = 1, inf, L.
+    A float value that overflows, or an L value that underflows to 0 from a
+    nonzero term, raises DomainError.
     """
     a = np.sort(a, axis=1)
     exact = a.dtype == object
@@ -154,6 +156,8 @@ def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
             out = m * _left_sum((a / scale[:, None]) ** p) ** (1.0 / p)
     if not exact and not np.isfinite(out).all():
         raise DomainError("coefficient value overflows the float range")
+    if not exact and not is_true_norm(coefficient) and ((out == 0) & (a[:, -1] > 0)).any():
+        raise DomainError("coefficient value underflows the float range")
     return out
 
 
@@ -174,7 +178,8 @@ def evaluate(coefficient: Coefficient, v) -> float:
     on the SIMD level numpy dispatches to (p = 3.5 differs under
     ``NPY_DISABLE_CPU_FEATURES``): its bits are reproducible on one host,
     not across hosts.  p = 1, 2, inf and L do not depend on it.
-    An overflowing value raises DomainError.
+    An overflowing value, or an L value whose nonzero terms all underflow
+    to 0, raises DomainError.
     """
     arr = np.asarray(v)
     if arr.ndim != 1 or arr.size == 0:

@@ -207,6 +207,14 @@ def test_monotone_in_p(v):
 @given(v=vectors)
 @settings(max_examples=100, deadline=None)
 def test_squared_euclidean_is_squared_two_norm(v):
+    if any(v) and all(t * t == 0 for t in v):
+        # every square underflows: L would read 0 for a nonzero vector, so
+        # the array and list kernels raise
+        for value in (lambda: evaluate(SquaredEuclidean(), v),
+                      lambda: _lists._squared([abs(t) for t in v])):
+            with pytest.raises(DomainError, match="underflows"):
+                value()
+        return
     lhs = evaluate(SquaredEuclidean(), v)
     rhs = evaluate(PNorm(2), v) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
@@ -253,6 +261,22 @@ def test_terms_are_not_summed_compensated(tmp_path, capsys):
     assert math.fsum(v) == 0.6
     assert evaluate(PNorm(1), v) == _lists._KERNELS["p1"](v) == 0.6000000000000001
     assert cli_distances(tmp_path, capsys, "p1", [[0.0] * 3, v]) == [0.6000000000000001] * 2
+
+
+@pytest.mark.parametrize("v, raises", [([1e-170, 0.0], True), ([1e-170, -3e-170], True),
+                                       ([1e-160], False), ([5e-324, 1.0], False)],
+                         ids=["one-tiny", "two-tiny", "subnormal-square", "tiny-and-unit"])
+def test_squared_euclidean_refuses_an_underflow_to_zero(v, raises):
+    # a nonzero vector whose squares all round to 0 would get L = 0; a
+    # subnormal square, or a tiny term beside a unit one, is no such case
+    values = (lambda: evaluate(SquaredEuclidean(), v), lambda: _lists._squared(np.abs(v).tolist()),
+              lambda: build(SquaredEuclidean(), [[0.0] * len(v), v])[0, 1])
+    for value in values:
+        if raises:
+            with pytest.raises(DomainError, match="coefficient value underflows the float range"):
+                value()
+        else:
+            assert value() == math.fsum(t * t for t in v) > 0
 
 
 def test_a_thousand_tenths_sum_sequentially():

@@ -16,6 +16,7 @@ from distchar import (
     nearest_sets,
     parse_data_matrix,
 )
+from distchar import _lists
 from distchar.fixtures import example_names, load_example
 from distchar.io import (
     distance_matrix_csv,
@@ -162,9 +163,17 @@ class TestDistanceMatrixJson:
     @example(x=np.array([[0.0, 1.0], [3.0, 5.0]]), c=PNorm(1))
     @example(x=np.array([[1.0], [1.0], [1.0]]), c=SquaredEuclidean())
     @example(x=np.array([[1e-160], [3e-160]]), c=SquaredEuclidean())
+    @example(x=np.array([[1.0], [2.0]]) * 1e-300, c=SquaredEuclidean())
     @settings(max_examples=200, deadline=None)
     def test_equals_json_dumps(self, x, c):
-        d = build(c, x)
+        try:
+            d = build(c, x)
+        except DomainError as exc:
+            # at 1e-300 L's squares underflow: the list path refuses it too
+            assert (c, str(exc)) == (SquaredEuclidean(), "coefficient value underflows the float range")
+            with pytest.raises(DomainError, match="underflows"):
+                _lists._distances(_lists._squared, x.tolist())
+            return
         assert "".join(distance_matrix_json(d)) == dumped(d)
         text = "\n".join(",".join(f"{v:.9g}" for v in row) for row in d.tolist())
         assert "\n".join(distance_matrix_csv(d)) == text

@@ -357,3 +357,94 @@ def test_list_sum_is_numpys_sum_bit_for_bit():
         expected = float(np.add.reduce(values))
         assert _lists._sum(values.tolist()).hex() == expected.hex(), label
         assert float(values.sum()).hex() == expected.hex(), label
+
+
+@pytest.mark.parametrize("argv", [["near", "--c", "L"], ["distmat", "--c", "L"],
+                                  ["corr", "--m", "p2", "--n", "L"]])
+def test_an_underflowing_L_is_refused_on_both_paths(tmp_path, argv):
+    # at scale 1e-170 every squared difference rounds to 0, so L would read
+    # distinct rows as duplicates (a near total of n(n-1), a rho of null)
+    x = 1e-170 * np.random.default_rng(0).standard_normal((5, 2))
+    argv = [*argv, "--x", write(tmp_path / "x.csv", [[repr(v) for v in row] for row in x.tolist()])]
+    assert not covered(argv)
+    assert both_entries(argv)[1:] == ("error: coefficient value underflows the float range\n", 1)
+
+
+INTEGER_KERNELS = {"p1": _lists._p1, "pinf": max, "L": _lists._squared}
+
+
+def sorted_kernel(kernel, x) -> list[list[float]]:
+    """The distance matrix of the rows ``x``, the kernel applied to every
+    ordered pair's terms: the integer route's reference."""
+    return [[kernel([abs(u - v) for u, v in zip(a, b)]) for b in x] for a in x]
+
+
+@st.composite
+def integer_lattices(draw, c):
+    """(rows, spans): n integer-valued rows, n from the route's fewest rows to
+    six more, of k <= 5 columns, each column an offset (0, -7, or +-2^52)
+    plus entries 0..span, the span reached; some zeros as -0.0.  The spans
+    are small, or put one column at the unary bound (p1: n - 5, pinf: 3) or
+    one above it; under L they may be 2^26, 2^26 (squares summing to 2^53)
+    and then 1 (2^53 + 1)."""
+    kernel = INTEGER_KERNELS[c]
+    n = draw(st.integers(_lists._ROUTE_ROWS[kernel], _lists._ROUTE_ROWS[kernel] + 6))
+    k = draw(st.integers(1, 5))
+    spans = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["small", "at bound", "above bound"] if c != "L"
+                                else ["small", "2^53", "2^53 + 1"]))
+    if kind in ("at bound", "above bound"):
+        spans[0] = (n - 5 if c == "p1" else 3) + (kind == "above bound")
+    elif kind != "small":
+        spans = [2**26, 2**26, *([1] if kind == "2^53 + 1" else [])]
+    columns = []
+    for span in spans:
+        offset = draw(st.sampled_from([0, -7, 2**52, -2**52]))
+        inner = draw(st.lists(st.integers(0, span), min_size=n - 2, max_size=n - 2))
+        column = draw(st.permutations([0, span, *inner]))
+        columns.append([float(offset + v) for v in column])
+    rows = [list(row) for row in zip(*columns)]
+    for row in rows:
+        for j, v in enumerate(row):
+            if v == 0 and draw(st.booleans()):
+                row[j] = -0.0
+    return rows, spans
+
+
+@pytest.mark.parametrize("c", INTEGER_KERNELS)
+def test_integer_route_is_the_sorted_kernel(c):
+    kernel = INTEGER_KERNELS[c]
+
+    @given(lattice=integer_lattices(c), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(lattice, data):
+        x, spans = lattice
+        D, tails = _lists._distances(kernel, x), _lists._integer_tails(kernel, x)
+        bound = {"p1": len(x) - 5, "pinf": 3}.get(c)
+        taken = (sum(s * s for s in spans) <= 2**53 if c == "L" else max(spans) <= bound)
+        assert (tails is not None) == taken
+        assert repr(D) == repr(sorted_kernel(kernel, x))
+        # one integer vector added to every row, or the columns permuted,
+        # give the same bits, on the route and off it
+        shift = data.draw(st.lists(st.integers(-9, 9), min_size=len(spans), max_size=len(spans)))
+        perm = data.draw(st.permutations(range(len(spans))))
+        for moved in ([[v + t for v, t in zip(row, shift)] for row in x],
+                      [[row[j] for j in perm] for row in x]):
+            assert repr(_lists._distances(kernel, moved)) == repr(D)
+
+    check()
+
+
+@pytest.mark.parametrize("c", INTEGER_KERNELS)
+def test_the_lattice_takes_the_integer_route_and_the_gaussian_does_not(tmp_path, c):
+    for matrix, taken in [("lattice", True), ("gauss", False)]:
+        argv = ["near", "--c", c, "--format", "json", "--x", scale_inputs(tmp_path)[matrix][0]]
+        real, results = _lists._integer_tails, []
+
+        def route(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        with mock.patch.object(_lists, "_integer_tails", side_effect=route):
+            assert covered(argv)
+        assert len(results) == 1 and (results[0] is not None) == taken, matrix

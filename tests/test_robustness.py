@@ -201,7 +201,7 @@ def lattice_cases(draw):
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, (n, k))
     kind = draw(st.sampled_from(["float", "int", "Fraction"]))
     if kind == "float":
-        # 5e307 overflows p1 and p3.5 sums, 1e154 overflows L, 1e-300 underflows L to ties
+        # 5e307 overflows p1 and p3.5 sums, 1e154 overflows L, 1e-300 underflows L (both raise)
         x = x * draw(st.sampled_from([1.0, 1e-300, 1e154, 5e307]))
         c = draw(st.sampled_from([P1, P2, PINF, SquaredEuclidean(), PNorm(3.5)]))
     else:
