@@ -12,14 +12,13 @@ p keeps the array path: its powers go through numpy's ``**``, whose bits
 depend on the SIMD level numpy dispatches to.  An L value whose nonzero
 terms all underflow to 0 raises, as ``row_values`` does.
 
-``_distances`` is the one entry for a build.  On integer-valued rows it
-takes an exact route (``_integer_tails``) where that is the faster one (the
-table above ``_ROUTE_ROWS``): p1 and pinf from thermometer codes of the
-rows, one Python int each (``_unary``), and L as s_i + s_j - 2 * y_i . y_j
-on Python ints where ``exact_updates`` holds.  There every term and partial
-sum of the sorted kernel is an exact integer, so the sort changes no bit
-and the route gives the sorted kernel's values.  p2 and other data keep
-the sorted kernels.
+``_distances`` is the one entry for a build.  Under p1 and pinf on
+integer-valued rows it takes an exact route (``_integer_tails``) where that
+is the faster one (the table above ``_ROUTE_ROWS``): each row becomes one
+Python int, its thermometer code (``_unary``), and a pair's distance is read
+from the XOR of two codes.  There every term and partial sum of the sorted
+kernel is an exact integer, so the sort changes no bit and the route gives
+the sorted kernel's values.  p2, L and other data keep the sorted kernels.
 
 ``rob-minus`` and ``rob-plus`` derive a matrix one column away from X's by
 an O(n^2) update (``_without``, ``_with``) where ``errors.exact_updates``
@@ -123,28 +122,31 @@ def _squared(terms: list[float]) -> float:
 _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
 
 # The integer route (``_integer_tails``) takes a build of n rows whose
-# largest column span is S where n >= _ROUTE_ROWS[kernel] and, for the unary
-# codes, S <= n - 5 under p1 (a row's S planes are encoded once for its n - 1
-# pairs) and S <= 3 under pinf (a pair's loop takes up to S steps); under L
-# where exact_updates holds.  Fitted to in-process builds of n x k {0..S}
-# lattices, sorted kernel / route in ms, best of 3 alternating runs (2-vCPU
-# VM, CPython 3.11):
+# largest column span is S where n >= _ROUTE_ROWS[kernel], and S <= n - 5
+# under p1 (a row's S planes are encoded once for its n - 1 pairs) or S <= 3
+# under pinf (a pair's loop takes up to S steps).  Fitted to in-process
+# builds of n x k {0..S} lattices, sorted kernel / route in ms, best of 3
+# alternating runs (2-vCPU VM, CPython 3.11):
 #
 #         n, S    k = 1          k = 12         k = 128        k = 2000
 #  p1     8, 3    0.025 / 0.023  0.055 / 0.044  0.448 / 0.235  6.89 / 2.95
-#  p1    12, 7    0.054 / 0.035  0.116 / 0.074
+#  p1    12, 7    0.054 / 0.035  0.116 / 0.074                 27.3 / 7.16
 #  p1    20, 15   0.149 / 0.085  0.332 / 0.130
 #  pinf  12, 3    0.045 / 0.042  0.098 / 0.078  0.591 / 0.316  8.25 / 4.73
-#  L     12, 3    0.066 / 0.055  0.134 / 0.102  1.02 / 0.789   17.6 / 10.5
 #
-# Just outside the bounds the route is near or past the break-even (runs
-# spread by about 10 %): p1 at 6 rows, S = 3 (0.028 / 0.035, 0.058 / 0.059)
-# and at 8 rows, S = 7 (0.057 / 0.052, 0.056 / 0.048); pinf at 8 rows (0.021
-# / 0.026, 0.040 / 0.045) and at 12 rows, S = 7 (0.044 / 0.046, 0.095 /
-# 0.099); L at 8 rows (0.030 / 0.029, 0.057 / 0.064).  The benchmark's 120 x
-# 12 {0..3} lattice builds in 13.2 / 1.38 (p1), 9.93 / 2.82 (pinf) and 13.6
-# / 4.89 (L).
-_ROUTE_ROWS = {_p1: 8, max: 12, _squared: 12}
+# Wide spans, at the bound and within the list path's size: p1 at (n, S, k)
+# = (200, 195, 1) 17.2 / 6.28, (300, 255, 1) 39.6 / 13.7, (120, 115, 12)
+# 15.6 / 3.72, (60, 55, 50) 14.6 / 2.08, (60, 55, 150) 44.4 / 4.97, (30, 25,
+# 300) 23.6 / 4.14 and (20, 15, 1500) 52.2 / 7.54: the route's lead grows
+# with S and k.  Just outside the bounds it is near or past the break-even
+# (runs spread by about 10 %): p1 at 6 rows, S = 3 (0.028 / 0.035, 0.058 /
+# 0.059); pinf at 8 rows (0.021 / 0.026, 0.040 / 0.045) and at 12 rows, S =
+# 7 (0.044 / 0.046, 0.095 / 0.099).  The benchmark's 120 x 12 {0..3}
+# lattice builds in 13.2 / 1.38 (p1) and 9.93 / 2.82 (pinf).  L keeps its
+# sorted kernel: an integer form, s_i + s_l - 2 * y_i . y_l, built the 120 x
+# 12 lattice in 4.89 ms against 13.6, but no benchmark job builds such a
+# matrix under L, and no end-to-end time showed a gain.
+_ROUTE_ROWS = {_p1: 8, max: 12}
 
 
 def _sum(values: list[float]) -> float:
@@ -193,29 +195,18 @@ def _distances(kernel, x: list[list[float]]) -> list[list[float]]:
 
 
 def _integer_tails(kernel, x: list[list[float]]) -> list[list[float]] | None:
-    """Each row's distances to the rows after it, computed on Python ints,
-    where ``x`` is integer-valued and the route's bounds hold (see the table
-    above ``_ROUTE_ROWS``); else None.  Each value is the exact integer
-    distance, which is the sorted kernel's: there every term and partial sum
-    is an integer of at most 2^53.
+    """Each row's p1 or pinf distances to the rows after it, computed on
+    Python ints, where ``x`` is integer-valued and the route's bounds hold
+    (see the table above ``_ROUTE_ROWS``); else None.  Each value is the
+    exact integer distance, which is the sorted kernel's: there every term
+    and partial sum is an integer below 2^53.
 
-    p1 and pinf read the thermometer codes U of ``_unary``: p1 is the number
-    of set bits of U_i ^ U_l, and pinf the longest run of them one plane
-    (k bits) apart (``_longest_run``).  L is s_i + s_l - 2 * sum(y_i * y_l),
-    y being a row less the column minima and s_i = sum(y_i * y_i), where
-    ``exact_updates`` holds for L."""
+    Both read the thermometer codes U of ``_unary``: p1 is the number of set
+    bits of U_i ^ U_l, and pinf the longest run of them one plane (k bits)
+    apart (``_longest_run``)."""
     n = len(x)
-    if n < _ROUTE_ROWS.get(kernel, math.inf):  # p2 has no integer route
+    if n < _ROUTE_ROWS.get(kernel, math.inf):  # p2 and L have no integer route
         return None
-    if kernel is _squared:
-        if not exact_updates("L", zip(*x)):
-            return None
-        mins = list(map(min, *x))
-        y = [list(map(int, map(operator.sub, row, mins))) for row in x]
-        s = [sum(map(operator.mul, r, r)) for r in y]
-        return [[float(si + sj - 2 * sum(map(operator.mul, a, b)))
-                 for sj, b in zip(s[i + 1:], y[i + 1:])]
-                for i, (si, a) in enumerate(zip(s, y))]
     codes = _unary(x, n - 5 if kernel is _p1 else 3)
     if codes is None:
         return None
@@ -237,9 +228,9 @@ def _unary(x: list[list[float]], bound: int) -> list[int] | None:
     if not all(map(float.is_integer, chain.from_iterable(x))):
         return None
     mins = list(map(min, *x))
-    try:  # a span above 255 is no byte
+    try:  # a span above 255 is no byte, and one above the float range no int
         y = [bytes(map(int, map(operator.sub, row, mins))) for row in x]
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
     span = max(map(max, y))
     if span > bound:

@@ -245,17 +245,31 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
+class _Subparser(_Parser):
+    """A subcommand's parser, which adds its ``flags`` (keys of _OPTIONS)
+    when it first parses: a process parses one subcommand, and adding every
+    subcommand's flags took about 3 ms of each process."""
+
+    def __init__(self, *args, flags=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag in self.flags:
+            self.add_argument(*_ALIASES.get(flag, (flag,)), **_OPTIONS[flag])
+        self.flags = ()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="distchar",
         description="Distance matrices, nearest-neighbor robustness, concordance, "
         "and distance-matrix correlation under p-norm coefficients.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for flag in (*command.options, "--format"):
-            p.add_argument(*_ALIASES.get(flag, (flag,)), **_OPTIONS[flag])
+        sub.add_parser(name, help=command.help, flags=(*command.options, "--format"))
     sub.add_parser("verify", help="run the built-in golden-example checks")
     return parser
 

@@ -39,9 +39,7 @@ def exact_updates(name: str, columns) -> bool:
     each term and each partial sum of a pair's terms, in any order, is an
     integer of at most 2^53, which is a float: every difference, product,
     sum and update is exact, as is the rebuild's sorted sum.  Other
-    coefficients never qualify.  For the same reason the list path's L
-    build computes s_i + s_l - 2 * sum(y_i * y_l) on Python ints where this
-    holds (``_lists._integer_tails``): its value is the sorted sum's.
+    coefficients never qualify.
     """
     if name == "pinf":
         return True

@@ -16,7 +16,7 @@ import pytest
 
 import distchar as dc
 from distchar import verification
-from distchar.cli import _emit_json, main, run
+from distchar.cli import _COMMANDS, _emit_json, main, run
 from distchar.errors import DomainError
 from distchar.fixtures import fixture_path
 from distchar.io import distance_matrix_dict
@@ -486,7 +486,11 @@ class TestContract:
             with pytest.raises(SystemExit) as excinfo:
                 run(argv)
             assert excinfo.value.code == 0
-            assert capsys.readouterr().out.startswith("usage: distchar")
+            out = capsys.readouterr().out
+            assert out.startswith("usage: distchar")
+            # a subcommand adds its flags when it parses: its help names each
+            if argv[0] in _COMMANDS:
+                assert all(flag in out for flag in (*_COMMANDS[argv[0]].options, "--format"))
 
     @pytest.mark.parametrize("command, status", [
         ("near --c p2 --x {ex5}", 0),

@@ -147,6 +147,10 @@ DECLINED = [
        "error: coefficient value overflows the float range\n") for c in COEFFICIENTS),
     (["concord", "--m", "p1", "--n", "L"], rows("0,1e200 1,-1e200 2,0"), 1,
      "error: coefficient value overflows the float range\n"),
+    # integer-valued, with a column span above the float range: enough rows
+    # for the integer route's p1 and pinf, which leave it to the sorted kernel
+    *((["distmat", "--c", c], rows("1e308,0 -1e308,0" + " 0,0" * 10), 1,
+       "error: coefficient value overflows the float range\n") for c in ("p1", "pinf")),
     (["corr", "--m", "p3.5", "--n", "p1"], EX, 0, ""),
     (["corr", "--m", "p1", "--n", "p2", "--conv", "upper"], rows("1,2"), 1,
      "error: upper-triangle expectation needs n >= 2\n"),
@@ -370,7 +374,7 @@ def test_an_underflowing_L_is_refused_on_both_paths(tmp_path, argv):
     assert both_entries(argv)[1:] == ("error: coefficient value underflows the float range\n", 1)
 
 
-INTEGER_KERNELS = {"p1": _lists._p1, "pinf": max, "L": _lists._squared}
+INTEGER_KERNELS = {"p1": _lists._p1, "pinf": max}
 
 
 def sorted_kernel(kernel, x) -> list[list[float]]:
@@ -385,18 +389,14 @@ def integer_lattices(draw, c):
     six more, of k <= 5 columns, each column an offset (0, -7, or +-2^52)
     plus entries 0..span, the span reached; some zeros as -0.0.  The spans
     are small, or put one column at the unary bound (p1: n - 5, pinf: 3) or
-    one above it; under L they may be 2^26, 2^26 (squares summing to 2^53)
-    and then 1 (2^53 + 1)."""
+    one above it."""
     kernel = INTEGER_KERNELS[c]
     n = draw(st.integers(_lists._ROUTE_ROWS[kernel], _lists._ROUTE_ROWS[kernel] + 6))
     k = draw(st.integers(1, 5))
     spans = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
-    kind = draw(st.sampled_from(["small", "at bound", "above bound"] if c != "L"
-                                else ["small", "2^53", "2^53 + 1"]))
-    if kind in ("at bound", "above bound"):
+    kind = draw(st.sampled_from(["small", "at bound", "above bound"]))
+    if kind != "small":
         spans[0] = (n - 5 if c == "p1" else 3) + (kind == "above bound")
-    elif kind != "small":
-        spans = [2**26, 2**26, *([1] if kind == "2^53 + 1" else [])]
     columns = []
     for span in spans:
         offset = draw(st.sampled_from([0, -7, 2**52, -2**52]))
@@ -420,9 +420,8 @@ def test_integer_route_is_the_sorted_kernel(c):
     def check(lattice, data):
         x, spans = lattice
         D, tails = _lists._distances(kernel, x), _lists._integer_tails(kernel, x)
-        bound = {"p1": len(x) - 5, "pinf": 3}.get(c)
-        taken = (sum(s * s for s in spans) <= 2**53 if c == "L" else max(spans) <= bound)
-        assert (tails is not None) == taken
+        bound = {"p1": len(x) - 5, "pinf": 3}[c]
+        assert (tails is not None) == (max(spans) <= bound)
         assert repr(D) == repr(sorted_kernel(kernel, x))
         # one integer vector added to every row, or the columns permuted,
         # give the same bits, on the route and off it
@@ -435,9 +434,9 @@ def test_integer_route_is_the_sorted_kernel(c):
     check()
 
 
-@pytest.mark.parametrize("c", INTEGER_KERNELS)
+@pytest.mark.parametrize("c", [*INTEGER_KERNELS, "p2", "L"])
 def test_the_lattice_takes_the_integer_route_and_the_gaussian_does_not(tmp_path, c):
-    for matrix, taken in [("lattice", True), ("gauss", False)]:
+    for matrix, taken in [("lattice", c in INTEGER_KERNELS), ("gauss", False)]:
         argv = ["near", "--c", c, "--format", "json", "--x", scale_inputs(tmp_path)[matrix][0]]
         real, results = _lists._integer_tails, []
 
