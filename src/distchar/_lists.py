@@ -20,24 +20,24 @@ from the XOR of two codes.  There every term and partial sum of the sorted
 kernel is an exact integer, so the sort changes no bit and the route gives
 the sorted kernel's values.  p2, L and other data keep the sorted kernels.
 
-``rob-minus`` and ``rob-plus`` derive a matrix one column away from X's by
-an O(n^2) update (``_without``, ``_with``) where ``errors.exact_updates``
-holds: always under pinf, whose values are terms selected exactly, and under
-p1 and L on integer-valued data whose column spans (L: their squares) sum to
-at most 2^53, where every term and partial sum is an exact integer, so that
-adding or subtracting a column's terms gives the rebuild's bits.  p2, and
-p1 and L on other data, rebuild each matrix.
+``rob-minus`` derives each leave-one-out matrix from X's by an O(n^2)
+update (``_without``) where ``errors.exact_updates`` holds: always under
+pinf, whose values are terms selected exactly, and under p1 and L on
+integer-valued data whose column spans (L: their squares) sum to at most
+2^53, where every term and partial sum is an exact integer, so that
+subtracting a column's terms gives the rebuild's bits.  p2, and p1 and L on
+other data, rebuild each matrix.
 
 Each job charges its plan before it builds anything (``_Job.charge``), in
 pair-terms per pair of rows: a build of k columns costs k + c, c being
 ``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
-``distmat`` make one build, ``concord`` and ``corr`` two; ``rob-minus`` one
-and k updates where ``exact_updates`` holds, else one and k builds of k - 1
-columns; ``rob-plus`` one and an update where it holds for the extension,
-else one and a build of k + 1; ``adversarial`` rungs of k + 1 one-column
-builds while they sum to at most ``_LADDER_TERMS``.  A plan above
-``cli._MAX_TERMS`` declines.  ``cli`` checks the coefficient spellings and
-one build of X, a lower bound of every plan, before this module loads.
+``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
+(k and k + 1 columns); ``rob-minus`` one and k updates where
+``exact_updates`` holds, else one and k builds of k - 1 columns;
+``adversarial`` rungs of k + 1 one-column builds while they sum to at most
+``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
+checks the coefficient spellings and one build of X, a lower bound of every
+plan, before this module loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
 the array path, which computes the job or reports its error itself.
 """
@@ -70,13 +70,6 @@ from .errors import DomainError, exact_updates
 # rob-minus (292 740) is admitted under p1 (list / array 120 / 158 ms at 121
 # rows), pinf (151 / 197) and L (144 / 195), and so is CI's 8 x 2000 lattice
 # (168 140; 174 / 238); under p2, which rebuilds (1 492 260), it is not.
-# rob-plus where it updates, one build and one update, at its largest
-# admitted n on {0..3} lattices (list / array ms, timed the same way):
-#
-#      k   admitted n: cost   p1 list / array   pinf list / array
-#      2   258: 298 377       182 / 237         132 / 171
-#     12   178: 299 307       116 / 174         110 / 159
-#    128    67: 298 485       127 / 185         111 / 195
 _UPDATE_COST = 2
 # an adversarial rung of k + 1 columns is charged as k + 1 one-column builds,
 # so its ladder holds at most this many pair-terms (50 000): a ladder given
@@ -303,19 +296,6 @@ def _without(kernel, D, S, column) -> list[list[float]]:
     return [[d - (a - b) * (a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
 
 
-def _with(kernel, D, column) -> list[list[float]]:
-    """The distance matrix of the rows of ``D`` with ``column`` appended: its
-    terms added under p1 and L, taken as a maximum under pinf."""
-    if kernel is max:
-        D = [[max(d, abs(a - b)) for d, b in zip(row, column)] for row, a in zip(D, column)]
-        if any(math.inf in row for row in D):
-            raise DomainError("coefficient value overflows the float range")
-        return D
-    if kernel is _p1:
-        return [[d + abs(a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
-    return [[d + (a - b) * (a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
-
-
 class _Job:
     """A job's flags (``args``), CSV loader and rows ``x``, and its kernels
     (one per coefficient flag, in flag order)."""
@@ -358,20 +338,15 @@ def _distmat(job) -> list[list[float]]:
 
 
 def _rob_plus(job) -> dict:
-    """X's matrix, extended by the new column's update where ``exact_updates``
-    holds for the extension, else rebuilt from it."""
+    """X's matrix and the extension's, each built, as ``rob_plus`` does."""
     x, xp, (kernel,) = job.x, job.load(job.args.xp), job.kernels
     k = len(x[0])
     if len(x) < 2 or len(xp) != len(x) or len(xp[0]) != k + 1:
         raise DomainError("not a one-column extension of at least two rows")
     if any(row[:k] != base for row, base in zip(xp, x)):
         raise DomainError("extension disagrees with x")
-    exact = exact_updates(job.args.c, zip(*xp))
-    job.charge(_build(k) + (_UPDATE_COST if exact else _build(k + 1)))
-    D = _distances(kernel, x)
-    base = job.near(D)
-    aug = job.near(_with(kernel, D, [row[k] for row in xp]) if exact
-                   else _distances(kernel, xp))
+    job.charge(_build(k) + _build(k + 1))
+    base, aug = job.sets(kernel, x), job.sets(kernel, xp)
     den = sum(map(len, base))
     if den == 0:
         raise DomainError("score denominator must be positive")

@@ -25,14 +25,14 @@ def require_integers(**named) -> None:
 
 
 def exact_updates(name: str, columns) -> bool:
-    """Whether one-column updates of a distance matrix under the coefficient
-    named ``name`` (``coefficient_name``'s spelling) are bitwise the rebuild,
-    for the data matrix whose float ``columns`` are given.
+    """Whether leave-one-out updates of a distance matrix under the
+    coefficient named ``name`` (``coefficient_name``'s spelling) are bitwise
+    the rebuild, for the data matrix whose float ``columns`` are given.
 
-    An update derives a matrix with one column fewer or more from the
-    matrix at hand: removing or adding column j's terms, |x_ij - x_lj| under
-    p1 and (x_ij - x_lj)^2 under L, or under pinf taking a pair's second
-    largest term or a maximum.  pinf always qualifies: its values are terms,
+    An update derives the matrix without column j from the matrix at hand:
+    removing column j's terms, |x_ij - x_lj| under p1 and (x_ij - x_lj)^2
+    under L, or under pinf taking a pair's second largest term where column
+    j's is its largest.  pinf always qualifies: its values are terms,
     selected exactly.  p1 and L qualify when every entry is integer-valued
     and the column spans, span_j = max - min of column j, satisfy
     sum(span_j) <= 2^53 under p1 or sum(span_j^2) <= 2^53 under L.  Then

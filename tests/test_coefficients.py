@@ -282,3 +282,29 @@ def test_squared_euclidean_refuses_an_underflow_to_zero(v, raises):
 def test_a_thousand_tenths_sum_sequentially():
     v = np.full(1000, 0.1)
     assert (evaluate(PNorm(1), v), np.sum(v)) == (99.9999999999986, 100.00000000000001)
+
+
+def test_builds_do_not_depend_on_the_simd_level(tmp_path):
+    # README, evaluate and the list path's byte equality rest on p1, p2, pinf
+    # and L giving the same bits whichever dispatch targets numpy uses: a
+    # child with every enabled target disabled must build the same bytes.
+    # General p (p3.5) is documented to depend on them and is left out.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not enabled:
+        pytest.skip("numpy dispatches to no target above its baseline on this host")
+    names = ["p1", "p2", "pinf", "L"]
+    x = np.random.default_rng(3).standard_normal((200, 16))
+    np.save(tmp_path / "x.npy", x)
+    probe = ("import sys; import numpy as np; from distchar import build, parse_coefficient\n"
+             "x = np.load(sys.argv[1])\n"
+             "for c in sys.argv[2:]:\n"
+             "    sys.stdout.buffer.write(build(parse_coefficient(c), x).tobytes())")
+    env = {**SUBPROCESS_ENV, "NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}
+    child = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "x.npy"), *names],
+                           check=True, capture_output=True, env=env)
+    assert child.stderr == b""
+    assert child.stdout == b"".join(build(parse_coefficient(c), x).tobytes() for c in names)

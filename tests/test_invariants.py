@@ -30,6 +30,10 @@ from distchar.neighbors import EXACT_TIES
 COEFFICIENTS = st.sampled_from(
     [PNorm(1), PNorm(2), PNorm(math.inf), SquaredEuclidean(), PNorm(3.5)])
 TIES = st.sampled_from([TiePolicy(), EXACT_TIES])
+# p1, p2, pinf and L, whose bits do not depend on the host, and four pairs
+NAMED = [PNorm(1), PNorm(2), PNorm(math.inf), SquaredEuclidean()]
+NAMED_PAIRS = [(NAMED[0], NAMED[1]), (NAMED[0], NAMED[2]), (NAMED[1], NAMED[3]),
+               (NAMED[2], NAMED[3])]
 
 
 @st.composite
@@ -92,3 +96,34 @@ def test_scores_are_invariant_under_power_of_two_scaling(x_aug, m, n, tie, posit
                 outcome(lambda: concordance(m, n, x, tie, positive_only)))
 
     assert scores(np.ldexp(x_aug, s)) == scores(x_aug)
+
+
+@given(x=lattices(), shift=st.lists(st.integers(-2**40, 2**40), min_size=5, max_size=5),
+       convention=st.sampled_from(list(SampleSpace)))
+@settings(max_examples=150, deadline=None)
+def test_an_integer_translation_leaves_integer_builds_and_rho_unchanged(x, shift, convention):
+    # every difference of translated entries is the same exact integer
+    moved = x + np.array(shift[:x.shape[1]], dtype=float)
+    for c in NAMED:
+        assert build(c, moved).tobytes() == build(c, x).tobytes()
+    for m, n in NAMED_PAIRS:
+        assert (outcome(lambda: correlation(m, n, moved, convention))
+                == outcome(lambda: correlation(m, n, x, convention)))
+
+
+def test_a_translation_within_100_scales_moves_gaussian_rho_by_at_most_1e_12():
+    # translating by t rounds each difference (x_i + t) - (x_l + t) anew, an
+    # error of about 2^-53 |t| against a distance of about the data's scale.
+    # Here rho moves by at most 3.2e-14; with t up to 1e4 scales it moved by
+    # 4.0e-12 and up to 1e6 scales by 5.7e-10, so the bound needs the limit
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        n, k = rng.integers(3, 31), rng.integers(1, 9)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        x = scale * rng.standard_normal((n, k))
+        moved = x + 100 * scale * rng.uniform(-1, 1, k)
+        for m, other in NAMED_PAIRS:
+            for convention in SampleSpace:
+                before = correlation(m, other, x, convention).rho
+                after = correlation(m, other, moved, convention).rho
+                assert abs(after - before) <= 1e-12, (n, k, m, other, convention)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from distchar import _lists, cli, coefficient_name, parse_coefficient
 from distchar import io as dcio
-from distchar.errors import DomainError
+from distchar.errors import DomainError, exact_updates
 
 COEFFICIENTS = ("p1", "p2", "pinf", "L")
 TIES = {
@@ -187,13 +187,13 @@ def test_declined_job_ends_in_the_array_path(tmp_path, argv, x, status, err):
 
 # each command's largest n x k job its plan admits, by coefficient (concord
 # and corr: --m p1 --n L) and k, on the integer rows of threshold_job; where
-# one-column updates are exact (rob-minus under p1, rob-plus under p1 and
-# pinf) they are charged as updates, and p2 rebuilds
+# one-column updates are exact (rob-minus under p1) they are charged as
+# updates, and p2 rebuilds
 EDGES = {
     "near": {"p2": {1: 316, 2: 293, 12: 188, 500: 34}},
     "distmat": {"p2": {1: 316, 2: 293, 12: 188, 500: 34}},
-    "rob-plus": {"p1": {1: 274, 2: 258, 12: 178, 500: 34},
-                 "pinf": {1: 274, 2: 258, 12: 178, 500: 34},
+    "rob-plus": {"p1": {1: 215, 2: 200, 12: 131, 500: 24},
+                 "pinf": {1: 215, 2: 200, 12: 131, 500: 24},
                  "p2": {1: 215, 2: 200, 12: 131, 500: 24}},
     "rob-minus": {"p1": {2: 234, 12: 121, 500: 20}, "p2": {2: 178, 12: 54, 500: 2}},
     "concord": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
@@ -282,6 +282,20 @@ def test_list_path_at_the_admitted_scale_prints_what_the_array_path_prints(
     argv = [command, *flags.get(command, ["--c", c]), "--format", "json", "--x", x]
     assert covered(argv)
     assert both_entries(argv)[1:] == ("", 0)
+
+
+@pytest.mark.parametrize("c", ["p1", "pinf", "L"])
+def test_list_rob_plus_builds_both_matrices(tmp_path, c):
+    # X's matrix and the extension's are each built, as rob_plus builds
+    # them, also where the extension is an exact one-column update of X's
+    x, xp = scale_inputs(tmp_path)["lattice"]
+    assert exact_updates(c, zip(*dcio._load_rows(xp)))
+    argv = ["rob-plus", "--c", c, "--xp", xp, "--format", "json", "--x", x]
+    with mock.patch.object(_lists, "_distances", wraps=_lists._distances) as distances, \
+            mock.patch.object(_lists, "exact_updates", wraps=exact_updates) as asked:
+        assert covered(argv)
+    assert distances.call_count == 2
+    asked.assert_not_called()
 
 
 @pytest.mark.parametrize("job", ["rob-minus p2 lattice", "corr 200x8"])

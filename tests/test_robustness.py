@@ -326,8 +326,8 @@ class TestRobMinusByUpdates:
         assert list_outcome(c, x, *rule, x_aug=x_aug) == expected
 
     def test_list_rob_plus_update_overflow_is_refused(self):
-        # the appended column's difference overflows: pinf's update, a
-        # maximum, would hold inf where the rebuild raises
+        # the appended column's difference overflows: the extension's pinf
+        # distance would be inf, and both paths raise
         x, x_aug = np.zeros((2, 1)), np.array([[0.0, 1e308], [0.0, -1e308]])
         with pytest.raises(DomainError, match="overflows"):
             rob_plus(PINF, x, x_aug)
