@@ -21,19 +21,23 @@ kernel is an exact integer, so the sort changes no bit and the route gives
 the sorted kernel's values.  p2, L and other data keep the sorted kernels.
 
 ``rob-minus`` derives each leave-one-out matrix from X's by an O(n^2)
-update (``_without``) where ``errors.exact_updates`` holds: always under
-pinf, whose values are terms selected exactly, and under p1 and L on
-integer-valued data whose column spans (L: their squares) sum to at most
-2^53, where every term and partial sum is an exact integer, so that
-subtracting a column's terms gives the rebuild's bits.  p2, and p1 and L on
-other data, rebuild each matrix.
+update (``_without``), exact where ``errors.exact_updates`` holds (pinf;
+p1 and L on integer-valued data whose column spans, or their squares, sum
+to at most 2^53).  Elsewhere (p2, and p1 and L on other data) each row's
+updates lie within e = a + b / m of the rebuilt values, the bound of
+``errors.update_bound`` that ``robustness.rob_minus`` proves, and
+``_near_sets`` decides each row from those intervals as ``rob_minus`` does;
+the kernel recomputes a row it cannot decide, and rebuilds a matrix where
+most rows are.
 
 Each job charges its plan before it builds anything (``_Job.charge``), in
 pair-terms per pair of rows: a build of k columns costs k + c, c being
 ``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
 ``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
 (k and k + 1 columns); ``rob-minus`` one and k updates where
-``exact_updates`` holds, else one and k builds of k - 1 columns;
+``exact_updates`` holds or the tie slack can be nonzero, else one and k
+builds of k - 1 columns (under zero slack an inexact row is decided only
+where one candidate is certainly its least);
 ``adversarial`` rungs of k + 1 one-column builds while they sum to at most
 ``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
 checks the coefficient spellings and one build of X, a lower bound of every
@@ -49,27 +53,36 @@ from functools import reduce
 from itertools import chain
 
 from .cli import _MAX_TERMS, _PAIR_COST
-from .errors import DomainError, exact_updates
+from .errors import DomainError, exact_updates, update_bound
 
 # _UPDATE_COST is one column's update of an n x n matrix and its neighbor
 # scan, per pair, in terms.  It is fitted as cli's bound is (the table above
-# cli._MAX_TERMS), to `rob-minus --c p1` on {0..3} lattices against the array
-# path, which updates too:
+# cli._MAX_TERMS), to `rob-minus` against the array path, which updates a
+# block of columns per numpy call: p1 on {0..3} lattices (exact updates) and
+# p2 on Gaussian rows (guarded), median of 9 alternating runs of each:
 #
 #      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
-#      2   234: 299 871       141 / 190         300: 493 350       124 / 126
-#      4   188: 298 826       103 / 150         240: 487 560       138 / 150
-#     12   121: 297 660       120 / 158         180: 660 510       196 / 194
-#     32    77: 295 526       129 / 186         100: 499 950       163 / 173
-#    128    39: 288 249       134 / 168          50: 476 525       144 / 161
-#   2000    10: 270 225       170 / 223          13: 468 390       223 / 230
-#  20000     3: 180 015       418 / 827           5: 600 050       490 / 666
+#  p1  2   234: 299 871       129 / 248         300: 493 350       262 / 282
+#      4   188: 298 826       112 / 216         240: 487 560       201 / 198
+#     12   121: 297 660       151 / 278         180: 660 510       256 / 279
+#     32    77: 295 526       104 / 203         100: 499 950       233 / 249
+#    128    39: 288 249       164 / 257          50: 476 525       320 / 338
+#   2000    10: 270 225       256 / 340          13: 468 390       342 / 346
+#  20000     3: 180 015       389 / 301           5: 600 050       373 / 289
+#  p2  2   234: 299 871       215 / 270         300: 493 350       197 / 246
+#     12   121: 297 660       214 / 283         180: 660 510       241 / 272
+#    500    20: 285 950       171 / 190          28: 568 890       186 / 196
+#   2000    10: 270 225       264 / 207          13: 468 390       281 / 292
+#  20000     3: 180 015       400 / 214           5: 600 050       384 / 404
 #
-# Each declined row, at 468 000 to 660 000, is at or below the break-even;
-# the bound sits under all of them.  The benchmark's 120 x 12 lattice
-# rob-minus (292 740) is admitted under p1 (list / array 120 / 158 ms at 121
-# rows), pinf (151 / 197) and L (144 / 195), and so is CI's 8 x 2000 lattice
-# (168 140; 174 / 238); under p2, which rebuilds (1 492 260), it is not.
+# The host's speed drifted by about 1.5x over these runs.  Every declined
+# row is at or below the break-even, and every admitted one up to 500
+# columns is faster on lists; from 2000 columns the list path pays about
+# 4 us per row and column, which no per-pair charge sees.  The benchmark's
+# 120 x 12 lattice rob-minus (292 740) is admitted under every coefficient,
+# and so are its 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's
+# 8 x 2000 lattice and Gaussian (168 140).  Under zero tie slack on data
+# whose updates are not exact a job is charged as k rebuilds instead.
 _UPDATE_COST = 2
 # an adversarial rung of k + 1 columns is charged as k + 1 one-column builds,
 # so its ladder holds at most this many pair-terms (50 000): a ladder given
@@ -243,28 +256,48 @@ def _longest_run(v: int, k: int) -> int:
     return run
 
 
-def _near_sets(D, tie, positive_only: bool) -> list[list[int]]:
+def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
     """Each row's nearest neighbors (0-based, ascending): the candidates j != i
     (with D[i][j] > 0 under ``positive_only``) with D[i][j] <= bound, where
     m is the row's least candidate, slack = max(abs_tol, rel_tol * m) and
     bound is m when slack is 0, else m + slack.  As distances are
     nonnegative, the positive candidates are the nonzero entries, and the
-    zero diagonal is at most every bound."""
+    zero diagonal is at most every bound.  ``rows`` picks the rows decided.
+
+    ``errors`` gives rows of updates, each within a + b / m of the rebuilt
+    value, by each row's (a, b, lo): a row is decided from those intervals
+    as ``robustness.rob_minus`` decides it, and is None where it is not."""
     rel, absolute = tie
     sets = []
-    for i, row in enumerate(D):
-        m = min(filter(None, row) if positive_only else row[:i] + row[i + 1:], default=None)
-        if m is None:  # n = 1, or no positive candidate
-            sets.append([])
-            continue
-        slack = max(absolute, rel * m)
-        bound = m if slack == 0 else m + slack
-        if positive_only:
-            sets.append([j for j, d in enumerate(row) if 0 < d <= bound])
+    for i, row in enumerate(D) if rows is None else ((i, D[i]) for i in rows):
+        if errors:  # at risk unless every off-diagonal interval lies above lo
+            a, b, lo = errors[i]
+            m = min(row[:i] + row[i + 1:])
+            if not (m > lo and m - (e := a + b / m) > lo):
+                sets.append(None)
+                continue
         else:
-            near = [j for j, d in enumerate(row) if d <= bound]
+            e = 0.0
+            m = min(filter(None, row) if positive_only else row[:i] + row[i + 1:], default=None)
+            if m is None:  # n = 1, or no positive candidate
+                sets.append([])
+                continue
+        slack = max(absolute, rel * (m - e))
+        low = high = m - e if slack == 0 else m - e + slack
+        if e:
+            slack = max(absolute, rel * (m + e))
+            high = m + e if slack == 0 else m + e + slack
+        top = high + e
+        if positive_only:
+            near = [j for j, d in enumerate(row) if 0 < d <= top]
+        else:
+            near = [j for j, d in enumerate(row) if d <= top]
             near.remove(i)
-            sets.append(near)
+        if e:  # each in, out, or the one candidate below every other
+            first = [j for j in near if row[j] - e <= m + e]
+            sure = [j for j in near if row[j] + e <= low or first == [j]]
+            near = sure if len(sure) == sum(row[j] - e <= high for j in near) else None
+        sets.append(near)
     return sets
 
 
@@ -284,15 +317,19 @@ def _top_two(x: list[list[float]]) -> tuple[list[list[float]], list[list[float]]
 
 
 def _without(kernel, D, S, column) -> list[list[float]]:
-    """The distance matrix of the rows of ``D`` without ``column``: its terms
-    subtracted under p1 and L; under pinf (``max``), a pair's second largest
-    term (``S``) where the column's term is its largest, which then is the
+    """The updates of the rows of ``D`` without ``column``: its terms
+    subtracted under p1 and L, sqrt(D*D - d*d) under p2 (0 where D*D - d*d
+    is not positive), and under pinf (``max``) a pair's second largest term
+    (``S``) where the column's term is its largest, which then is the
     column's unless that largest is repeated, and ``S`` holds it too."""
     if kernel is max:
         return [[s if abs(a - b) == d else d for d, s, b in zip(row, second, column)]
                 for row, second, a in zip(D, S, column)]
     if kernel is _p1:
         return [[d - abs(a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
+    if kernel is _p2:
+        return [[math.sqrt(v) if (v := d * d - (a - b) * (a - b)) > 0 else 0.0
+                 for d, b in zip(row, column)] for row, a in zip(D, column)]
     return [[d - (a - b) * (a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
 
 
@@ -317,8 +354,8 @@ class _Job:
     def sets(self, kernel, rows: list[list[float]]) -> list[list[int]]:
         return self.near(_distances(kernel, rows))
 
-    def near(self, D) -> list[list[int]]:
-        return _near_sets(D, self.tie, getattr(self.args, "positive_only", False))
+    def near(self, D, errors=None, rows=None) -> list:
+        return _near_sets(D, self.tie, getattr(self.args, "positive_only", False), errors, rows)
 
 
 def _score(num: int, den: int) -> dict:
@@ -355,21 +392,37 @@ def _rob_plus(job) -> dict:
 
 def _rob_minus(job) -> dict:
     """X's matrix, then each leave-one-out matrix by one column's update
-    (``_without``) where ``exact_updates`` holds, else rebuilt."""
+    (``_without``), decided where its bound allows (``_near_sets``), its
+    other rows recomputed, or the matrix rebuilt where most are."""
     x, (kernel,) = job.x, job.kernels
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
     exact = exact_updates(job.args.c, zip(*x))
-    job.charge(_build(k) + k * (_UPDATE_COST if exact else _build(k - 1)))
-    if exact:
-        D, S = _top_two(x) if kernel is max else (_distances(kernel, x), None)
-        matrices = (_without(kernel, D, S, column) for column in zip(*x))
-    else:
-        D = _distances(kernel, x)
-        matrices = (_distances(kernel, [row[:j] + row[j + 1:] for row in x]) for j in range(k))
+    job.charge(_build(k) + k * (_UPDATE_COST if exact or any(job.tie) else _build(k - 1)))
+    D, S = _top_two(x) if kernel is max else (_distances(kernel, x), None)
+    errors = None
+    if not exact:
+        c1, c2, lo, hi = update_bound(job.args.c, k)
+        errors = [(c1 * t if t < hi else math.inf, c2 * t * t, lo) for t in map(max, D)]
     base = job.near(D)
-    changed = sum(s != b for M in matrices for s, b in zip(job.near(M), base))
+    changed = 0
+    for j, column in enumerate(zip(*x)):
+        M = _without(kernel, D, S, column)
+        sets = job.near(M, errors)
+        if None in sets:
+            undecided = [i for i, s in enumerate(sets) if s is None]
+            rows = [row[:j] + row[j + 1:] for row in x]
+            if 2 * len(undecided) > n:
+                sets = job.sets(kernel, rows)
+            else:
+                for i in undecided:
+                    M[i] = [kernel([abs(u - v) for u, v in zip(rows[i], r)]) for r in rows]
+                    if not all(map(math.isfinite, M[i])):
+                        raise DomainError("coefficient value overflows the float range")
+                for i, near in zip(undecided, job.near(M, rows=undecided)):
+                    sets[i] = near
+        changed += sum(s != b for s, b in zip(sets, base))
     return _score(n * k - changed, n * k)
 
 

@@ -1,6 +1,8 @@
-"""The exception type and the integer checks shared across the package: of
-integer arguments, and of integer-valued data whose sums are exact."""
+"""The exception type and the checks shared across the package: of integer
+arguments, of integer-valued data whose sums are exact, and the error bound
+of inexact leave-one-out updates."""
 
+import math
 import numbers
 
 from . import _EXPORTS
@@ -52,3 +54,20 @@ def exact_updates(name: str, columns) -> bool:
         span = int(max(column)) - int(min(column))  # exact: no float rounding
         total += span if name == "p1" else span * span
     return total <= 2**53
+
+
+def update_bound(name: str, k: int) -> tuple[float, float, float, float]:
+    """(c1, c2, lo, hi): the bound of leave-one-out updates of an n x k
+    matrix's distances under ``name`` ("p1", "p2" or "L") where
+    ``exact_updates`` fails, proved in ``robustness.rob_minus``.  In a row
+    whose distances peak at t < hi, each update is within e = a + b / m of
+    the rebuilt value, a = c1 * t and b = c2 * t * t, m being the row's least
+    off-diagonal update, unless m - e <= lo; then, or where t >= hi, the row
+    is at risk.  Beyond k = 2^33 every row is at risk."""
+    u = 2.0**-53
+    if k * u > 2.0**-20:
+        return math.inf, math.inf, 0.0, 0.0
+    if name == "p2":
+        eps = (k / 2 + 4) * u / (1 - k * u)
+        return 1.01 * (u + eps), 3.03 * (1 + eps) * (eps + u), 2.0**-480, 2.0**511
+    return 1.01 * 2 * k * u / (1 - 2 * k * u), 0.0, 0.0, 2.0**1022

@@ -90,10 +90,16 @@ def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> n
         candidate = candidate & (D > 0)
     # a row without candidates gets the largest entry; its mask stays empty
     m = D.min(axis=-1, where=candidate, initial=D.max(initial=0))
+    return candidate & (D <= tie_bound(m, tie)[..., None])
+
+
+def tie_bound(m, tie: TiePolicy):
+    """The tie bound of row minima ``m``: m + max(absolute_tolerance,
+    relative_tolerance * m), or m where that slack is 0.  It is
+    nondecreasing in m, also as computed: float rounding is monotone."""
     with np.errstate(over="ignore"):  # an infinite slack ties every candidate, as it should
         slack = np.maximum(tie.absolute_tolerance, tie.relative_tolerance * m)
-        bound = np.where(slack == 0, m, m + slack)  # keep exact types exact
-    return candidate & (D <= bound[..., None])
+        return np.where(slack == 0, m, m + slack)  # keep exact types exact
 
 
 def nearest_sets(d, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> NeighborSets:

@@ -25,10 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import _EXPORTS
-from .coefficients import Coefficient, PNorm, SquaredEuclidean, as_floats, coefficient_name
+from . import distance
+from .coefficients import Coefficient, PNorm, as_floats, coefficient_name, row_values
 from .distance import as_data_matrix, build, build_many
-from .errors import DomainError, exact_updates, require_integers
-from .neighbors import TiePolicy, near_mask
+from .errors import DomainError, exact_updates, require_integers, update_bound
+from .neighbors import TiePolicy, near_mask, tie_bound
 
 __all__ = list(_EXPORTS["robustness"])
 
@@ -99,13 +100,54 @@ def rob_minus(
     """Leave-one-column-out robustness 1 - (sum of change counts)/(n*k).
 
     For each column j, count the rows whose nearest-neighbor set changes when
-    column j is removed.  Requires n > 1 and k > 1.  X is built once.  On
-    float input for which ``exact_updates`` holds (pinf always; p1 and L on
-    integer-valued data whose column spans, or their squares, sum to at most
-    2^53), each leave-one-out matrix is derived from X's by one O(n^2)
-    update (``_without_each_column``), every value an exact integer or a
-    selected term and so bitwise the rebuild.  Otherwise the k leave-one-out
-    matrices go through ``build_many`` in bounded stacks.
+    column j is removed.  Requires n > 1 and k > 1.  X is built once.  Under
+    p1, p2, pinf and L on float input, each leave-one-out matrix is derived
+    from X's matrix D by an O(n^2) update u (``_updates``): D - t under p1
+    and L, t being column j's term |d| or d*d (d = x_ij - x_lj), sqrt(D*D -
+    d*d) under p2, and under pinf a pair's second largest term where column
+    j's is its largest.  Its neighbor sets are decided from u within a bound
+    e >= |u - r|, r being the sorted kernel's rebuilt value, so that every
+    mask, score and error is the rebuild's.  With h = 2^-53 and g(m) = m h /
+    (1 - m h):
+
+    * Where ``exact_updates`` holds (pinf always; p1 and L on integer-valued
+      data whose column spans, or their squares, sum to at most 2^53), every
+      term and partial sum is exact or a selected term: e = 0.
+    * p1 and L elsewhere.  D and r are recursive sums of the same float terms
+      (|d|, or the rounded d*d), k and k - 1 of them, so with S and S_j their
+      exact sums, |D - S| <= g(k-1) S and |r - S_j| <= g(k-2) S_j (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., eq. 4.4); a
+      subnormal sum is exact, so this holds without underflow.  As S - t =
+      S_j, and the subtraction rounds once on |D - t| <= D, |u - r| <= 2k h D
+      / (1 - 2k h).
+    * p2.  On m <= k terms of largest term M the kernel rounds each t / M
+      and its square once, sums them (g(m - 1)), and rounds the square root
+      and the product by M once each: its relative error is at most eps =
+      (k/2 + 4) h / (1 - k h), as the sum is at least 1 and quotients below
+      2^-1022 change it by less than 2^-1070.  With R^2 = D's exact square
+      less d*d, v = fl(fl(D*D) - fl(d*d)) is within E = 3 (eps + h) D^2 of
+      R^2 while D*D is finite and at least 2^-960, so u = fl(sqrt v) > 0
+      has |u - r| <= (1 + 2h) ((h + eps) u + (1 + eps) E / u); then R
+      exceeds u - e, and r is a normal float where u - e > 2^-480.
+
+    ``errors.update_bound`` gives e for a whole row: a + b / m, a = c1 t and
+    b = c2 t^2, where t is the row's largest distance and m its least
+    off-diagonal update (under p2 each u <= t (1 + 2h) and u >= m); the
+    factor 1.01 in c1 and c2 covers the rounding of e itself.  Where c1 t
+    rounds to 0 under p1 and L, t is below 2^-1023, and every partial sum,
+    below 2^-1021, is exact, as is u.  Each row is decided from the
+    intervals [u - e, u + e], which hold r as computed too: rounding is
+    monotone and r is a float.  The row's minimum lies in [m - e, m + e] and
+    the tie bound (``neighbors.tie_bound``) is nondecreasing in it, so a
+    candidate is in if u + e <= bound(m - e) and out if u - e > bound(m +
+    e); the one candidate whose interval lies below every other's is the
+    minimum, and in.  A row is at risk where m - e <= lo (0, or 2^-480 under
+    p2), which covers a rebuilt 0 (L's underflow, and positivity under
+    ``positive_only``) and a negative v, or where t >= 2^1022 (2^511 under
+    p2), where the rebuild or D*D may overflow.  A row at risk or left
+    undecided is recomputed by the kernel, whose error, if it raises, is the
+    rebuild's; a matrix with more than half its rows so is rebuilt.  Object
+    input and other p go through ``build_many`` in bounded stacks.
     """
     X = as_data_matrix(x)
     n, k = X.shape
@@ -113,46 +155,107 @@ def rob_minus(
         raise DomainError("robustness needs n > 1 so that neighbors exist")
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
-    updates = X.dtype != object and exact_updates(coefficient_name(coefficient), X.T.tolist())
+    name = coefficient_name(coefficient)
+    updated = X.dtype != object and name in ("p1", "p2", "pinf", "L")
+    exact = updated and exact_updates(name, X.T.tolist())
     D = build(coefficient, X)
     base = near_mask(D, tie, positive_only)
-    if updates:
-        matrices = _without_each_column(coefficient, X, D)
+    if updated:
+        masks = _leave_one_out_masks(coefficient, X, D, exact, tie, positive_only)
     else:
         matrices = build_many(coefficient, (np.delete(X, j, axis=1) for j in range(k)))
-    changed = sum(int((near_mask(M, tie, positive_only) != base).any(axis=-1).sum())
-                  for M in matrices)
+        masks = (near_mask(M, tie, positive_only) for M in matrices)
+    changed = sum(int((mask != base).any(axis=-1).sum()) for mask in masks)
     return RationalScore(n * k - changed, n * k)
 
 
-def _without_each_column(coefficient: Coefficient, X: np.ndarray, D: np.ndarray):
-    """The distance matrices of the float matrix X without column j, for each
-    j in turn, from X's matrix D: D minus column j's terms (|x_ij - x_lj|, or
-    its square under L), or under pinf each pair's second largest term where
-    column j's term is the pair's largest, else D.  One n x n buffer is
-    reused: each matrix is valid until the next is taken."""
-    n = len(X)
-    terms, out = np.empty((n, n)), np.empty((n, n))
-    squared = isinstance(coefficient, SquaredEuclidean)
+def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray, exact: bool,
+                         tie: TiePolicy, positive_only: bool):
+    """The near masks of the float matrix X without column j, for each j, from
+    X's matrix D, in (b, n, n) blocks of at most ``distance._STACK_ENTRIES``
+    entries: each block's updates (``_updates``) decided by
+    ``_guarded_mask``, its undecided rows recomputed by the kernel, or a
+    matrix rebuilt where more than half its rows are undecided."""
+    n, k = X.shape
+    name = coefficient_name(coefficient)
+    off = ~np.eye(n, dtype=bool)
+    bound = None
+    if not exact:
+        c1, c2, lo, hi = update_bound(name, k)
+        top = D.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.where(top < hi, c1 * top, np.inf), c2 * top * top, lo
+    per_block = max(1, distance._STACK_ENTRIES // (n * n))
+    blocks = [(j, X[:, j:j + per_block].T) for j in range(0, k, per_block)]
+    second = _second_largest(blocks, n) if name == "pinf" else None
+    for j, columns in blocks:
+        mask, decided = _guarded_mask(_updates(name, D, second, columns), off, bound, tie,
+                                      positive_only)
+        for b in np.flatnonzero(~decided.all(axis=1)):
+            rows = np.flatnonzero(~decided[b])
+            Xj = np.delete(X, j + b, axis=1)
+            if 2 * len(rows) > n:
+                mask[b] = near_mask(build(coefficient, Xj), tie, positive_only)
+                continue
+            try:
+                with np.errstate(over="ignore"):  # an infinite difference makes it raise
+                    values = row_values(coefficient, np.abs(Xj[rows, None] - Xj).reshape(-1, k - 1))
+            except DomainError:
+                build(coefficient, Xj)  # raises the rebuild's own error
+                raise
+            mask[b, rows] = _guarded_mask(values.reshape(len(rows), n), off[rows], None, tie,
+                                          positive_only)[0]
+        yield mask
 
-    def terms_of(column):
-        np.subtract(column[:, None], column[None, :], out=terms)
-        return np.multiply(terms, terms, out=terms) if squared else np.abs(terms, out=terms)
 
-    pinf = not squared and math.isinf(coefficient.p)
-    if pinf:
-        first, second = np.zeros((n, n)), np.zeros((n, n))
-        for column in X.T:  # each pair's two largest terms so far
-            t = terms_of(column)
-            np.maximum(second, np.minimum(first, t, out=out), out=second)
-            np.maximum(first, t, out=first)
-    for column in X.T:
-        if pinf:
-            np.copyto(out, D)
-            np.copyto(out, second, where=terms_of(column) == D)
+def _terms(columns: np.ndarray) -> np.ndarray:
+    """|x_ij - x_lj| for each of the (b, n) ``columns``: a (b, n, n) stack."""
+    return np.abs(columns[:, :, None] - columns[:, None, :])
+
+
+def _second_largest(blocks, n: int) -> np.ndarray:
+    """Each pair's second largest term over the columns of every block (its
+    largest is its pinf distance)."""
+    top = np.zeros((2, n, n))
+    for _, columns in blocks:
+        top = np.partition(np.concatenate([top, _terms(columns)]), -2, axis=0)[-2:]
+    return top[0]
+
+
+def _updates(name: str, D: np.ndarray, second, columns: np.ndarray) -> np.ndarray:
+    """The updates of D without each of the (b, n) ``columns`` (see
+    ``rob_minus``); NaN under p2 where D*D - d*d is negative or overflows."""
+    T = _terms(columns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if name == "pinf":
+            return np.where(T == D, second, D)
+        if name == "p2":
+            return np.sqrt(D * D - T * T)
+        return D - (T * T if name == "L" else T)
+
+
+def _guarded_mask(U: np.ndarray, off: np.ndarray, bound, tie: TiePolicy, positive_only: bool):
+    """The near masks of rows of updates ``U`` (..., r, n), ``off`` marking
+    their off-diagonal entries, and which rows they decide (``rob_minus``).
+    ``bound`` is None where U is exact, else (a, b, lo) per row: each entry
+    within e = a + b / m of the rebuilt value, m the row's least
+    off-diagonal entry, unless m - e <= lo."""
+    candidate = off & (U > 0) if positive_only else off
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = U.min(axis=-1, where=candidate, initial=np.inf)
+        if bound is None:
+            e, safe = np.zeros_like(m), True
         else:
-            np.subtract(D, terms_of(column), out=out)
-        yield out
+            a, b, lo = bound
+            least = U.min(axis=-1, where=off, initial=np.inf) if positive_only else m
+            e = a + b / least
+            safe = least - e > lo  # False where NaN
+        sure = candidate & (U + e[..., None] <= tie_bound(m - e, tie)[..., None])
+        maybe = candidate & (U - e[..., None] <= tie_bound(m + e, tie)[..., None])
+        if bound is not None:  # the one candidate below every other is the minimum
+            first = candidate & (U - e[..., None] <= (m + e)[..., None])
+            sure |= first & (first.sum(axis=-1) == 1)[..., None]
+    return sure, safe & (sure == maybe).all(axis=-1)
 
 
 def spacing_values(n: int) -> np.ndarray:

@@ -186,16 +186,16 @@ def test_declined_job_ends_in_the_array_path(tmp_path, argv, x, status, err):
 
 
 # each command's largest n x k job its plan admits, by coefficient (concord
-# and corr: --m p1 --n L) and k, on the integer rows of threshold_job; where
-# one-column updates are exact (rob-minus under p1) they are charged as
-# updates, and p2 rebuilds
+# and corr: --m p1 --n L) and k, on the integer rows of threshold_job; under
+# the default tolerance rob-minus's one-column updates are charged as
+# updates, exact (p1) or guarded (p2)
 EDGES = {
     "near": {"p2": {1: 316, 2: 293, 12: 188, 500: 34}},
     "distmat": {"p2": {1: 316, 2: 293, 12: 188, 500: 34}},
     "rob-plus": {"p1": {1: 215, 2: 200, 12: 131, 500: 24},
                  "pinf": {1: 215, 2: 200, 12: 131, 500: 24},
                  "p2": {1: 215, 2: 200, 12: 131, 500: 24}},
-    "rob-minus": {"p1": {2: 234, 12: 121, 500: 20}, "p2": {2: 178, 12: 54, 500: 2}},
+    "rob-minus": {"p1": {2: 234, 12: 121, 500: 20}, "p2": {2: 234, 12: 121, 500: 20}},
     "concord": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
     "corr": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
     "adversarial": {"p2": {1: 224, 2: 183, 12: 88, 500: 14}},
@@ -262,10 +262,10 @@ def scale_inputs(tmp_path) -> dict[str, tuple[str, str]]:
 
 # the list-path subcommands the bound admits on each matrix of scale_inputs,
 # each with the coefficients it admits: on the lattice, rob-minus's one-column
-# updates (p1, pinf, L) but not its p2 rebuilds, and no adversarial job
+# updates under every coefficient, and no adversarial job
 ADMITTED = {"lattice": {command: FIRST[command]
-                        for command in ("near", "distmat", "rob-plus", "concord", "corr")}
-            | {"rob-minus": ("p1", "pinf", "L")},
+                        for command in ("near", "distmat", "rob-plus", "concord", "corr",
+                                        "rob-minus")},
             "gauss": FIRST}
 
 
@@ -298,17 +298,18 @@ def test_list_rob_plus_builds_both_matrices(tmp_path, c):
     asked.assert_not_called()
 
 
-@pytest.mark.parametrize("job", ["rob-minus p2 lattice", "corr 200x8"])
+@pytest.mark.parametrize("job", ["rob-minus p2 lattice exact ties", "corr 200x8"])
 def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
     # one build of X is within the bound, so the list module is asked, but
-    # the plan is not: k rebuilds (p2 has no exact one-column update), or
-    # corr's two builds of a 200 x 8 matrix (2 * 258 700 pair-terms)
+    # the plan is not: k rebuilds (under zero slack p2's guarded updates
+    # decide few rows, so they are charged as rebuilds), or corr's two
+    # builds of a 200 x 8 matrix (2 * 258 700 pair-terms)
     if job == "corr 200x8":
         gauss = np.random.default_rng(30).standard_normal((200, 8)).tolist()
         argv = ["corr", "--m", "p1", "--n", "p2", "--format", "json",
                 "--x", write(tmp_path / "x.csv", [[repr(v) for v in row] for row in gauss])]
     else:
-        argv = ["rob-minus", "--c", "p2", "--format", "json",
+        argv = ["rob-minus", "--c", "p2", "--rel-tol", "0", "--format", "json",
                 "--x", scale_inputs(tmp_path)["lattice"][0]]
     with mock.patch.object(_lists, "payload", wraps=_lists.payload) as payload, \
             mock.patch.object(_lists, "_distances") as distances, \

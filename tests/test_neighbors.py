@@ -458,7 +458,7 @@ class TestStackBound:
     """Every stack ``build_many`` yields to the search or to ``rob_minus``
     holds at most ``_STACK_ENTRIES`` distances (B n^2) and row-pass terms
     (B n k), or one matrix: a bound on n^2 alone lets wide matrices fill
-    memory."""
+    memory.  So does every block of ``rob_minus``' one-column updates."""
 
     @pytest.fixture
     def shapes(self, monkeypatch):
@@ -486,10 +486,28 @@ class TestStackBound:
     def test_rob_minus(self, monkeypatch, shapes, stack_entries):
         monkeypatch.setattr(distance, "_STACK_ENTRIES", stack_entries)
         x = np.random.default_rng(0).integers(0, 4, (3, 12)).astype(float)
-        rob_minus(P2, x)  # p2 rebuilds: it has no exact one-column update
+        rob_minus(PNorm(3.5), x)  # general p rebuilds: it has no one-column update
         assert sum(b for b, _, _ in shapes) == 12
         assert {(n, k) for _, n, k in shapes} == {(3, 11)}
         self.assert_bounded(shapes, stack_entries)
+
+    @pytest.mark.parametrize("stack_entries", [1, 40, 100, 1000])
+    def test_rob_minus_update_blocks(self, monkeypatch, stack_entries):
+        x = np.random.default_rng(0).standard_normal((3, 12))
+        expected = rob_minus(P2, x)  # in one block of 12
+        monkeypatch.setattr(distance, "_STACK_ENTRIES", stack_entries)
+        blocks = []
+        updates = robustness._updates
+
+        def recording(*args):
+            U = updates(*args)
+            blocks.append(U.shape)
+            return U
+
+        monkeypatch.setattr(robustness, "_updates", recording)
+        assert rob_minus(P2, x) == expected
+        assert sum(b for b, _, _ in blocks) == 12
+        assert all(b == 1 or b * n * n <= stack_entries for b, n, _ in blocks)
 
     @pytest.mark.parametrize("stack_entries", [1, 40, 100, 1000])
     def test_search(self, monkeypatch, shapes, stack_entries):

@@ -1,12 +1,19 @@
 import argparse
+import contextlib
+import gc
+import io
 import itertools
+import json
 import math
+import os
+import sys
+import tempfile
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distchar import (
@@ -20,14 +27,17 @@ from distchar import (
     as_data_matrix,
     augment_constant_columns,
     build,
+    cli,
     coefficient_name,
     distance,
     nearest_sets,
+    parse_coefficient,
     rob_minus,
     rob_plus,
     robustness,
     spacing_values,
 )
+from distchar import io as dcio
 from distchar.errors import exact_updates
 from distchar.neighbors import EXACT_TIES, near_mask
 
@@ -350,6 +360,135 @@ class TestRobMinusByUpdates:
         # k = 1 is refused before the question
         assert len(answers[robustness]) == (x.shape[1] > 1)
         assert answers[robustness] == answers[_lists]
+
+
+GUARD_RULES = [(TiePolicy(), False), (EXACT_TIES, False),
+               (TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.05), False),
+               (TiePolicy(), True), (EXACT_TIES, True)]
+
+
+@st.composite
+def guard_cases(draw):
+    """(coefficient, x, (tie, positive_only)): a float matrix, 3 <= n <= 8
+    and 2 <= k <= 6, under p1, p2 or L, whose one-column updates are not
+    exact (``exact_updates`` fails), of one of these kinds:
+
+    * ``gauss``: standard normal entries;
+    * ``lattice``: multiples of 0.1 in -0.5..0.5, with many ties;
+    * ``duplicates``: normal rows, some of them copies of row 0;
+    * ``boundary``: row 1 at distance d from row 0 and row 2 at the tie
+      bound of d times 1 + s * 1e-15 (|s| <= 3), both in column 0; the other
+      columns are constant on rows 0..2 or differ there by about 1e-8, and
+      the other rows lie farther away;
+    * ``mixed``: normal columns and columns of about 1e-170, which under L
+      underflow where the normal ones are left out;
+
+    scaled by 1, 1e-150 or 1e150, or by 1e-165 or 1e155, where L underflows
+    or overflows."""
+    kind = draw(st.sampled_from(["gauss", "lattice", "duplicates", "boundary", "mixed"]))
+    c = draw(st.sampled_from([P1, P2, SquaredEuclidean()]))
+    rule = draw(st.sampled_from(GUARD_RULES))
+    n, k = draw(st.integers(3, 8)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-5, 6, (n, k)) / 10 if kind == "lattice" else rng.standard_normal((n, k))
+    if kind == "duplicates":
+        x[rng.integers(1, n, n // 2)] = x[0]
+    elif kind == "mixed":
+        x[:, rng.random(k) < 0.5] *= 1e-170
+    elif kind == "boundary":
+        tie = rule[0]
+        d = 1 + rng.random()
+        near = d * d if c == SquaredEuclidean() else d
+        bound = near + max(tie.absolute_tolerance, tie.relative_tolerance * near)
+        at = math.sqrt(bound) if c == SquaredEuclidean() else bound
+        x[:3, 0] = 0.0, d, at * (1 + draw(st.integers(-3, 3)) * 1e-15)
+        x[:3, 1:] = 0.25 + rng.standard_normal((1, k - 1)) * 1e-8 * (rng.random((3, k - 1)) < 0.5)
+        x[3:] += 10
+    return c, x * draw(st.sampled_from([1.0, 1e-150, 1e150, 1e-165, 1e155])), rule
+
+
+def cli_outputs(c, x, tie, positive_only):
+    """The list path's payload of rob-minus on ``x`` (written as a CSV), or
+    None where it declines, and the (stdout, stderr, status) of ``cli.run``
+    and of ``cli.main``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        with open(path, "w") as f:
+            f.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        argv = ["rob-minus", "--c", coefficient_name(c), "--x", path, "--format", "json",
+                "--rel-tol", repr(tie.relative_tolerance), "--abs-tol",
+                repr(tie.absolute_tolerance), *(["--positive-only"] * positive_only)]
+        try:
+            payload = cli._list_payload(cli.build_parser().parse_args(argv), dcio._load_rows)
+        except DomainError:
+            payload = None
+        outputs = []
+        for entry in (cli.run, cli.main):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.object(sys, "argv", ["distchar", *argv]):
+                try:
+                    status = entry(argv) if entry is cli.run else entry()
+                except SystemExit as exc:
+                    status = exc.code
+                finally:
+                    gc.unfreeze()
+            outputs.append((out.getvalue(), err.getvalue(), status))
+    return payload, outputs
+
+
+class TestRobMinusGuard:
+    """Guarded one-column updates, where ``exact_updates`` fails, against one
+    build per leave-one-out matrix: ``rob_minus``, the list path, and
+    ``main()`` against ``run()``."""
+
+    @given(case=guard_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_one_build_per_column(self, case):
+        c, x, rule = case
+        assume(not exact_updates(coefficient_name(c), x.T.tolist()))  # all 0 at 1e-335
+        expected = outcome(reference_rob_minus, c, x, *rule)
+        assert outcome(rob_minus, c, x, *rule) == expected
+        assert list_outcome(c, x, *rule) == (expected if isinstance(expected, tuple)
+                                             else "error")
+
+    @given(case=guard_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_main_prints_what_run_prints(self, case):
+        c, x, rule = case
+        expected = outcome(reference_rob_minus, c, x, *rule)
+        payload, (run, main) = cli_outputs(c, x, *rule)
+        assert main == run
+        if isinstance(expected, str):  # refused: the list path declines, the array path reports
+            assert payload is None
+            assert run == ("", f"error: {expected}\n", 1)
+        else:
+            assert (payload["num"], payload["den"]) == expected
+            assert run == (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+                           "", 0)
+
+    @pytest.mark.parametrize("c", ["p1", "p2", "L"])
+    def test_a_generic_gaussian_needs_no_recomputation(self, c):
+        # the guard decides every row of a 40 x 16 Gaussian's leave-one-out
+        # matrices under the default tolerance: the kernel runs for X's
+        # matrix only, on both paths
+        x = np.random.default_rng(40).standard_normal((40, 16))
+        coefficient = parse_coefficient(c)
+        with mock.patch.object(robustness, "build", wraps=build) as builds, \
+                mock.patch.object(robustness, "row_values") as row_values:
+            score = rob_minus(coefficient, x)
+        assert (builds.call_count, row_values.call_count) == (1, 0)
+        kernel, calls = _lists._KERNELS[c], []
+
+        def counted(terms):
+            calls.append(terms)
+            return kernel(terms)
+
+        with mock.patch.dict(_lists._KERNELS, {c: counted}), \
+                mock.patch.object(_lists, kernel.__name__, counted):
+            assert list_outcome(coefficient, x, TiePolicy(), False) == (score.numerator,
+                                                                         score.denominator)
+        assert len(calls) == 40 * 39 // 2
 
 
 class TestSpacingValues:

@@ -28,6 +28,7 @@ from distchar import (
     robustness,
 )
 from distchar import io as dcio
+from distchar.neighbors import EXACT_TIES
 from distchar.fixtures import fixture_path, load_example
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
@@ -57,21 +58,29 @@ def test_robustness_build_counts(monkeypatch, score, builds):
     assert len(calls) == builds
 
 
-def test_rob_minus_builds_once_and_stacks_the_rest(monkeypatch):
+def test_rob_minus_builds_once_and_updates_the_rest(monkeypatch):
     # the tracer reads the one build of X; the k leave-one-out matrices of
-    # the 4 x 3 X fit one stack of the kernel
+    # the 4 x 3 X are updates of its matrix, decided without the kernel
     builds = counter(monkeypatch, robustness, "build")
-    stacks = []
-    stream = robustness.build_many
-
-    def counted(*args):
-        for D in stream(*args):
-            stacks.append(len(D))
-            yield D
-
-    monkeypatch.setattr(robustness, "build_many", counted)
+    stacks = counter(monkeypatch, robustness, "build_many")
+    rows = counter(monkeypatch, robustness, "row_values")
     rob_minus(P2, X)
-    assert (len(builds), stacks) == (1, [3])
+    assert (len(builds), len(stacks), len(rows)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("x, builds, rows", [
+    # one row of each leave-one-out matrix ties exactly: the kernel recomputes it
+    (X, 1, 3),
+    # five evenly spaced rows: the three inner rows of each matrix tie, so each
+    # of the 3 matrices is rebuilt
+    (np.array([[i / 10] * 3 for i in range(5)]), 4, 0),
+])
+def test_rob_minus_falls_back_to_the_kernel_where_its_bound_cannot_decide(
+        monkeypatch, x, builds, rows):
+    build_calls = counter(monkeypatch, robustness, "build")
+    row_calls = counter(monkeypatch, robustness, "row_values")
+    rob_minus(P2, x, EXACT_TIES)
+    assert (len(build_calls), len(row_calls)) == (builds, rows)
 
 
 def test_adversarial_builds_once_per_scale(monkeypatch):
