@@ -64,10 +64,10 @@ def update_bound(name: str, k: int) -> tuple[float, float, float, float]:
     the rebuilt value, a = c1 * t and b = c2 * t * t, m being the row's least
     off-diagonal update, unless m - e <= lo; then, or where t >= hi, the row
     is at risk.  Beyond k = 2^33 every row is at risk."""
-    u = 2.0**-53
-    if k * u > 2.0**-20:
+    h = 2.0**-53
+    if k * h > 2.0**-20:
         return math.inf, math.inf, 0.0, 0.0
     if name == "p2":
-        eps = (k / 2 + 4) * u / (1 - k * u)
-        return 1.01 * (u + eps), 3.03 * (1 + eps) * (eps + u), 2.0**-480, 2.0**511
-    return 1.01 * 2 * k * u / (1 - 2 * k * u), 0.0, 0.0, 2.0**1022
+        eps = (k / 2 + 4) * h / (1 - k * h)
+        return 1.01 * (h + eps), 3.03 * (1 + eps) * (eps + h), 2.0**-480, 2.0**511
+    return 1.01 * 2 * k * h / (1 - 2 * k * h), 0.0, 0.0, 2.0**1022
