@@ -21,27 +21,26 @@ kernel is an exact integer, so the sort changes no bit and the route gives
 the sorted kernel's values.  p2, L and other data keep the sorted kernels.
 
 ``rob-minus`` derives each leave-one-out matrix from X's by an O(n^2)
-update (``_without``), exact where ``errors.exact_updates`` holds (pinf;
-p1 and L on integer-valued data whose column spans, or their squares, sum
-to at most 2^53).  Elsewhere (p2, and p1 and L on other data) each row's
-updates lie within e = a + b / m of the rebuilt values, the bound of
-``errors.update_bound`` that ``robustness.rob_minus`` proves, and
-``_near_sets`` decides each row from those intervals as ``rob_minus`` does;
-the kernel recomputes a row it cannot decide, and rebuilds a matrix where
-most rows are.
+update (``_without``).  ``errors.update_bound`` says whether the updates
+are exact (pinf; p1 and L on integer-valued data whose column spans, or
+their squares, sum to at most 2^53) or gives their error bound, which
+``robustness.rob_minus`` proves: each row's updates lie within e = a + b / m
+of the rebuilt values, and ``_near_sets`` decides each row from those
+intervals as ``neighbors.near_mask`` does; the kernel recomputes a row it
+cannot decide, and rebuilds a matrix where most rows are.
 
 Each job charges its plan before it builds anything (``_Job.charge``), in
 pair-terms per pair of rows: a build of k columns costs k + c, c being
 ``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
 ``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
-(k and k + 1 columns); ``rob-minus`` one and k updates where
-``exact_updates`` holds or the tie slack can be nonzero, else one and k
-builds of k - 1 columns (under zero slack an inexact row is decided only
-where one candidate is certainly its least);
-``adversarial`` rungs of k + 1 one-column builds while they sum to at most
-``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
-checks the coefficient spellings and one build of X, a lower bound of every
-plan, before this module loads.
+(k and k + 1 columns); ``rob-minus`` one and k updates where they are
+exact or the tie slack can be nonzero, else one and k builds of k - 1
+columns (under zero slack an inexact row is decided only where one
+candidate is certainly its least); ``adversarial`` rungs of k + 1
+one-column builds while they sum to at most ``_LADDER_TERMS``.  A plan
+above ``cli._MAX_TERMS`` declines.  ``cli`` checks the coefficient
+spellings and one build of X, a lower bound of every plan, before this
+module loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
 the array path, which computes the job or reports its error itself.
 """
@@ -53,7 +52,7 @@ from functools import reduce
 from itertools import chain
 
 from .cli import _MAX_TERMS, _PAIR_COST
-from .errors import DomainError, exact_updates, update_bound
+from .errors import DomainError, update_bound
 
 # _UPDATE_COST is one column's update of an n x n matrix and its neighbor
 # scan, per pair, in terms.  It is fitted as cli's bound is (the table above
@@ -266,7 +265,8 @@ def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
 
     ``errors`` gives rows of updates, each within a + b / m of the rebuilt
     value, by each row's (a, b, lo): a row is decided from those intervals
-    as ``robustness.rob_minus`` decides it, and is None where it is not."""
+    as ``neighbors.near_mask`` decides it within that bound, and is None
+    where it is not."""
     rel, absolute = tie
     sets = []
     for i, row in enumerate(D) if rows is None else ((i, D[i]) for i in rows):
@@ -284,20 +284,19 @@ def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
                 continue
         slack = max(absolute, rel * (m - e))
         low = high = m - e if slack == 0 else m - e + slack
-        if e:
+        if e:  # each in, out, or the one candidate below every other
             slack = max(absolute, rel * (m + e))
             high = m + e if slack == 0 else m + e + slack
-        top = high + e
-        if positive_only:
-            near = [j for j, d in enumerate(row) if 0 < d <= top]
+            maybe = [j for j, d in enumerate(row) if d - e <= high and j != i]
+            first = [j for j in maybe if row[j] - e <= m + e]
+            sure = [j for j in maybe if row[j] + e <= low or first == [j]]
+            sets.append(sure if len(sure) == len(maybe) else None)
+        elif positive_only:
+            sets.append([j for j, d in enumerate(row) if 0 < d <= high])
         else:
-            near = [j for j, d in enumerate(row) if d <= top]
+            near = [j for j, d in enumerate(row) if d <= high]
             near.remove(i)
-        if e:  # each in, out, or the one candidate below every other
-            first = [j for j in near if row[j] - e <= m + e]
-            sure = [j for j in near if row[j] + e <= low or first == [j]]
-            near = sure if len(sure) == sum(row[j] - e <= high for j in near) else None
-        sets.append(near)
+            sets.append(near)
     return sets
 
 
@@ -398,12 +397,12 @@ def _rob_minus(job) -> dict:
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
-    exact = exact_updates(job.args.c, zip(*x))
-    job.charge(_build(k) + k * (_UPDATE_COST if exact or any(job.tie) else _build(k - 1)))
+    bound = update_bound(job.args.c, zip(*x))
+    job.charge(_build(k) + k * (_UPDATE_COST if bound is None or any(job.tie) else _build(k - 1)))
     D, S = _top_two(x) if kernel is max else (_distances(kernel, x), None)
     errors = None
-    if not exact:
-        c1, c2, lo, hi = update_bound(job.args.c, k)
+    if bound is not None:
+        c1, c2, lo, hi = bound
         errors = [(c1 * t if t < hi else math.inf, c2 * t * t, lo) for t in map(max, D)]
     base = job.near(D)
     changed = 0

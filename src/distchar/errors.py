@@ -1,6 +1,5 @@
 """The exception type and the checks shared across the package: of integer
-arguments, of integer-valued data whose sums are exact, and the error bound
-of inexact leave-one-out updates."""
+arguments, and of leave-one-out updates, exact or within an error bound."""
 
 import math
 import numbers
@@ -26,45 +25,45 @@ def require_integers(**named) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def exact_updates(name: str, columns) -> bool:
-    """Whether leave-one-out updates of a distance matrix under the
-    coefficient named ``name`` (``coefficient_name``'s spelling) are bitwise
-    the rebuild, for the data matrix whose float ``columns`` are given.
+def update_bound(name: str, columns) -> tuple[float, float, float, float] | None:
+    """The error bound of leave-one-out updates of a distance matrix under
+    the coefficient named ``name`` (``coefficient_name``'s spelling: "p1",
+    "p2", "pinf" or "L"), for the data matrix whose float ``columns`` are
+    given: None where the updates are bitwise the rebuild, else (c1, c2,
+    lo, hi), proved in ``robustness.rob_minus``.
 
     An update derives the matrix without column j from the matrix at hand:
     removing column j's terms, |x_ij - x_lj| under p1 and (x_ij - x_lj)^2
-    under L, or under pinf taking a pair's second largest term where column
-    j's is its largest.  pinf always qualifies: its values are terms,
-    selected exactly.  p1 and L qualify when every entry is integer-valued
-    and the column spans, span_j = max - min of column j, satisfy
-    sum(span_j) <= 2^53 under p1 or sum(span_j^2) <= 2^53 under L.  Then
-    each term and each partial sum of a pair's terms, in any order, is an
-    integer of at most 2^53, which is a float: every difference, product,
-    sum and update is exact, as is the rebuild's sorted sum.  Other
-    coefficients never qualify.
+    under L, sqrt(D*D - (x_ij - x_lj)^2) under p2, or under pinf taking a
+    pair's second largest term where column j's is its largest.  pinf is
+    always exact: its values are terms, selected exactly.  p1 and L are
+    exact when every entry is integer-valued and the column spans, span_j =
+    max - min of column j, satisfy sum(span_j) <= 2^53 under p1 or
+    sum(span_j^2) <= 2^53 under L.  Then each term and each partial sum of
+    a pair's terms, in any order, is an integer of at most 2^53, which is a
+    float: every difference, product, sum and update is exact, as is the
+    rebuild's sorted sum.  p2 never is.
+
+    Elsewhere, in a row whose distances peak at t < hi, each update of an
+    n x k matrix is within e = a + b / m of the rebuilt value, a = c1 * t
+    and b = c2 * t * t, m being the row's least off-diagonal update, unless
+    m - e <= lo; then, or where t >= hi, the row is at risk.  Beyond k =
+    2^33 every row is at risk.
     """
     if name == "pinf":
-        return True
-    if name not in ("p1", "L"):
-        return False
-    total = 0
-    for column in columns:
-        if not all(map(float.is_integer, column)):
-            return False
-        span = int(max(column)) - int(min(column))  # exact: no float rounding
-        total += span if name == "p1" else span * span
-    return total <= 2**53
-
-
-def update_bound(name: str, k: int) -> tuple[float, float, float, float]:
-    """(c1, c2, lo, hi): the bound of leave-one-out updates of an n x k
-    matrix's distances under ``name`` ("p1", "p2" or "L") where
-    ``exact_updates`` fails, proved in ``robustness.rob_minus``.  In a row
-    whose distances peak at t < hi, each update is within e = a + b / m of
-    the rebuilt value, a = c1 * t and b = c2 * t * t, m being the row's least
-    off-diagonal update, unless m - e <= lo; then, or where t >= hi, the row
-    is at risk.  Beyond k = 2^33 every row is at risk."""
-    h = 2.0**-53
+        return None
+    columns = list(columns)
+    if name != "p2":
+        total = 0
+        for column in columns:
+            if not all(map(float.is_integer, column)):
+                break
+            span = int(max(column)) - int(min(column))  # exact: no float rounding
+            total += span if name == "p1" else span * span
+        else:  # every column integer-valued
+            if total <= 2**53:
+                return None
+    k, h = len(columns), 2.0**-53
     if k * h > 2.0**-20:
         return math.inf, math.inf, 0.0, 0.0
     if name == "p2":

@@ -76,21 +76,40 @@ class NeighborSets:
         return sum(len(s) for s in self.sets)
 
 
-def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False) -> np.ndarray:
+def near_mask(D, tie: TiePolicy = TiePolicy(), positive_only: bool = False, bound=None):
     """Boolean mask, True at (..., i, j) when j is a nearest neighbor of row i.
 
     The one tie decision behind every neighbor set and score.  ``D`` is an
     n x n distance matrix, such as ``build`` returns, or a (..., n, n) stack
     of them, such as ``build_many`` yields; each row is decided on its own
     and the matrices are not re-checked.
+
+    ``bound`` is for values known only within an error (``rob_minus``'s
+    updates): (a, b, lo), per row, puts each entry within e = a + b / m of
+    the true value, m being the row's least off-diagonal entry.  Then a
+    candidate is in if D + e <= tie_bound(m' - e) and out if D - e >
+    tie_bound(m' + e), m' being the row's least candidate, and the one
+    candidate whose interval lies below every other's is in.  It returns
+    that mask and which rows it decides: those with m - e > lo and every
+    candidate in or out.
     """
     n = D.shape[-1]
-    candidate = ~np.eye(n, dtype=bool)
-    if positive_only:
-        candidate = candidate & (D > 0)
-    # a row without candidates gets the largest entry; its mask stays empty
-    m = D.min(axis=-1, where=candidate, initial=D.max(initial=0))
-    return candidate & (D <= tie_bound(m, tie)[..., None])
+    off = ~np.eye(n, dtype=bool)
+    candidate = off & (D > 0) if positive_only else off
+    if bound is None:
+        # a row without candidates gets the largest entry; its mask stays empty
+        m = D.min(axis=-1, where=candidate, initial=D.max(initial=0))
+        return candidate & (D <= tie_bound(m, tie)[..., None])
+    a, b, lo = bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = D.min(axis=-1, where=candidate, initial=np.inf)
+        least = D.min(axis=-1, where=off, initial=np.inf) if positive_only else m
+        e = a + b / least
+        sure = candidate & (D + e[..., None] <= tie_bound(m - e, tie)[..., None])
+        maybe = candidate & (D - e[..., None] <= tie_bound(m + e, tie)[..., None])
+        first = candidate & (D - e[..., None] <= (m + e)[..., None])
+        sure |= first & (first.sum(axis=-1) == 1)[..., None]
+        return sure, (least - e > lo) & (sure == maybe).all(axis=-1)  # False where NaN
 
 
 def tie_bound(m, tie: TiePolicy):

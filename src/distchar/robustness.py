@@ -28,8 +28,8 @@ from . import _EXPORTS
 from . import distance
 from .coefficients import Coefficient, PNorm, as_floats, coefficient_name, row_values
 from .distance import as_data_matrix, build, build_many
-from .errors import DomainError, exact_updates, require_integers, update_bound
-from .neighbors import TiePolicy, near_mask, tie_bound
+from .errors import DomainError, require_integers, update_bound
+from .neighbors import TiePolicy, near_mask
 
 __all__ = list(_EXPORTS["robustness"])
 
@@ -101,18 +101,19 @@ def rob_minus(
 
     For each column j, count the rows whose nearest-neighbor set changes when
     column j is removed.  Requires n > 1 and k > 1.  X is built once.  Under
-    p1, p2, pinf and L on float input, each leave-one-out matrix is derived
-    from X's matrix D by an O(n^2) update u (``_updates``): D - t under p1
-    and L, t being column j's term |d| or d*d (d = x_ij - x_lj), sqrt(D*D -
-    d*d) under p2, and under pinf a pair's second largest term where column
-    j's is its largest.  Its neighbor sets are decided from u within a bound
-    e >= |u - r|, r being the sorted kernel's rebuilt value, so that every
-    mask, score and error is the rebuild's.  With h = 2^-53 and g(m) = m h /
-    (1 - m h):
+    p1, p2, pinf and L each leave-one-out matrix is derived from X's matrix
+    D by an O(n^2) update u (``_updates``): D - t under p1 and L, t being
+    column j's term |d| or d*d (d = x_ij - x_lj), sqrt(D*D - d*d) under p2,
+    and under pinf a pair's second largest term where column j's is its
+    largest.  Its neighbor sets are decided from u within a bound e >= |u -
+    r|, r being the sorted kernel's rebuilt value, so that every mask, score
+    and error is the rebuild's.  With h = 2^-53 and g(m) = m h / (1 - m h):
 
-    * Where ``exact_updates`` holds (pinf always; p1 and L on integer-valued
-      data whose column spans, or their squares, sum to at most 2^53), every
-      term and partial sum is exact or a selected term: e = 0.
+    * Where ``errors.update_bound`` is None (pinf always; p1 and L on
+      integer-valued data whose column spans, or their squares, sum to at
+      most 2^53), every term and partial sum is exact or a selected term:
+      e = 0.  So it is on exact input (ints and Fractions, under p1, pinf
+      and L), whose arithmetic is exact; ``update_bound`` is not asked.
     * p1 and L elsewhere.  D and r are recursive sums of the same float terms
       (|d|, or the rounded d*d), k and k - 1 of them, so with S and S_j their
       exact sums, |D - S| <= g(k-1) S and |r - S_j| <= g(k-2) S_j (Higham,
@@ -130,24 +131,25 @@ def rob_minus(
       has |u - r| <= (1 + 2h) ((h + eps) u + (1 + eps) E / u); then R
       exceeds u - e, and r is a normal float where u - e > 2^-480.
 
-    ``errors.update_bound`` gives e for a whole row: a + b / m, a = c1 t and
-    b = c2 t^2, where t is the row's largest distance and m its least
-    off-diagonal update (under p2 each u <= t (1 + 2h) and u >= m); the
-    factor 1.01 in c1 and c2 covers the rounding of e itself.  Where c1 t
-    rounds to 0 under p1 and L, t is below 2^-1023, and every partial sum,
-    below 2^-1021, is exact, as is u.  Each row is decided from the
-    intervals [u - e, u + e], which hold r as computed too: rounding is
-    monotone and r is a float.  The row's minimum lies in [m - e, m + e] and
-    the tie bound (``neighbors.tie_bound``) is nondecreasing in it, so a
-    candidate is in if u + e <= bound(m - e) and out if u - e > bound(m +
-    e); the one candidate whose interval lies below every other's is the
-    minimum, and in.  A row is at risk where m - e <= lo (0, or 2^-480 under
-    p2), which covers a rebuilt 0 (L's underflow, and positivity under
-    ``positive_only``) and a negative v, or where t >= 2^1022 (2^511 under
-    p2), where the rebuild or D*D may overflow.  A row at risk or left
-    undecided is recomputed by the kernel, whose error, if it raises, is the
-    rebuild's; a matrix with more than half its rows so is rebuilt.  Object
-    input and other p go through ``build_many`` in bounded stacks.
+    Elsewhere ``errors.update_bound`` gives e for a whole row: a + b / m, a =
+    c1 t and b = c2 t^2, where t is the row's largest distance and m its
+    least off-diagonal update (under p2 each u <= t (1 + 2h) and u >= m);
+    the factor 1.01 in c1 and c2 covers the rounding of e itself.  Where c1
+    t rounds to 0 under p1 and L, t is below 2^-1023, and every partial sum,
+    below 2^-1021, is exact, as is u.  ``neighbors.near_mask`` decides each
+    row from the intervals [u - e, u + e], which hold r as computed too:
+    rounding is monotone and r is a float.  The row's minimum lies in [m -
+    e, m + e] and the tie bound (``neighbors.tie_bound``) is nondecreasing
+    in it, so a candidate is in if u + e <= bound(m - e) and out if u - e >
+    bound(m + e); the one candidate whose interval lies below every other's
+    is the minimum, and in.  A row is at risk where m - e <= lo (0, or
+    2^-480 under p2), which covers a rebuilt 0 (L's underflow, and
+    positivity under ``positive_only``) and a negative v, or where t >=
+    2^1022 (2^511 under p2), where the rebuild or D*D may overflow.  A row
+    at risk or left undecided is recomputed by the kernel, whose error, if
+    it raises, is the rebuild's, and whose values replace the row's
+    updates; a matrix with more than half its rows so is rebuilt.  Other p
+    go through ``build_many`` in bounded stacks.
     """
     X = as_data_matrix(x)
     n, k = X.shape
@@ -156,12 +158,12 @@ def rob_minus(
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
     name = coefficient_name(coefficient)
-    updated = X.dtype != object and name in ("p1", "p2", "pinf", "L")
-    exact = updated and exact_updates(name, X.T.tolist())
+    updated = name in ("p1", "p2", "pinf", "L")
+    bound = update_bound(name, X.T.tolist()) if updated and X.dtype != object else None
     D = build(coefficient, X)
     base = near_mask(D, tie, positive_only)
     if updated:
-        masks = _leave_one_out_masks(coefficient, X, D, exact, tie, positive_only)
+        masks = _leave_one_out_masks(coefficient, X, D, bound, tie, positive_only)
     else:
         matrices = build_many(coefficient, (np.delete(X, j, axis=1) for j in range(k)))
         masks = (near_mask(M, tie, positive_only) for M in matrices)
@@ -169,19 +171,18 @@ def rob_minus(
     return RationalScore(n * k - changed, n * k)
 
 
-def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray, exact: bool,
+def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray, bound,
                          tie: TiePolicy, positive_only: bool):
-    """The near masks of the float matrix X without column j, for each j, from
-    X's matrix D, in (b, n, n) blocks of at most ``distance._STACK_ENTRIES``
-    entries: each block's updates (``_updates``) decided by
-    ``_guarded_mask``, its undecided rows recomputed by the kernel, or a
-    matrix rebuilt where more than half its rows are undecided."""
+    """The near masks of X without column j, for each j, from X's matrix D,
+    in (b, n, n) blocks of at most ``distance._STACK_ENTRIES`` entries: each
+    block's updates (``_updates``) decided by ``near_mask``, within
+    ``update_bound``'s ``bound`` unless it is None, the rows it leaves
+    undecided recomputed by the kernel, or a matrix rebuilt where more than
+    half its rows are undecided."""
     n, k = X.shape
     name = coefficient_name(coefficient)
-    off = ~np.eye(n, dtype=bool)
-    bound = None
-    if not exact:
-        c1, c2, lo, hi = update_bound(name, k)
+    if bound is not None:
+        c1, c2, lo, hi = bound
         top = D.max(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.where(top < hi, c1 * top, np.inf), c2 * top * top, lo
@@ -189,8 +190,11 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
     blocks = [(j, X[:, j:j + per_block].T) for j in range(0, k, per_block)]
     second = _second_largest(blocks, n) if name == "pinf" else None
     for j, columns in blocks:
-        mask, decided = _guarded_mask(_updates(name, D, second, columns), off, bound, tie,
-                                      positive_only)
+        U = _updates(name, D, second, columns)
+        if bound is None:
+            yield near_mask(U, tie, positive_only)
+            continue
+        mask, decided = near_mask(U, tie, positive_only, bound)
         for b in np.flatnonzero(~decided.all(axis=1)):
             rows = np.flatnonzero(~decided[b])
             Xj = np.delete(X, j + b, axis=1)
@@ -203,8 +207,8 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
             except DomainError:
                 build(coefficient, Xj)  # raises the rebuild's own error
                 raise
-            mask[b, rows] = _guarded_mask(values.reshape(len(rows), n), off[rows], None, tie,
-                                          positive_only)[0]
+            U[b, rows] = values.reshape(len(rows), n)
+            mask[b, rows] = near_mask(U[b], tie, positive_only)[rows]
         yield mask
 
 
@@ -232,30 +236,6 @@ def _updates(name: str, D: np.ndarray, second, columns: np.ndarray) -> np.ndarra
         if name == "p2":
             return np.sqrt(D * D - T * T)
         return D - (T * T if name == "L" else T)
-
-
-def _guarded_mask(U: np.ndarray, off: np.ndarray, bound, tie: TiePolicy, positive_only: bool):
-    """The near masks of rows of updates ``U`` (..., r, n), ``off`` marking
-    their off-diagonal entries, and which rows they decide (``rob_minus``).
-    ``bound`` is None where U is exact, else (a, b, lo) per row: each entry
-    within e = a + b / m of the rebuilt value, m the row's least
-    off-diagonal entry, unless m - e <= lo."""
-    candidate = off & (U > 0) if positive_only else off
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = U.min(axis=-1, where=candidate, initial=np.inf)
-        if bound is None:
-            e, safe = np.zeros_like(m), True
-        else:
-            a, b, lo = bound
-            least = U.min(axis=-1, where=off, initial=np.inf) if positive_only else m
-            e = a + b / least
-            safe = least - e > lo  # False where NaN
-        sure = candidate & (U + e[..., None] <= tie_bound(m - e, tie)[..., None])
-        maybe = candidate & (U - e[..., None] <= tie_bound(m + e, tie)[..., None])
-        if bound is not None:  # the one candidate below every other is the minimum
-            first = candidate & (U - e[..., None] <= (m + e)[..., None])
-            sure |= first & (first.sum(axis=-1) == 1)[..., None]
-    return sure, safe & (sure == maybe).all(axis=-1)
 
 
 def spacing_values(n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import sys
 from unittest import mock
 
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from distchar import _lists, cli, coefficient_name, parse_coefficient
 from distchar import io as dcio
-from distchar.errors import DomainError, exact_updates
+from distchar.errors import DomainError, update_bound
+from distchar.neighbors import EXACT_TIES, TiePolicy, near_mask
 
 COEFFICIENTS = ("p1", "p2", "pinf", "L")
 TIES = {
@@ -289,10 +291,10 @@ def test_list_rob_plus_builds_both_matrices(tmp_path, c):
     # X's matrix and the extension's are each built, as rob_plus builds
     # them, also where the extension is an exact one-column update of X's
     x, xp = scale_inputs(tmp_path)["lattice"]
-    assert exact_updates(c, zip(*dcio._load_rows(xp)))
+    assert update_bound(c, zip(*dcio._load_rows(xp))) is None
     argv = ["rob-plus", "--c", c, "--xp", xp, "--format", "json", "--x", x]
     with mock.patch.object(_lists, "_distances", wraps=_lists._distances) as distances, \
-            mock.patch.object(_lists, "exact_updates", wraps=exact_updates) as asked:
+            mock.patch.object(_lists, "update_bound", wraps=update_bound) as asked:
         assert covered(argv)
     assert distances.call_count == 2
     asked.assert_not_called()
@@ -462,3 +464,63 @@ def test_the_lattice_takes_the_integer_route_and_the_gaussian_does_not(tmp_path,
         with mock.patch.object(_lists, "_integer_tails", side_effect=route):
             assert covered(argv)
         assert len(results) == 1 and (results[0] is not None) == taken, matrix
+
+
+GUARD_TIES = [(TiePolicy(), False), (EXACT_TIES, False), (TiePolicy(relative_tolerance=1.0), False),
+              (TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.05), False),
+              (TiePolicy(), True), (EXACT_TIES, True)]
+
+
+@st.composite
+def guarded_stacks(draw):
+    """(U, (a, b, lo), tie, positive_only): a (B, n, n) stack of symmetric
+    matrices with zero diagonals, B <= 3 and 2 <= n <= 6, whose entries are
+    near-ties of 1 (and 0, 0.5, 2), with a pair of duplicate rows or a zero
+    row, scaled by 1, 1e-150 or 1e150; and per-row errors a, b and lo
+    around the gaps between those entries."""
+    B, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    levels = [0.0, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, 1 + 1e-9, 1 + 1e-9 + 2**-52, 1.05, 2.0]
+    U = np.zeros((B, n, n))
+    for s in range(B):
+        for i in range(n):
+            for j in range(i + 1, n):
+                U[s, i, j] = U[s, j, i] = draw(st.sampled_from(levels)) * scale
+        kind = draw(st.sampled_from(["plain", "duplicate", "zero row"]))
+        i, j = draw(st.permutations(range(n)))[:2]
+        if kind == "duplicate":  # row j a copy of row i
+            U[s, j], U[s, :, j] = U[s, i], U[s, i]
+            U[s, i, j] = U[s, j, i] = U[s, j, j] = 0.0
+        elif kind == "zero row":
+            U[s, i], U[s, :, i] = 0.0, 0.0
+    errors = st.sampled_from([0.0, 2**-53, 1e-16, 1e-9, 0.01, 0.3])
+    a = [draw(errors) * scale if draw(st.integers(0, 9)) else math.inf for _ in range(n)]
+    b = [draw(errors) * scale * scale for _ in range(n)]
+    lo = [draw(st.sampled_from([0.0, 2.0**-480, 0.5 * scale])) for _ in range(n)]
+    return U, (np.array(a), np.array(b), np.array(lo)), *draw(st.sampled_from(GUARD_TIES))
+
+
+@given(stack=guarded_stacks())
+@settings(max_examples=500, deadline=None)
+def test_both_backends_take_the_same_guarded_decision(stack):
+    # near_mask with a bound and _near_sets with errors decide each row
+    # alike, and leave the same rows undecided (None on lists)
+    U, bound, tie, positive_only = stack
+    mask, decided = near_mask(U, tie, positive_only, bound)
+    errors = list(zip(*(v.tolist() for v in bound)))
+    rule = (tie.relative_tolerance, tie.absolute_tolerance)
+    for s, D in enumerate(U.tolist()):
+        expected = [np.flatnonzero(row).tolist() if sure else None
+                    for row, sure in zip(mask[s], decided[s])]
+        assert _lists._near_sets(D, rule, positive_only, errors) == expected
+
+
+@pytest.mark.parametrize("tie, positive_only", GUARD_TIES)
+def test_a_zero_bound_decides_every_row_as_the_plain_decision(tie, positive_only):
+    # a = b = 0 and lo below every entry: the guarded mask is near_mask's
+    rng = np.random.default_rng(7)
+    U = rng.integers(1, 4, (5, 6, 6)).astype(float)
+    U = np.triu(U, 1) + np.transpose(np.triu(U, 1), (0, 2, 1))
+    zero = np.zeros(6)
+    mask, decided = near_mask(U, tie, positive_only, (zero, zero, -1.0))
+    assert (mask == near_mask(U, tie, positive_only)).all() and decided.all()

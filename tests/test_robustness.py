@@ -38,7 +38,7 @@ from distchar import (
     spacing_values,
 )
 from distchar import io as dcio
-from distchar.errors import exact_updates
+from distchar.errors import update_bound
 from distchar.neighbors import EXACT_TIES, near_mask
 
 P1, P2, PINF = PNorm(1), PNorm(2), PNorm(math.inf)
@@ -237,6 +237,22 @@ class TestRobMinusInStacks:
             got = outcome(rob_minus, c, x, *rule)
         assert got == outcome(reference_rob_minus, c, x, *rule)
 
+    @pytest.mark.parametrize("c", [P1, PINF, SquaredEuclidean()])
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
+    @pytest.mark.parametrize("rule", [(TiePolicy(), False), (EXACT_TIES, True)])
+    def test_exact_input_takes_the_exact_updates(self, c, kind, rule):
+        # ints and Fractions are updated exactly, as exact floats are: one
+        # build of X, no stack of rebuilds and no row recomputed
+        x = np.random.default_rng(12).integers(0, 4, (12, 6))
+        x = np.array([[int(v) if kind == "int" else Fraction(int(v), 3) for v in row]
+                      for row in x], dtype=object)
+        with mock.patch.object(robustness, "build", wraps=build) as builds, \
+                mock.patch.object(robustness, "build_many") as stacks, \
+                mock.patch.object(robustness, "row_values") as rows:
+            score = rob_minus(c, x, *rule)
+        assert (builds.call_count, stacks.call_count, rows.call_count) == (1, 0, 0)
+        assert score == reference_rob_minus(c, x, *rule)
+
 
 def list_outcome(c, x, tie, positive_only, x_aug=None):
     """(numerator, denominator) of the list path's rob-minus of ``x``, or its
@@ -309,9 +325,9 @@ TIE_RULES = [(TiePolicy(), False), (EXACT_TIES, False),
 
 
 class TestRobMinusByUpdates:
-    """One-column updates where ``exact_updates`` holds, on the array path
-    (``rob_minus``) and on the list path (``_lists``), against one build per
-    leave-one-out matrix."""
+    """One-column updates where they are exact (``update_bound`` is None),
+    on the array path (``rob_minus``) and on the list path (``_lists``),
+    against one build per leave-one-out matrix."""
 
     @given(case=update_cases(), rule=st.sampled_from(TIE_RULES))
     @settings(max_examples=400, deadline=None)
@@ -322,7 +338,8 @@ class TestRobMinusByUpdates:
         assert list_outcome(c, x, *rule) == (expected if isinstance(expected, tuple)
                                              else "error")
         if kind.startswith("span"):  # the boundary: 2^53 updates, 2^53 + 2 rebuilds
-            assert exact_updates(coefficient_name(c), x.T.tolist()) == (kind == "span-2^53")
+            assert (update_bound(coefficient_name(c), x.T.tolist()) is None) == (
+                kind == "span-2^53")
 
     @given(case=update_cases(), rule=st.sampled_from(TIE_RULES))
     @settings(max_examples=200, deadline=None)
@@ -346,16 +363,16 @@ class TestRobMinusByUpdates:
     @given(case=update_cases(), rule=st.sampled_from(TIE_RULES))
     @settings(max_examples=100, deadline=None)
     def test_list_and_array_paths_take_the_same_decision(self, case, rule):
-        # each path asks exact_updates once, on its own representation of x
+        # each path asks update_bound once, on its own representation of x
         _, c, x, _ = case
         answers = {robustness: [], _lists: []}
         for module, run in [(robustness, lambda: outcome(rob_minus, c, x, *rule)),
                             (_lists, lambda: list_outcome(c, x, *rule))]:
             def asked(*args, answers=answers[module]):
-                answers.append(exact_updates(*args))
+                answers.append(update_bound(*args))
                 return answers[-1]
 
-            with mock.patch.object(module, "exact_updates", side_effect=asked):
+            with mock.patch.object(module, "update_bound", side_effect=asked):
                 run()
         # k = 1 is refused before the question
         assert len(answers[robustness]) == (x.shape[1] > 1)
@@ -371,7 +388,7 @@ GUARD_RULES = [(TiePolicy(), False), (EXACT_TIES, False),
 def guard_cases(draw):
     """(coefficient, x, (tie, positive_only)): a float matrix, 3 <= n <= 8
     and 2 <= k <= 6, under p1, p2 or L, whose one-column updates are not
-    exact (``exact_updates`` fails), of one of these kinds:
+    exact (``update_bound`` is not None), of one of these kinds:
 
     * ``gauss``: standard normal entries;
     * ``lattice``: multiples of 0.1 in -0.5..0.5, with many ties;
@@ -438,15 +455,15 @@ def cli_outputs(c, x, tie, positive_only):
 
 
 class TestRobMinusGuard:
-    """Guarded one-column updates, where ``exact_updates`` fails, against one
-    build per leave-one-out matrix: ``rob_minus``, the list path, and
-    ``main()`` against ``run()``."""
+    """Guarded one-column updates, where ``update_bound`` is not None,
+    against one build per leave-one-out matrix: ``rob_minus``, the list
+    path, and ``main()`` against ``run()``."""
 
     @given(case=guard_cases())
     @settings(max_examples=400, deadline=None)
     def test_equals_one_build_per_column(self, case):
         c, x, rule = case
-        assume(not exact_updates(coefficient_name(c), x.T.tolist()))  # all 0 at 1e-335
+        assume(update_bound(coefficient_name(c), x.T.tolist()) is not None)  # all 0 at 1e-335
         expected = outcome(reference_rob_minus, c, x, *rule)
         assert outcome(rob_minus, c, x, *rule) == expected
         assert list_outcome(c, x, *rule) == (expected if isinstance(expected, tuple)
