@@ -12,35 +12,42 @@ p keeps the array path: its powers go through numpy's ``**``, whose bits
 depend on the SIMD level numpy dispatches to.  An L value whose nonzero
 terms all underflow to 0 raises, as ``row_values`` does.
 
-``_distances`` is the one entry for a build.  Under p1 and pinf on
-integer-valued rows it takes an exact route (``_integer_tails``) where that
-is the faster one (the table above ``_ROUTE_ROWS``): each row becomes one
-Python int, its thermometer code (``_unary``), and a pair's distance is read
-from the XOR of two codes.  There every term and partial sum of the sorted
-kernel is an exact integer, so the sort changes no bit and the route gives
-the sorted kernel's values.  p2, L and other data keep the sorted kernels.
+``_distances`` is the one entry for a build, and ``_row`` the one
+sorted-kernel loop over pairs: a build's rows come from it wherever the
+exact route declines, and so do rob-minus's recomputed rows.  Under p1 and pinf
+on integer-valued rows a build takes an exact route (``_integer_tails``)
+where that is the faster one (the table above ``_ROUTE_ROWS``): each row
+becomes one Python int, its thermometer code (``_unary``), and a pair's
+distance is read from the XOR of two codes.  There every term and partial
+sum of the sorted kernel is an exact integer, so the sort changes no bit
+and the route gives the sorted kernel's values.  p2, L and other data keep
+the sorted kernels.
 
-``rob-minus`` derives each leave-one-out matrix from X's by an O(n^2)
-update (``_without``).  ``errors.update_bound`` says whether the updates
-are exact (pinf; p1 and L on integer-valued data whose column spans, or
-their squares, sum to at most 2^53) or gives their error bound, which
-``robustness.rob_minus`` proves: each row's updates lie within e = a + b / m
-of the rebuilt values, and ``_near_sets`` decides each row from those
-intervals as ``neighbors.near_mask`` does; the kernel recomputes a row it
-cannot decide, and rebuilds a matrix where most rows are.
+``rob-minus`` builds X's matrix through ``_distances`` under every
+coefficient, as ``robustness.rob_minus`` does through ``build``, and under
+pinf each pair's second largest term by one more ``_distances`` pass with
+the ``_second`` kernel, as ``_second_largest`` gives it there.  It derives
+each leave-one-out matrix from X's by an O(n^2) update (``_without``).
+``errors.update_bound`` says whether the updates are exact (pinf; p1 and L
+on integer-valued data whose column spans, or their squares, sum to at most
+2^53) or gives their error bound, which ``robustness.rob_minus`` proves:
+each row's updates lie within e = a + b / m of the rebuilt values, and
+``_near_sets`` decides each row from those intervals as
+``neighbors.near_mask`` does; ``_row`` recomputes a row it cannot decide,
+and a matrix where most rows are is rebuilt.
 
 Each job charges its plan before it builds anything (``_Job.charge``), in
 pair-terms per pair of rows: a build of k columns costs k + c, c being
 ``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
 ``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
-(k and k + 1 columns); ``rob-minus`` one and k updates where they are
-exact or the tie slack can be nonzero, else one and k builds of k - 1
-columns (under zero slack an inexact row is decided only where one
-candidate is certainly its least); ``adversarial`` rungs of k + 1
-one-column builds while they sum to at most ``_LADDER_TERMS``.  A plan
-above ``cli._MAX_TERMS`` declines.  ``cli`` checks the coefficient
-spellings and one build of X, a lower bound of every plan, before this
-module loads.
+(k and k + 1 columns); ``rob-minus`` one (with pinf's second largest terms)
+and k updates where they are exact or the tie slack can be nonzero, else
+one and k builds of k - 1 columns (under zero slack an inexact row is
+decided only where one candidate is certainly its least); ``adversarial``
+rungs of k + 1 one-column builds while they sum to at most
+``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
+checks the coefficient spellings and one build of X, a lower bound of every
+plan, before this module loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
 the array path, which computes the job or reports its error itself.
 """
@@ -52,7 +59,7 @@ from functools import reduce
 from itertools import chain
 
 from .cli import _MAX_TERMS, _PAIR_COST
-from .errors import DomainError, update_bound
+from .errors import DomainError, ladder, update_bound
 
 # _UPDATE_COST is one column's update of an n x n matrix and its neighbor
 # scan, per pair, in terms.  It is fitted as cli's bound is (the table above
@@ -122,6 +129,12 @@ def _squared(terms: list[float]) -> float:
     return total
 
 
+def _second(terms: list[float]) -> float:
+    """A pair's second largest term (k >= 2), which pinf's update takes
+    where the column's term is its largest."""
+    return sorted(terms)[-2]
+
+
 # the spellings the list path takes: each is the coefficient_name of the
 # coefficient its kernel computes
 _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
@@ -181,22 +194,24 @@ def _pairwise(a: list[float]) -> float:
 
 def _distances(kernel, x: list[list[float]]) -> list[list[float]]:
     """The distance matrix of the rows ``x``, each pair evaluated once: from
-    ``_integer_tails`` where it applies, else by ``kernel``."""
+    ``_integer_tails`` where it applies, else by ``_row``."""
     tails = _integer_tails(kernel, x)
-    if tails is not None:
-        D: list[list[float]] = []
-        for i, tail in enumerate(tails):
-            D.append([row[i] for row in D] + [0.0] + tail)
-        return D
-    n = len(x)
-    D = [[0.0] * n for _ in range(n)]
-    for i, a in enumerate(x):
-        for j in range(i + 1, n):
-            d = kernel([abs(u - v) for u, v in zip(a, x[j])])
-            if not math.isfinite(d):
-                raise DomainError("coefficient value overflows the float range")
-            D[i][j] = D[j][i] = d
+    if tails is None:
+        tails = [_row(kernel, a, x[i + 1:]) for i, a in enumerate(x)]
+    D: list[list[float]] = []
+    for i, tail in enumerate(tails):
+        D.append([row[i] for row in D] + [0.0] + tail)
     return D
+
+
+def _row(kernel, a: list[float], rows: list[list[float]]) -> list[float]:
+    """``kernel``'s values of the row ``a`` against each of ``rows``: the list
+    path's one sorted-kernel loop over pairs.  Raises DomainError where a
+    value overflows."""
+    values = [kernel([abs(u - v) for u, v in zip(a, b)]) for b in rows]
+    if not all(map(math.isfinite, values)):
+        raise DomainError("coefficient value overflows the float range")
+    return values
 
 
 def _integer_tails(kernel, x: list[list[float]]) -> list[list[float]] | None:
@@ -300,21 +315,6 @@ def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
     return sets
 
 
-def _top_two(x: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
-    """pinf's distance matrix of the rows ``x`` (k >= 2) and the matrix of
-    each pair's second largest term, in one pass over the pairs."""
-    n = len(x)
-    D, S = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
-    for i, a in enumerate(x):
-        for j in range(i + 1, n):
-            *_, s, d = sorted([abs(u - v) for u, v in zip(a, x[j])])
-            if not math.isfinite(d):
-                raise DomainError("coefficient value overflows the float range")
-            D[i][j] = D[j][i] = d
-            S[i][j] = S[j][i] = s
-    return D, S
-
-
 def _without(kernel, D, S, column) -> list[list[float]]:
     """The updates of the rows of ``D`` without ``column``: its terms
     subtracted under p1 and L, sqrt(D*D - d*d) under p2 (0 where D*D - d*d
@@ -399,7 +399,8 @@ def _rob_minus(job) -> dict:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
     bound = update_bound(job.args.c, zip(*x))
     job.charge(_build(k) + k * (_UPDATE_COST if bound is None or any(job.tie) else _build(k - 1)))
-    D, S = _top_two(x) if kernel is max else (_distances(kernel, x), None)
+    D = _distances(kernel, x)
+    S = _distances(_second, x) if kernel is max else None
     errors = None
     if bound is not None:
         c1, c2, lo, hi = bound
@@ -416,9 +417,7 @@ def _rob_minus(job) -> dict:
                 sets = job.sets(kernel, rows)
             else:
                 for i in undecided:
-                    M[i] = [kernel([abs(u - v) for u, v in zip(rows[i], r)]) for r in rows]
-                    if not all(map(math.isfinite, M[i])):
-                        raise DomainError("coefficient value overflows the float range")
+                    M[i] = _row(kernel, rows[i], rows)
                 for i, near in zip(undecided, job.near(M, rows=undecided)):
                     sets[i] = near
         changed += sum(s != b for s, b in zip(sets, base))
@@ -464,18 +463,16 @@ def _corr(job) -> dict:
 
 
 def _adversarial(job) -> dict:
-    """``adversarial_augment``'s ladder: the scales t in its order, each rung
-    appending the column t * 2^i and deciding with ``_near_sets``.  A rung
-    builds n(n-1)/2 * (k+1) pair-terms, and the rungs run while their sum is
-    at most ``_LADDER_TERMS``: a longer ladder declines."""
+    """``adversarial_augment``'s search: the scales t of ``errors.ladder``,
+    each rung appending the column t * 2^i and deciding with ``_near_sets``.
+    A rung builds n(n-1)/2 * (k+1) pair-terms, and the rungs run while their
+    sum is at most ``_LADDER_TERMS``: a longer ladder declines."""
     x, (kernel,) = job.x, job.kernels
     n = len(x)
     if kernel is _squared or not 2 <= n <= 1024:
         raise DomainError("the augmentation needs a p-norm and 2 <= n <= 1024")
-    scales = [2.0**i for i in range(1025 - n)]
-    if kernel is not max:
-        scales = [2.0**-i for i in range(200)] + scales[1:]
-    for t in scales[:_LADDER_TERMS // (n * (n - 1) // 2 * (len(x[0]) + 1))]:
+    rungs = _LADDER_TERMS // (n * (n - 1) // 2 * (len(x[0]) + 1))
+    for t in ladder(n, kernel is not max)[:rungs]:
         augmented = [[*row, t * 2.0**i] for i, row in enumerate(x)]
         if sum(map(len, job.sets(kernel, augmented))) == n:
             return {"t": t, "spacing": [2**i for i in range(n)],

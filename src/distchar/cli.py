@@ -18,7 +18,6 @@ arguments, input files and seeds the JSON output is byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import os
@@ -246,29 +245,18 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-class _Subparser(_Parser):
-    """A subcommand's parser, which adds its ``flags`` (keys of _OPTIONS)
-    when it first parses: a process parses one subcommand, and adding every
-    subcommand's flags took about 3 ms of each process."""
-
-    def __init__(self, *args, flags=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.flags = flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag in self.flags:
-            self.add_argument(*_ALIASES.get(flag, (flag,)), **_OPTIONS[flag])
-        self.flags = ()
-        return super().parse_known_args(args, namespace)
-
-
 class _Parsers(dict):
-    """Subcommand name -> its parser, built when the parse first looks it up."""
+    """Subcommand name -> its parser, built with its flags (keys of _OPTIONS)
+    when the parse first looks it up: a process parses one subcommand, and
+    adding every subcommand's flags took about 3 ms of each process."""
 
     def __getitem__(self, name):
         parser = super().__getitem__(name)
-        if isinstance(parser, functools.partial):  # registered, not yet built
-            parser = self[name] = parser()
+        if isinstance(parser, tuple):  # registered as (prog, flags), not yet built
+            prog, flags = parser
+            parser = self[name] = _Parser(prog=prog)
+            for flag in flags:
+                parser.add_argument(*_ALIASES.get(flag, (flag,)), **_OPTIONS[flag])
         return parser
 
 
@@ -280,10 +268,9 @@ class _Subcommands(argparse._SubParsersAction):
         super().__init__(*args, **kwargs)
         self._name_parser_map = self.choices = _Parsers()
 
-    def add_parser(self, name, help, **kwargs):
+    def add_parser(self, name, help, flags=()):
         self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = functools.partial(
-            self._parser_class, prog=f"{self._prog_prefix} {name}", **kwargs)
+        self._name_parser_map[name] = (f"{self._prog_prefix} {name}", flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distance matrices, nearest-neighbor robustness, concordance, "
         "and distance-matrix correlation under p-norm coefficients.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands,
-                                parser_class=_Subparser)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
     for name, command in _COMMANDS.items():
         sub.add_parser(name, help=command.help, flags=(*command.options, "--format"))
     sub.add_parser("verify", help="run the built-in golden-example checks")

@@ -1,5 +1,6 @@
 """The exception type and the checks shared across the package: of integer
-arguments, and of leave-one-out updates, exact or within an error bound."""
+arguments, and of leave-one-out updates, exact or within an error bound;
+and the scale ladder that both tie-breaking augmentations iterate."""
 
 import math
 import numbers
@@ -70,3 +71,13 @@ def update_bound(name: str, columns) -> tuple[float, float, float, float] | None
         eps = (k / 2 + 4) * h / (1 - k * h)
         return 1.01 * (h + eps), 3.03 * (1 + eps) * (eps + h), 2.0**-480, 2.0**511
     return 1.01 * 2 * k * h / (1 - 2 * k * h), 0.0, 0.0, 2.0**1022
+
+
+def ladder(n: int, finite: bool) -> list[float]:
+    """The scales t that the tie-breaking augmentation of n rows (2 <= n <=
+    1024) tries, in order: under a finite p (``finite``) 1, 1/2, ..., 2^-199,
+    then 2, 4, ... up to 2^(1024 - n); under p = inf the doublings from 1
+    alone.  The largest column entry, t * 2^(n-1), is then at most 2^1023, a
+    finite float."""
+    doublings = [2.0**i for i in range(1025 - n)]
+    return [2.0**-i for i in range(200)] + doublings[1:] if finite else doublings

@@ -28,7 +28,7 @@ from . import _EXPORTS
 from . import distance
 from .coefficients import Coefficient, PNorm, as_floats, coefficient_name, row_values
 from .distance import as_data_matrix, build, build_many
-from .errors import DomainError, require_integers, update_bound
+from .errors import DomainError, ladder, require_integers, update_bound
 from .neighbors import TiePolicy, near_mask
 
 __all__ = list(_EXPORTS["robustness"])
@@ -146,10 +146,11 @@ def rob_minus(
     2^-480 under p2), which covers a rebuilt 0 (L's underflow, and
     positivity under ``positive_only``) and a negative v, or where t >=
     2^1022 (2^511 under p2), where the rebuild or D*D may overflow.  A row
-    at risk or left undecided is recomputed by the kernel, whose error, if
-    it raises, is the rebuild's, and whose values replace the row's
-    updates; a matrix with more than half its rows so is rebuilt.  Other p
-    go through ``build_many`` in bounded stacks.
+    at risk or left undecided is recomputed by the kernel, in calls of at
+    most ``distance._TILE_TERMS`` terms or one row, whose error, if it
+    raises, is the rebuild's, and whose values replace the row's updates; a
+    matrix with more than half its rows so is rebuilt.  Other p go through
+    ``build_many`` in bounded stacks.
     """
     X = as_data_matrix(x)
     n, k = X.shape
@@ -177,8 +178,9 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
     in (b, n, n) blocks of at most ``distance._STACK_ENTRIES`` entries: each
     block's updates (``_updates``) decided by ``near_mask``, within
     ``update_bound``'s ``bound`` unless it is None, the rows it leaves
-    undecided recomputed by the kernel, or a matrix rebuilt where more than
-    half its rows are undecided."""
+    undecided recomputed by the kernel (at most ``distance._TILE_TERMS``
+    terms, or one row, per call), or a matrix rebuilt where more than half
+    its rows are undecided."""
     n, k = X.shape
     name = coefficient_name(coefficient)
     if bound is not None:
@@ -187,6 +189,7 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.where(top < hi, c1 * top, np.inf), c2 * top * top, lo
     per_block = max(1, distance._STACK_ENTRIES // (n * n))
+    per_call = max(1, distance._TILE_TERMS // (n * (k - 1)))  # rows per recompute
     blocks = [(j, X[:, j:j + per_block].T) for j in range(0, k, per_block)]
     second = _second_largest(blocks, n) if name == "pinf" else None
     for j, columns in blocks:
@@ -203,11 +206,12 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
                 continue
             try:
                 with np.errstate(over="ignore"):  # an infinite difference makes it raise
-                    values = row_values(coefficient, np.abs(Xj[rows, None] - Xj).reshape(-1, k - 1))
+                    for part in np.split(rows, range(per_call, len(rows), per_call)):
+                        U[b, part] = row_values(coefficient, np.abs(
+                            Xj[part, None] - Xj).reshape(-1, k - 1)).reshape(len(part), n)
             except DomainError:
                 build(coefficient, Xj)  # raises the rebuild's own error
                 raise
-            U[b, rows] = values.reshape(len(rows), n)
             mask[b, rows] = near_mask(U[b], tie, positive_only)[rows]
         yield mask
 
@@ -277,14 +281,15 @@ def adversarial_augment(
     """Append a column t * (1, 2, 4, ...) that gives every row a unique neighbor.
 
     Defined for p-norms and 2 <= n <= 1024 rows.  The scale t is found by
-    verified search: start at t = 1 and double (p = inf, where the new column
-    must dominate), or for finite p first halve down to 2^-199 (a small
-    column merely breaks ties) and then double (a large column dominates,
-    which always works), until the recomputed neighbor total equals n.
-    Doubling stops where the largest column entry t * 2^(n-1) or a distance
-    would overflow.  That certifies rob_plus(x, augmented) <=
-    n / near_total(x) by counting: with b_i, a_i the neighbor sets of row i
-    before and after, the kept relations sum |b_i & a_i| <= sum |a_i| = n.
+    verified search over ``errors.ladder``: start at t = 1 and double (p =
+    inf, where the new column must dominate), or for finite p first halve
+    down to 2^-199 (a small column merely breaks ties) and then double (a
+    large column dominates, which always works), until the recomputed
+    neighbor total equals n.  Doubling stops where the largest column entry
+    t * 2^(n-1) or a distance would overflow.  That certifies rob_plus(x,
+    augmented) <= n / near_total(x) by counting: with b_i, a_i the neighbor
+    sets of row i before and after, the kept relations sum |b_i & a_i| <=
+    sum |a_i| = n.
     """
     if not isinstance(coefficient, PNorm):
         raise DomainError("the tie-breaking augmentation is defined for p-norms only")
@@ -298,10 +303,7 @@ def adversarial_augment(
 
     spacing = tuple(2**i for i in range(n))
     column = np.array(spacing, dtype=float)
-    scales = [2.0**i for i in range(1025 - n)]  # t * 2^(n-1) <= 2^1023, a finite float
-    if not math.isinf(coefficient.p):
-        scales = [2.0**-i for i in range(200)] + scales[1:]
-    for t in scales:
+    for t in ladder(n, not math.isinf(coefficient.p)):
         candidate = np.hstack([X, (t * column).reshape(n, 1)])
         try:
             D = build(coefficient, candidate)

@@ -488,7 +488,7 @@ class TestContract:
             assert excinfo.value.code == 0
             out = capsys.readouterr().out
             assert out.startswith("usage: distchar")
-            # a subcommand adds its flags when it parses: its help names each
+            # a subcommand's parser gets its flags when it is built: its help names each
             if argv[0] in _COMMANDS:
                 assert all(flag in out for flag in (*_COMMANDS[argv[0]].options, "--format"))
 

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distchar import _lists, cli, coefficient_name, parse_coefficient
+from distchar import _lists, cli, coefficient_name, parse_coefficient, robustness
 from distchar import io as dcio
-from distchar.errors import DomainError, update_bound
+from distchar.errors import DomainError, ladder, update_bound
 from distchar.neighbors import EXACT_TIES, TiePolicy, near_mask
 
 COEFFICIENTS = ("p1", "p2", "pinf", "L")
@@ -233,11 +233,10 @@ def test_the_one_build_precheck_declines_only_what_the_plan_declines(tmp_path, c
             n = next(n for n in range(2, 1000)
                      if n * (n - 1) // 2 * (k + cli._PAIR_COST) > cli._MAX_TERMS)
             args = cli.build_parser().parse_args(threshold_job(tmp_path, command, c, n, k))
-            with mock.patch.object(_lists, "_distances") as distances, \
-                    mock.patch.object(_lists, "_top_two") as top_two:
+            with mock.patch.object(_lists, "_distances") as distances:
                 with pytest.raises(DomainError):
                     _lists.payload(args, dcio._load_rows)
-            assert distances.call_count == top_two.call_count == 0, (c, k)
+            assert distances.call_count == 0, (c, k)
 
 
 def test_a_declined_ladder_is_no_longer_than_under_the_flat_cap(tmp_path):
@@ -300,6 +299,36 @@ def test_list_rob_plus_builds_both_matrices(tmp_path, c):
     asked.assert_not_called()
 
 
+def test_list_rob_minus_builds_pinf_by_the_integer_route(tmp_path):
+    # X's matrix is built through _distances under every coefficient, as
+    # rob_minus builds it: under pinf on the 120 x 12 {0..3} lattice by the
+    # exact integer route, and the second largest terms by _row
+    argv = ["rob-minus", "--c", "pinf", "--format", "json",
+            "--x", scale_inputs(tmp_path)["lattice"][0]]
+    route, taken = _lists._integer_tails, []
+
+    def recorded(kernel, x):
+        tails = route(kernel, x)
+        taken.append((kernel, tails is not None))
+        return tails
+
+    with mock.patch.object(_lists, "_integer_tails", recorded):
+        assert covered(argv)
+        assert both_entries(argv)[1:] == ("", 0)
+    assert taken == [(max, True), (_lists._second, False)] * 2
+
+
+@pytest.mark.parametrize("c, finite", [("p2", True), ("pinf", False)])
+def test_both_adversarial_paths_iterate_one_ladder(tmp_path, c, finite):
+    argv = ["adversarial", "--c", c, "--format", "json",
+            "--x", write(tmp_path / "x.csv", [["0"], ["1"], ["3"]])]
+    with mock.patch.object(_lists, "ladder", wraps=ladder) as on_lists, \
+            mock.patch.object(robustness, "ladder", wraps=ladder) as on_arrays:
+        assert both_entries(argv)[1:] == ("", 0)
+    on_lists.assert_called_once_with(3, finite)
+    on_arrays.assert_called_once_with(3, finite)
+
+
 @pytest.mark.parametrize("job", ["rob-minus p2 lattice exact ties", "corr 200x8"])
 def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
     # one build of X is within the bound, so the list module is asked, but
@@ -314,12 +343,11 @@ def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
         argv = ["rob-minus", "--c", "p2", "--rel-tol", "0", "--format", "json",
                 "--x", scale_inputs(tmp_path)["lattice"][0]]
     with mock.patch.object(_lists, "payload", wraps=_lists.payload) as payload, \
-            mock.patch.object(_lists, "_distances") as distances, \
-            mock.patch.object(_lists, "_top_two") as top_two:
+            mock.patch.object(_lists, "_distances") as distances:
         assert both_entries(argv)[1:] == ("", 0)
         assert not covered(argv)
     assert payload.call_count == 2
-    assert distances.call_count == top_two.call_count == 0
+    assert distances.call_count == 0
 
 
 @pytest.mark.parametrize("spelling", sorted(_lists._KERNELS))

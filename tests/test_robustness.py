@@ -38,7 +38,7 @@ from distchar import (
     spacing_values,
 )
 from distchar import io as dcio
-from distchar.errors import update_bound
+from distchar.errors import ladder, update_bound
 from distchar.neighbors import EXACT_TIES, near_mask
 
 P1, P2, PINF = PNorm(1), PNorm(2), PNorm(math.inf)
@@ -507,6 +507,24 @@ class TestRobMinusGuard:
                                                                          score.denominator)
         assert len(calls) == 40 * 39 // 2
 
+    def test_recomputed_rows_are_tiled(self):
+        # the rows of each duplicate pair are at risk (m = 0) in every
+        # leave-one-out matrix: its six rows are recomputed in calls of at
+        # most _TILE_TERMS terms, here two rows of 20 x 3 terms each
+        x = np.random.default_rng(35).standard_normal((20, 4))
+        x[[1, 5, 9]] = x[[0, 4, 8]]
+        kernel, calls = robustness.row_values, []
+
+        def counted(coefficient, a):
+            calls.append(a.size)
+            return kernel(coefficient, a)
+
+        with mock.patch.object(distance, "_TILE_TERMS", 2 * 20 * 3), \
+                mock.patch.object(robustness, "row_values", counted):
+            score = rob_minus(P2, x)
+        assert calls == [2 * 20 * 3] * 3 * 4
+        assert score == reference_rob_minus(P2, x)
+
 
 class TestSpacingValues:
     def test_smallest_case(self):
@@ -625,6 +643,16 @@ class TestAdversarialAugment:
         # pins the scale each p-norm's search settles on, at two data scales
         x = np.random.default_rng(0).integers(0, 4, (60, 3)) * scale
         assert [adversarial_augment(c, x).t for c in (P1, P2, PINF)] == ts
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 1024])
+    def test_ladder(self, n):
+        # halvings to 2^-199 under finite p, then doublings to 2^(1024 - n),
+        # where the largest column entry t * 2^(n-1) is 2^1023
+        halvings = [math.ldexp(1.0, -i) for i in range(200)]
+        doublings = [math.ldexp(1.0, i) for i in range(1, 1025 - n)]
+        assert ladder(n, True) == halvings + doublings
+        assert ladder(n, False) == [1.0, *doublings]
+        assert ladder(n, False)[-1] * 2.0 ** (n - 1) == 2.0**1023
 
     @pytest.mark.parametrize("c", [P2, PINF])
     def test_ladder_exhausted_on_gaussian_rows(self, c):
