@@ -26,8 +26,9 @@ the sorted kernels.
 ``rob-minus`` builds X's matrix through ``_distances`` under every
 coefficient, as ``robustness.rob_minus`` does through ``build``, and under
 pinf each pair's second largest term by one more ``_distances`` pass with
-the ``_second`` kernel, as ``_second_largest`` gives it there.  It derives
-each leave-one-out matrix from X's by an O(n^2) update (``_without``).
+the ``_second`` kernel, as ``robustness.rob_minus`` takes them from one more
+``distance._tiled`` pass with ``robustness._second``.  It derives each
+leave-one-out matrix from X's by an O(n^2) update (``_without``).
 ``errors.update_bound`` says whether the updates are exact (pinf; p1 and L
 on integer-valued data whose column spans, or their squares, sum to at most
 2^53) or gives their error bound, which ``robustness.rob_minus`` proves:
@@ -64,8 +65,8 @@ from .errors import DomainError, ladder, update_bound
 # _UPDATE_COST is one column's update of an n x n matrix and its neighbor
 # scan, per pair, in terms.  It is fitted as cli's bound is (the table above
 # cli._MAX_TERMS), to `rob-minus` against the array path, which updates a
-# block of columns per numpy call: p1 on {0..3} lattices (exact updates) and
-# p2 on Gaussian rows (guarded), median of 9 alternating runs of each:
+# block of columns per numpy call: p1 and pinf on {0..3} lattices (exact
+# updates) and p2 on Gaussian rows (guarded), median of 9 alternating runs:
 #
 #      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
 #  p1  2   234: 299 871       129 / 248         300: 493 350       262 / 282
@@ -80,15 +81,21 @@ from .errors import DomainError, ladder, update_bound
 #    500    20: 285 950       171 / 190          28: 568 890       186 / 196
 #   2000    10: 270 225       264 / 207          13: 468 390       281 / 292
 #  20000     3: 180 015       400 / 214           5: 600 050       384 / 404
+#  pinf 2  234: 299 871        91 / 132         300: 493 350       120 / 138
+#     12   121: 297 660        81 / 126         180: 660 510       124 / 133
+#    128    39: 288 249        88 / 127          50: 476 525       110 / 128
+#   2000    10: 270 225       124 / 129          13: 468 390       157 / 130
 #
-# The host's speed drifted by about 1.5x over these runs.  Every declined
-# row is at or below the break-even, and every admitted one up to 500
-# columns is faster on lists; from 2000 columns the list path pays about
-# 4 us per row and column, which no per-pair charge sees.  The benchmark's
-# 120 x 12 lattice rob-minus (292 740) is admitted under every coefficient,
-# and so are its 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's
-# 8 x 2000 lattice and Gaussian (168 140).  Under zero tie slack on data
-# whose updates are not exact a job is charged as k rebuilds instead.
+# The host's speed drifted by about 1.5x over these runs (pinf's rows came
+# later, on a faster spell).  Every admitted row up to 500 columns, and
+# pinf's up to 2000, is faster on lists; every declined p1 and p2 row is at
+# or below the break-even, while pinf's up to 128 columns are 7-14 % faster
+# on lists; from 2000 columns the list path pays about 4 us per row and
+# column, which no per-pair charge sees.  The benchmark's 120 x 12 lattice
+# rob-minus (292 740) is admitted under every coefficient, and so are its
+# 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's 8 x 2000 lattice
+# and Gaussian (168 140).  Under zero tie slack on data whose updates are
+# not exact a job is charged as k rebuilds instead.
 _UPDATE_COST = 2
 # an adversarial rung of k + 1 columns is charged as k + 1 one-column builds,
 # so its ladder holds at most this many pair-terms (50 000): a ladder given
@@ -130,8 +137,8 @@ def _squared(terms: list[float]) -> float:
 
 
 def _second(terms: list[float]) -> float:
-    """A pair's second largest term (k >= 2), which pinf's update takes
-    where the column's term is its largest."""
+    """A pair's second largest term (k >= 2), as ``robustness._second``
+    selects it: pinf's update where the column's term is its largest."""
     return sorted(terms)[-2]
 
 

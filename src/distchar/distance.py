@@ -57,32 +57,34 @@ def build(coefficient: Coefficient, x) -> np.ndarray:
 
 def build_many(coefficient: Coefficient, matrices):
     """C-contiguous (B, n, n) distance matrices of an iterable of valid data
-    matrices (not re-checked), in order: the one pairwise kernel.
-
-    Runs of matrices of one shape are stacked, as one array, up to the
-    ``_STACK_ENTRIES`` bound.  A stack gets one ``row_values`` call per tile,
-    in row order.  A tile is rows i..i+r-1 of every matrix against columns
-    i..n-1: at most ``_TILE_TERMS`` terms, or one row.  The part right of its
-    diagonal block is mirrored below it, so each pair is evaluated once,
-    bitwise: IEEE subtraction is exactly antisymmetric and ints and Fractions
-    exact.  The diagonal is evaluated: zeros keep their type."""
+    matrices (not re-checked), in order: the one pairwise kernel, ``_tiled``
+    with the row function ``row_values`` (looked up at each call), on runs of
+    one shape stacked as one array up to the ``_STACK_ENTRIES`` bound."""
     for (n, k), run in itertools.groupby(matrices, key=np.shape):
         per_stack = max(1, _STACK_ENTRIES // (n * max(n, k)))
         for first in run:  # no stack is held while the next one is stacked
-            yield _tiled(coefficient, np.array([first, *itertools.islice(run, per_stack - 1)]))
+            yield _tiled(lambda terms: row_values(coefficient, terms),
+                         np.array([first, *itertools.islice(run, per_stack - 1)]))
 
 
-def _tiled(coefficient: Coefficient, xs: np.ndarray) -> np.ndarray:
-    """The distances of one (B, n, k) stack, tile by tile (see ``build_many``)."""
+def _tiled(values, xs: np.ndarray) -> np.ndarray:
+    """The (B, n, n) values of every pair of rows of a (B, n, k) stack: the
+    row function ``values`` maps (m, k) terms |x_lc - x_ic| to m values, one
+    call per tile, in row order.  A tile is rows i..i+r-1 of every matrix
+    against columns i..n-1: at most ``_TILE_TERMS`` terms, or one row; the
+    part right of its diagonal block is mirrored below it, so each pair is
+    evaluated once, bitwise: IEEE subtraction is exactly antisymmetric and
+    ints and Fractions exact.  The diagonal is evaluated: zeros keep their
+    type.  ``row_values`` refuses the infinite term of an overflowing
+    difference; ``robustness._second`` never sees one: X's pinf build raises."""
     B, n, k = xs.shape
     D = np.empty((B, n, n), dtype=xs.dtype)
     i = 0
-    with np.errstate(over="ignore"):  # an infinite difference makes row_values raise
+    with np.errstate(over="ignore"):
         while i < n:
             r = min(n - i, max(1, _TILE_TERMS // (B * (n - i) * k)))
-            D[:, i:i + r, i:] = row_values(
-                coefficient, np.abs(xs[:, None, i:] - xs[:, i:i + r, None]).reshape(-1, k)
-            ).reshape(B, r, n - i)
+            terms = np.abs(xs[:, None, i:] - xs[:, i:i + r, None]).reshape(-1, k)
+            D[:, i:i + r, i:] = values(terms).reshape(B, r, n - i)
             D[:, i + r:, i:i + r] = D[:, i:i + r, i + r:].transpose(0, 2, 1)
             i += r
     return D

@@ -109,8 +109,9 @@ def rob_minus(
     r|, r being the sorted kernel's rebuilt value, so that every mask, score
     and error is the rebuild's.  With h = 2^-53 and g(m) = m h / (1 - m h):
 
-    * Where ``errors.update_bound`` is None (pinf always; p1 and L on
-      integer-valued data whose column spans, or their squares, sum to at
+    * Where ``errors.update_bound`` is None (pinf always, its second terms
+      selected by ``_second`` in one more ``distance._tiled`` pass; p1 and L
+      on integer-valued data whose column spans, or their squares, sum to at
       most 2^53), every term and partial sum is exact or a selected term:
       e = 0.  So it is on exact input (ints and Fractions, under p1, pinf
       and L), whose arithmetic is exact; ``update_bound`` is not asked.
@@ -176,11 +177,9 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
                          tie: TiePolicy, positive_only: bool):
     """The near masks of X without column j, for each j, from X's matrix D,
     in (b, n, n) blocks of at most ``distance._STACK_ENTRIES`` entries: each
-    block's updates (``_updates``) decided by ``near_mask``, within
-    ``update_bound``'s ``bound`` unless it is None, the rows it leaves
-    undecided recomputed by the kernel (at most ``distance._TILE_TERMS``
-    terms, or one row, per call), or a matrix rebuilt where more than half
-    its rows are undecided."""
+    block's updates (``_updates``) decided by ``near_mask`` within ``bound``
+    (``update_bound``'s, or None where they are exact), its undecided rows
+    recomputed or its matrix rebuilt as ``rob_minus`` says."""
     n, k = X.shape
     name = coefficient_name(coefficient)
     if bound is not None:
@@ -190,10 +189,9 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
             bound = np.where(top < hi, c1 * top, np.inf), c2 * top * top, lo
     per_block = max(1, distance._STACK_ENTRIES // (n * n))
     per_call = max(1, distance._TILE_TERMS // (n * (k - 1)))  # rows per recompute
-    blocks = [(j, X[:, j:j + per_block].T) for j in range(0, k, per_block)]
-    second = _second_largest(blocks, n) if name == "pinf" else None
-    for j, columns in blocks:
-        U = _updates(name, D, second, columns)
+    second = distance._tiled(_second, X[None])[0] if name == "pinf" else None
+    for j in range(0, k, per_block):
+        U = _updates(name, D, second, X[:, j:j + per_block].T)
         if bound is None:
             yield near_mask(U, tie, positive_only)
             continue
@@ -216,24 +214,16 @@ def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray,
         yield mask
 
 
-def _terms(columns: np.ndarray) -> np.ndarray:
-    """|x_ij - x_lj| for each of the (b, n) ``columns``: a (b, n, n) stack."""
-    return np.abs(columns[:, :, None] - columns[:, None, :])
-
-
-def _second_largest(blocks, n: int) -> np.ndarray:
-    """Each pair's second largest term over the columns of every block (its
-    largest is its pinf distance)."""
-    top = np.zeros((2, n, n))
-    for _, columns in blocks:
-        top = np.partition(np.concatenate([top, _terms(columns)]), -2, axis=0)[-2:]
-    return top[0]
+def _second(terms: np.ndarray) -> np.ndarray:
+    """Each row's second largest of its k >= 2 terms: pinf's update where the
+    column's term is the row's largest (its distance)."""
+    return np.sort(terms, axis=1)[:, -2]
 
 
 def _updates(name: str, D: np.ndarray, second, columns: np.ndarray) -> np.ndarray:
     """The updates of D without each of the (b, n) ``columns`` (see
     ``rob_minus``); NaN under p2 where D*D - d*d is negative or overflows."""
-    T = _terms(columns)
+    T = np.abs(columns[:, :, None] - columns[:, None, :])
     with np.errstate(over="ignore", invalid="ignore"):
         if name == "pinf":
             return np.where(T == D, second, D)

@@ -226,14 +226,17 @@ class TestRobMinusInStacks:
            rule=st.sampled_from([(TiePolicy(), False), (EXACT_TIES, False),
                                  (TiePolicy(relative_tolerance=1.0), False),
                                  (TiePolicy(), True)]),
-           per_stack=st.integers(1, 3))
+           per_stack=st.integers(1, 3), tile_terms=st.sampled_from([1, 7, 2**14]))
     @settings(max_examples=300, deadline=None)
-    def test_equals_one_build_per_column(self, case, rule, per_stack):
+    def test_equals_one_build_per_column(self, case, rule, per_stack, tile_terms):
         c, x = case
         n, k = x.shape
         with pytest.MonkeyPatch.context() as patch:
-            # per_stack leave-one-out matrices per stack, so k of them span several
+            # per_stack leave-one-out matrices per stack, so k of them span
+            # several, and tiles of tile_terms terms, so pinf's second
+            # largest terms span several too
             patch.setattr(distance, "_STACK_ENTRIES", per_stack * n * max(n, k - 1))
+            patch.setattr(distance, "_TILE_TERMS", tile_terms)
             got = outcome(rob_minus, c, x, *rule)
         assert got == outcome(reference_rob_minus, c, x, *rule)
 
@@ -252,6 +255,30 @@ class TestRobMinusInStacks:
             score = rob_minus(c, x, *rule)
         assert (builds.call_count, stacks.call_count, rows.call_count) == (1, 0, 0)
         assert score == reference_rob_minus(c, x, *rule)
+
+    def test_pinf_on_a_gaussian_builds_once(self):
+        # pinf's updates are exact on any data, and its second largest terms
+        # come from the tiles, not from a build or a recomputed row
+        x = np.random.default_rng(40).standard_normal((40, 16))
+        with mock.patch.object(robustness, "build", wraps=build) as builds, \
+                mock.patch.object(robustness, "build_many") as stacks, \
+                mock.patch.object(robustness, "row_values") as rows:
+            score = rob_minus(PINF, x)
+        assert (builds.call_count, stacks.call_count, rows.call_count) == (1, 0, 0)
+        assert score == reference_rob_minus(PINF, x)
+
+    @given(rows=st.integers(2, 6).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e300]) | st.floats(-1e6, 1e6),
+                 min_size=k, max_size=k), min_size=1, max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_second_terms_are_the_list_paths(self, rows):
+        # the array path's row function over its tiles selects the bits the
+        # list path's _second selects over its pair loop; the few drawn
+        # levels repeat a pair's largest term and sign its zeros
+        X = as_data_matrix(rows)
+        got = distance._tiled(robustness._second, X[None])[0]
+        expected = np.array(_lists._distances(_lists._second, rows))
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def list_outcome(c, x, tie, positive_only, x_aug=None):
