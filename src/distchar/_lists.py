@@ -24,16 +24,19 @@ and the route gives the sorted kernel's values.  p2, L and other data keep
 the sorted kernels.
 
 ``rob-minus`` builds X's matrix through ``_distances`` under every
-coefficient, as ``robustness.rob_minus`` does through ``build``, and under
-pinf each pair's second largest term by one more ``_distances`` pass with
-the ``_second`` kernel, as ``robustness.rob_minus`` takes them from one more
-``distance._tiled`` pass with ``robustness._second``.  It derives each
-leave-one-out matrix from X's by an O(n^2) update (``_without``).
-``errors.update_bound`` says whether the updates are exact (pinf; p1 and L
-on integer-valued data whose column spans, or their squares, sum to at most
-2^53) or gives their error bound, which ``robustness.rob_minus`` proves:
-each row's updates lie within e = a + b / m of the rebuilt values, and
-``_near_sets`` decides each row from those intervals as
+coefficient, as ``robustness.rob_minus`` does through ``build``.
+``errors.update_bound`` says whether one-column updates of it are exact
+(pinf; p1 and L on integer-valued data whose column spans, or their
+squares, sum to at most 2^53) or gives their error bound.  Exact updates
+form no leave-one-out matrix: ``_changes`` sorts each row's candidates by
+X's distances once and decides the row without each column by a pruned
+walk, which stops where no value left can reach the tie bound; under pinf
+only ``_drops``' values change, each pair's second largest term where its
+largest is the removed column's alone, read from the integer route's codes
+where it applies.  Guarded updates derive each leave-one-out matrix from
+X's in O(n^2) (``_without``), within a bound that ``robustness.rob_minus``
+proves: each row's updates lie within e = a + b / m of the rebuilt values,
+and ``_near_sets`` decides each row from those intervals as
 ``neighbors.near_mask`` does; ``_row`` recomputes a row it cannot decide,
 and a matrix where most rows are is rebuilt.
 
@@ -56,6 +59,7 @@ the array path, which computes the job or reports its error itself.
 import math
 import operator
 import sys
+from bisect import bisect_right
 from functools import reduce
 from itertools import chain
 
@@ -66,36 +70,39 @@ from .errors import DomainError, ladder, update_bound
 # scan, per pair, in terms.  It is fitted as cli's bound is (the table above
 # cli._MAX_TERMS), to `rob-minus` against the array path, which updates a
 # block of columns per numpy call: p1 and pinf on {0..3} lattices (exact
-# updates) and p2 on Gaussian rows (guarded), median of 9 alternating runs:
+# updates, walked by ``_changes``) and p2 on Gaussian rows (guarded), median
+# of 9 alternating processes (a declined row's list column with
+# cli._MAX_TERMS lifted):
 #
 #      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
-#  p1  2   234: 299 871       129 / 248         300: 493 350       262 / 282
-#      4   188: 298 826       112 / 216         240: 487 560       201 / 198
-#     12   121: 297 660       151 / 278         180: 660 510       256 / 279
-#     32    77: 295 526       104 / 203         100: 499 950       233 / 249
-#    128    39: 288 249       164 / 257          50: 476 525       320 / 338
-#   2000    10: 270 225       256 / 340          13: 468 390       342 / 346
-#  20000     3: 180 015       389 / 301           5: 600 050       373 / 289
+#  p1  2   234: 299 871        96 / 185         300: 493 350       130 / 204
+#      4   188: 298 826        99 / 212         240: 487 560        85 / 178
+#     12   121: 297 660        70 / 160         180: 660 510        85 / 200
+#     32    77: 295 526       103 / 254         100: 499 950        97 / 209
+#    128    39: 288 249        94 / 219          50: 476 525        88 / 192
+#   2000    10: 270 225       171 / 265          13: 468 390       128 / 170
+#  20000     3: 180 015       256 / 227           5: 600 050       381 / 232
 #  p2  2   234: 299 871       215 / 270         300: 493 350       197 / 246
 #     12   121: 297 660       214 / 283         180: 660 510       241 / 272
 #    500    20: 285 950       171 / 190          28: 568 890       186 / 196
 #   2000    10: 270 225       264 / 207          13: 468 390       281 / 292
 #  20000     3: 180 015       400 / 214           5: 600 050       384 / 404
-#  pinf 2  234: 299 871        91 / 132         300: 493 350       120 / 138
-#     12   121: 297 660        81 / 126         180: 660 510       124 / 133
-#    128    39: 288 249        88 / 127          50: 476 525       110 / 128
-#   2000    10: 270 225       124 / 129          13: 468 390       157 / 130
+#  pinf 2  234: 299 871       100 / 173         300: 493 350       125 / 163
+#     12   121: 297 660        76 / 155         180: 660 510        82 / 166
+#    128    39: 288 249        59 / 185          50: 476 525        63 / 162
+#   2000    10: 270 225       103 / 178          13: 468 390        97 / 161
 #
-# The host's speed drifted by about 1.5x over these runs (pinf's rows came
-# later, on a faster spell).  Every admitted row up to 500 columns, and
-# pinf's up to 2000, is faster on lists; every declined p1 and p2 row is at
-# or below the break-even, while pinf's up to 128 columns are 7-14 % faster
-# on lists; from 2000 columns the list path pays about 4 us per row and
-# column, which no per-pair charge sees.  The benchmark's 120 x 12 lattice
-# rob-minus (292 740) is admitted under every coefficient, and so are its
-# 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's 8 x 2000 lattice
-# and Gaussian (168 140).  Under zero tie slack on data whose updates are
-# not exact a job is charged as k rebuilds instead.
+# The host's speed drifts by up to 1.5x (p2's rows were timed earlier, on
+# a slower spell).  Every admitted row up to 2000 columns is faster on
+# lists, and so is every declined p1 and pinf row up to 2000 columns: the
+# walk costs less than k updates, but the charge is kept so that no job
+# changes path.  p2's declined rows are at or below the break-even.  From
+# 2000 columns a guarded update pays about 4 us per row and column, and at
+# 20 000 the walk 2-3 us, which no per-pair charge sees.  The benchmark's
+# 120 x 12 lattice rob-minus (292 740) is admitted under every coefficient,
+# and so are its 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's
+# 8 x 2000 lattice and Gaussian (168 140).  Under zero tie slack on data
+# whose updates are not exact a job is charged as k rebuilds instead.
 _UPDATE_COST = 2
 # an adversarial rung of k + 1 columns is charged as k + 1 one-column builds,
 # so its ladder holds at most this many pair-terms (50 000): a ladder given
@@ -231,16 +238,21 @@ def _integer_tails(kernel, x: list[list[float]]) -> list[list[float]] | None:
     Both read the thermometer codes U of ``_unary``: p1 is the number of set
     bits of U_i ^ U_l, and pinf the longest run of them one plane (k bits)
     apart (``_longest_run``)."""
-    n = len(x)
-    if n < _ROUTE_ROWS.get(kernel, math.inf):  # p2 and L have no integer route
-        return None
-    codes = _unary(x, n - 5 if kernel is _p1 else 3)
+    codes = _codes(kernel, x)
     if codes is None:
         return None
     if kernel is _p1:
         return [[float((a ^ b).bit_count()) for b in codes[i + 1:]] for i, a in enumerate(codes)]
     k = len(x[0])
     return [[float(_longest_run(a ^ b, k)) for b in codes[i + 1:]] for i, a in enumerate(codes)]
+
+
+def _codes(kernel, x: list[list[float]]) -> list[int] | None:
+    """``x``'s codes where the route takes ``kernel``'s build of it, else None."""
+    n = len(x)
+    if n < _ROUTE_ROWS.get(kernel, math.inf):  # p2 and L have no integer route
+        return None
+    return _unary(x, n - 5 if kernel is _p1 else 3)
 
 
 def _unary(x: list[list[float]], bound: int) -> list[int] | None:
@@ -289,7 +301,6 @@ def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
     value, by each row's (a, b, lo): a row is decided from those intervals
     as ``neighbors.near_mask`` decides it within that bound, and is None
     where it is not."""
-    rel, absolute = tie
     sets = []
     for i, row in enumerate(D) if rows is None else ((i, D[i]) for i in rows):
         if errors:  # at risk unless every off-diagonal interval lies above lo
@@ -304,11 +315,9 @@ def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
             if m is None:  # n = 1, or no positive candidate
                 sets.append([])
                 continue
-        slack = max(absolute, rel * (m - e))
-        low = high = m - e if slack == 0 else m - e + slack
+        low = high = _tie_bound(m - e, tie)
         if e:  # each in, out, or the one candidate below every other
-            slack = max(absolute, rel * (m + e))
-            high = m + e if slack == 0 else m + e + slack
+            high = _tie_bound(m + e, tie)
             maybe = [j for j, d in enumerate(row) if d - e <= high and j != i]
             first = [j for j in maybe if row[j] - e <= m + e]
             sure = [j for j in maybe if row[j] + e <= low or first == [j]]
@@ -322,21 +331,105 @@ def _near_sets(D, tie, positive_only: bool, errors=None, rows=None) -> list:
     return sets
 
 
-def _without(kernel, D, S, column) -> list[list[float]]:
-    """The updates of the rows of ``D`` without ``column``: its terms
-    subtracted under p1 and L, sqrt(D*D - d*d) under p2 (0 where D*D - d*d
-    is not positive), and under pinf (``max``) a pair's second largest term
-    (``S``) where the column's term is its largest, which then is the
-    column's unless that largest is repeated, and ``S`` holds it too."""
-    if kernel is max:
-        return [[s if abs(a - b) == d else d for d, s, b in zip(row, second, column)]
-                for row, second, a in zip(D, S, column)]
+def _tie_bound(m: float, tie) -> float:
+    """``neighbors.tie_bound`` of a row's least candidate m: m + slack, or m
+    where slack = max(abs_tol, rel_tol * m) is 0; nondecreasing in m."""
+    slack = max(tie[1], tie[0] * m)
+    return m if slack == 0 else m + slack
+
+
+def _without(kernel, D, column) -> list[list[float]]:
+    """The guarded updates of the rows of ``D`` without ``column``: its
+    terms subtracted under p1 and L, sqrt(D*D - d*d) under p2 (0 where D*D -
+    d*d is not positive).  Exact updates are walked instead (``_changes``)."""
     if kernel is _p1:
         return [[d - abs(a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
     if kernel is _p2:
         return [[math.sqrt(v) if (v := d * d - (a - b) * (a - b)) > 0 else 0.0
                  for d, b in zip(row, column)] for row, a in zip(D, column)]
     return [[d - (a - b) * (a - b) for d, b in zip(row, column)] for row, a in zip(D, column)]
+
+
+def _drops(x, D) -> list[dict[int, dict[int, float]]]:
+    """pinf's exact updates: ``drops[i][j]`` maps each l whose pair with row i
+    has its largest term in column j alone to the pair's second largest
+    term, its value without column j; every other value is D's.  From
+    ``_codes`` where the integer route takes the build: the run loop's last
+    nonzero value holds one bit per column that attains the largest term,
+    and the longest run without that column's bits is the second.  Else
+    from ``_second`` and the pair's terms."""
+    n, k = len(x), len(x[0])
+    drops = [{} for _ in range(n)]
+    codes = _codes(max, x)
+    if codes is None:
+        S = _distances(_second, x)
+    else:  # column j's bits in the (at most 3) planes of a code
+        other = [~int(("0" * j + "1" + "0" * (k - 1 - j)) * 3, 2) for j in range(k)]
+    for i in range(n):
+        for l in range(i + 1, n):
+            if codes is None:
+                if (s := S[i][l]) == (d := D[i][l]):
+                    continue
+                j = [abs(u - v) for u, v in zip(x[i], x[l])].index(d)
+            else:
+                v = last = codes[i] ^ codes[l]
+                while v:
+                    last, v = v, v & v >> k
+                if last & (last - 1) or not last:  # a repeated largest term, or none
+                    continue
+                j = k - 1 - (last.bit_length() - 1) % k  # bit p is column k - 1 - p % k
+                s = float(_longest_run((codes[i] ^ codes[l]) & other[j], k))
+            drops[i].setdefault(j, {})[l] = drops[l].setdefault(j, {})[i] = s
+    return drops
+
+
+def _changes(job, D) -> int:
+    """The rows whose near set changes without each column, where the updates
+    are exact (``update_bound`` is None), each decided by a pruned walk
+    (Friedman, Baskett & Shustek 1975) by ``_near_sets``' rule.  Row i's
+    candidates are sorted by D once, which also gives its near set in X.
+    Under p1 and L no value falls below D - lift, lift being the largest
+    column span (under L its square): the walk takes the candidates up to
+    tie_bound(w) + lift, w being one candidate's largest value without a
+    column, at least the row's least value without any; every member is
+    among them.  Under pinf only ``_drops``' values change: they and the
+    candidates up to the tie bound of the least value are taken."""
+    x, (kernel,), tie, positive = job.x, job.kernels, job.tie, job.args.positive_only
+    floor = 0.0 if positive else -math.inf  # a candidate's value lies above it
+    if kernel is max:
+        drops = _drops(x, D)
+    else:
+        lift = max(map(operator.sub, map(max, *x), map(min, *x)))
+        lift = lift * lift if kernel is _squared else lift
+    changed = 0
+    for i, (row, a) in enumerate(zip(D, x)):
+        order = sorted(range(len(x)), key=row.__getitem__)
+        order.remove(i)
+        ds = [row[l] for l in order]
+        z = bisect_right(ds, floor)
+        near = order[z:bisect_right(ds, _tie_bound(ds[z], tie))] if z < len(ds) else []
+        if kernel is max:
+            near, rest = set(near), list(zip(order[z:], ds[z:]))
+            for low in drops[i].values():
+                m = min(filter(None, low.values()) if positive else low.values(), default=math.inf)
+                high = _tie_bound(min(m, next((d for l, d in rest if l not in low), m)), tie)
+                changed += near != {l for l in order[z:bisect_right(ds, high)] if l not in low}.union(
+                    l for l, s in low.items() if floor < s <= high)
+            continue
+        rows = [x[l] for l in order]
+        z, c = bisect_right(ds, lift) if positive else 0, len(ds)
+        if z < c:  # every value of candidate z lies above floor
+            t = min(abs(u - v) for u, v in zip(a, rows[z]))
+            c = bisect_right(ds, _tie_bound(ds[z] - (t * t if kernel is _squared else t), tie) + lift)
+        ds = ds[:c]
+        for j, aj in enumerate(a):
+            if kernel is _p1:
+                values = [d - abs(aj - r[j]) for d, r in zip(ds, rows)]
+            else:
+                values = [d - (aj - r[j]) * (aj - r[j]) for d, r in zip(ds, rows)]
+            high = _tie_bound(min(filter(None, values) if positive else values, default=math.inf), tie)
+            changed += near != [l for l, v in zip(order, values) if floor < v <= high]
+    return changed
 
 
 class _Job:
@@ -397,9 +490,11 @@ def _rob_plus(job) -> dict:
 
 
 def _rob_minus(job) -> dict:
-    """X's matrix, then each leave-one-out matrix by one column's update
-    (``_without``), decided where its bound allows (``_near_sets``), its
-    other rows recomputed, or the matrix rebuilt where most are."""
+    """X's matrix, then the rows that change without each column: by pruned
+    walks where the updates are exact (``_changes``), else from each
+    leave-one-out matrix's guarded update (``_without``), decided where its
+    bound allows (``_near_sets``), its other rows recomputed, or the matrix
+    rebuilt where most are."""
     x, (kernel,) = job.x, job.kernels
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
@@ -407,15 +502,14 @@ def _rob_minus(job) -> dict:
     bound = update_bound(job.args.c, zip(*x))
     job.charge(_build(k) + k * (_UPDATE_COST if bound is None or any(job.tie) else _build(k - 1)))
     D = _distances(kernel, x)
-    S = _distances(_second, x) if kernel is max else None
-    errors = None
-    if bound is not None:
-        c1, c2, lo, hi = bound
-        errors = [(c1 * t if t < hi else math.inf, c2 * t * t, lo) for t in map(max, D)]
+    if bound is None:
+        return _score(n * k - _changes(job, D), n * k)
     base = job.near(D)
+    c1, c2, lo, hi = bound
+    errors = [(c1 * t if t < hi else math.inf, c2 * t * t, lo) for t in map(max, D)]
     changed = 0
     for j, column in enumerate(zip(*x)):
-        M = _without(kernel, D, S, column)
+        M = _without(kernel, D, column)
         sets = job.near(M, errors)
         if None in sets:
             undecided = [i for i, s in enumerate(sets) if s is None]

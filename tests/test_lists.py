@@ -302,20 +302,38 @@ def test_list_rob_plus_builds_both_matrices(tmp_path, c):
 def test_list_rob_minus_builds_pinf_by_the_integer_route(tmp_path):
     # X's matrix is built through _distances under every coefficient, as
     # rob_minus builds it: under pinf on the 120 x 12 {0..3} lattice by the
-    # exact integer route, and the second largest terms by _row
+    # exact integer route, and each pair's second largest term (_drops) from
+    # the same route's codes, not by _second's sorted kernel
     argv = ["rob-minus", "--c", "pinf", "--format", "json",
             "--x", scale_inputs(tmp_path)["lattice"][0]]
-    route, taken = _lists._integer_tails, []
+    route, taken = _lists._codes, []
 
     def recorded(kernel, x):
-        tails = route(kernel, x)
-        taken.append((kernel, tails is not None))
-        return tails
+        codes = route(kernel, x)
+        taken.append((kernel, codes is not None))
+        return codes
 
-    with mock.patch.object(_lists, "_integer_tails", recorded):
+    with mock.patch.object(_lists, "_codes", recorded), \
+            mock.patch.object(_lists, "_second", wraps=_lists._second) as second:
         assert covered(argv)
         assert both_entries(argv)[1:] == ("", 0)
-    assert taken == [(max, True), (_lists._second, False)] * 2
+    assert taken == [(max, True)] * 4  # the build, then _drops, in covered() and in main()
+    second.assert_not_called()
+
+
+@pytest.mark.parametrize("c", ["p1", "pinf", "L"])
+def test_exact_list_rob_minus_forms_no_leave_one_out_matrix(tmp_path, c):
+    # the updates on the 120 x 12 lattice are exact, so each row is walked:
+    # no leave-one-out matrix (_without) and no recomputed row (_row); L's
+    # sorted kernel runs for X's own rows only
+    argv = ["rob-minus", "--c", c, "--format", "json",
+            "--x", scale_inputs(tmp_path)["lattice"][0]]
+    with mock.patch.object(_lists, "_without") as without, \
+            mock.patch.object(_lists, "_row", wraps=_lists._row) as row:
+        assert covered(argv)
+    without.assert_not_called()
+    assert row.call_count == (120 if c == "L" else 0)
+    assert all(len(call.args[1]) == 12 for call in row.call_args_list)
 
 
 @pytest.mark.parametrize("c, finite", [("p2", True), ("pinf", False)])

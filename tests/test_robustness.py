@@ -406,6 +406,42 @@ class TestRobMinusByUpdates:
         assert answers[robustness] == answers[_lists]
 
 
+WALK_RULES = [*TIE_RULES, (TiePolicy(relative_tolerance=0.0, absolute_tolerance=1.0), False),
+              (TiePolicy(relative_tolerance=5.0), True), (EXACT_TIES, True)]
+
+
+@st.composite
+def walk_cases(draw):
+    """(coefficient, x): an n x k {0..S} lattice, S = 1..6 (on both sides of
+    pinf's integer-route span cap of 3 and p1's of n - 5), n on both sides of
+    ``_lists._ROUTE_ROWS``' edges, with planted copies of rows, some changed
+    in one column, and for some draws only the levels 0 and S, so that most
+    pairs repeat their largest term."""
+    c = draw(st.sampled_from([P1, PINF, SquaredEuclidean()]))
+    n, k, S = draw(st.sampled_from([2, 3, 7, 8, 11, 12, 13])), draw(st.integers(2, 6)), \
+        draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = [0, S] if draw(st.booleans()) else range(S + 1)
+    x = rng.choice(np.array(levels, dtype=float), (n, k))
+    for i in rng.integers(0, n, draw(st.integers(0, n // 2))):
+        x[i] = x[rng.integers(n)]
+        if rng.random() < 0.5:
+            x[i, rng.integers(k)] = rng.choice(levels)
+    return c, x
+
+
+class TestRobMinusByWalks:
+    """The list path decides each row of an exact leave-one-out matrix by a
+    pruned walk over its candidates (``_lists._changes``)."""
+
+    @given(case=walk_cases(), rule=st.sampled_from(WALK_RULES))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_one_build_per_column(self, case, rule):
+        c, x = case
+        assert update_bound(coefficient_name(c), x.T.tolist()) is None
+        assert list_outcome(c, x, *rule) == outcome(reference_rob_minus, c, x, *rule)
+
+
 GUARD_RULES = [(TiePolicy(), False), (EXACT_TIES, False),
                (TiePolicy(relative_tolerance=0.0, absolute_tolerance=0.05), False),
                (TiePolicy(), True), (EXACT_TIES, True)]
