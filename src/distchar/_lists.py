@@ -3,14 +3,17 @@
 Python lists, so that the process never imports numpy.
 
 Every value is bitwise the array path's.  ``_KERNELS`` gives
-``coefficients.row_values``' bits for p1, p2, pinf and L: terms sorted
-ascending and added one after another (never ``sum()``, which compensates
-from Python 3.12), p2 as m * sqrt(sum((t/m) * (t/m))).  ``_near_sets`` is
+``coefficients.row_values``' bits for p1, p2, pinf and L, and ``_power``
+for every other p that ``cli._list_p`` takes: terms sorted ascending and
+added one after another (never ``sum()``, which compensates from Python
+3.12), p2 as m * sqrt(sum((t/m) * (t/m))) and general p as m * sum((t/m)
+** p) ** (1/p).  General p's powers are libm's ``pow``, which Python's
+float ``**`` calls and ``np.float_power`` loops over, so its bits do not
+depend on the SIMD level numpy dispatches to.  ``_near_sets`` is
 ``neighbors.near_mask``'s rule.  ``_sum`` is numpy's ``x.sum()`` of a
-float64 vector, which ``matrix_correlation`` takes of every moment.  General
-p keeps the array path: its powers go through numpy's ``**``, whose bits
-depend on the SIMD level numpy dispatches to.  An L value whose nonzero
-terms all underflow to 0 raises, as ``row_values`` does.
+float64 vector, which ``matrix_correlation`` takes of every moment.  An L
+value whose nonzero terms all underflow to 0 raises, as ``row_values``
+does.
 
 ``_distances`` is the one entry for a build, and ``_row`` the one
 sorted-kernel loop over pairs: a build's rows come from it wherever the
@@ -20,25 +23,26 @@ where that is the faster one (the table above ``_ROUTE_ROWS``): each row
 becomes one Python int, its thermometer code (``_unary``), and a pair's
 distance is read from the XOR of two codes.  There every term and partial
 sum of the sorted kernel is an exact integer, so the sort changes no bit
-and the route gives the sorted kernel's values.  p2, L and other data keep
-the sorted kernels.
+and the route gives the sorted kernel's values.  p2, L, general p and other
+data keep the sorted kernels.
 
 ``rob-minus`` builds X's matrix through ``_distances`` under every
-coefficient, as ``robustness.rob_minus`` does through ``build``.
-``errors.update_bound`` says whether one-column updates of it are exact
-(pinf; p1 and L on integer-valued data whose column spans, or their
-squares, sum to at most 2^53) or gives their error bound.  Exact updates
-form no leave-one-out matrix: ``_changes`` sorts each row's candidates by
-X's distances once and decides the row without each column by a pruned
-walk, which stops where no value left can reach the tie bound; under pinf
-only ``_drops``' values change, each pair's second largest term where its
-largest is the removed column's alone, read from the integer route's codes
-where it applies.  Guarded updates derive each leave-one-out matrix from
-X's in O(n^2) (``_without``), within a bound that ``robustness.rob_minus``
-proves: each row's updates lie within e = a + b / m of the rebuilt values,
-and ``_near_sets`` decides each row from those intervals as
-``neighbors.near_mask`` does; ``_row`` recomputes a row it cannot decide,
-and a matrix where most rows are is rebuilt.
+coefficient, as ``robustness.rob_minus`` does through ``build``.  Under
+general p it then builds each leave-one-out matrix, as ``build_many`` does
+on arrays.  Elsewhere ``errors.update_bound`` says whether one-column
+updates of it are exact (pinf; p1 and L on integer-valued data whose column
+spans, or their squares, sum to at most 2^53) or gives their error bound.
+Exact updates form no leave-one-out matrix: ``_changes`` sorts each row's
+candidates by X's distances once and decides the row without each column by
+a pruned walk, which stops where no value left can reach the tie bound;
+under pinf only ``_drops``' values change, each pair's second largest term
+where its largest is the removed column's alone, read from the integer
+route's codes where it applies.  Guarded updates derive each leave-one-out
+matrix from X's in O(n^2) (``_without``), within a bound that
+``robustness.rob_minus`` proves: each row's updates lie within
+e = a + b / m of the rebuilt values, and ``_near_sets`` decides each row
+from those intervals as ``neighbors.near_mask`` does; ``_row`` recomputes a
+row it cannot decide, and a matrix where most rows are is rebuilt.
 
 Each job charges its plan before it builds anything (``_Job.charge``), in
 pair-terms per pair of rows: a build of k columns costs k + c, c being
@@ -46,10 +50,10 @@ pair-terms per pair of rows: a build of k columns costs k + c, c being
 ``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
 (k and k + 1 columns); ``rob-minus`` one (with pinf's second largest terms)
 and k updates where they are exact or the tie slack can be nonzero, else
-one and k builds of k - 1 columns (under zero slack an inexact row is
-decided only where one candidate is certainly its least); ``adversarial``
-rungs of k + 1 one-column builds while they sum to at most
-``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
+one and k builds of k - 1 columns (under general p, and under zero slack
+where an inexact row is decided only where one candidate is certainly its
+least); ``adversarial`` rungs of k + 1 one-column builds while they sum to
+at most ``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
 checks the coefficient spellings and one build of X, a lower bound of every
 plan, before this module loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
@@ -63,7 +67,7 @@ from bisect import bisect_right
 from functools import reduce
 from itertools import chain
 
-from .cli import _MAX_TERMS, _PAIR_COST
+from .cli import _MAX_TERMS, _PAIR_COST, _list_p
 from .errors import DomainError, ladder, update_bound
 
 # _UPDATE_COST is one column's update of an n x n matrix and its neighbor
@@ -149,9 +153,33 @@ def _second(terms: list[float]) -> float:
     return sorted(terms)[-2]
 
 
-# the spellings the list path takes: each is the coefficient_name of the
-# coefficient its kernel computes
+def _power(p: float):
+    """General p's kernel (1 < p < inf, p != 2): m * sum((t/m) ** p) ** (1/p)
+    over the sorted terms, m the largest; 0.0 for an all-zero row.  Each
+    ``**`` is libm's ``pow``, as ``np.float_power`` takes it."""
+    root = 1.0 / p
+
+    def kernel(terms: list[float]) -> float:
+        terms = sorted(terms)
+        m = terms[-1]
+        if m == 0:
+            return 0.0
+        total = 0.0
+        for t in terms:
+            total += (t / m) ** p
+        return m * total ** root
+
+    return kernel
+
+
+# the list path's own kernels, by coefficient_name; other p take _power
 _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
+
+
+def _kernel(spelling: str):
+    """The kernel of a coefficient spelling that ``cli._list_p`` takes, or of L."""
+    return _KERNELS.get(spelling) or _power(_list_p(spelling))
+
 
 # The integer route (``_integer_tails``) takes a build of n rows whose
 # largest column span is S where n >= _ROUTE_ROWS[kernel], and S <= n - 5
@@ -438,7 +466,7 @@ class _Job:
 
     def __init__(self, args, load):
         self.args, self.load = args, load
-        self.kernels = [_KERNELS[getattr(args, a)] for a in ("c", "m", "n") if hasattr(args, a)]
+        self.kernels = [_kernel(getattr(args, a)) for a in ("c", "m", "n") if hasattr(args, a)]
         self.tie = (getattr(args, "rel_tol", 0.0), getattr(args, "abs_tol", 0.0))
         if not all(math.isfinite(t) and t >= 0 for t in self.tie):
             raise DomainError("tie tolerances must be finite and nonnegative")
@@ -490,15 +518,22 @@ def _rob_plus(job) -> dict:
 
 
 def _rob_minus(job) -> dict:
-    """X's matrix, then the rows that change without each column: by pruned
-    walks where the updates are exact (``_changes``), else from each
-    leave-one-out matrix's guarded update (``_without``), decided where its
-    bound allows (``_near_sets``), its other rows recomputed, or the matrix
-    rebuilt where most are."""
+    """X's matrix, then the rows that change without each column: under
+    general p from each leave-one-out matrix built; else by pruned walks
+    where the updates are exact (``_changes``), else from each leave-one-out
+    matrix's guarded update (``_without``), decided where its bound allows
+    (``_near_sets``), its other rows recomputed, or the matrix rebuilt where
+    most are."""
     x, (kernel,) = job.x, job.kernels
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
+    if job.args.c not in _KERNELS:
+        job.charge(_build(k) + k * _build(k - 1))
+        base = job.sets(kernel, x)
+        changed = sum(s != b for j in range(k)
+                      for s, b in zip(job.sets(kernel, [row[:j] + row[j + 1:] for row in x]), base))
+        return _score(n * k - changed, n * k)
     bound = update_bound(job.args.c, zip(*x))
     job.charge(_build(k) + k * (_UPDATE_COST if bound is None or any(job.tie) else _build(k - 1)))
     D = _distances(kernel, x)
@@ -590,7 +625,7 @@ def payload(args, load):
     """The payload of ``args``' job, as the array path's ``cli._COMMANDS`` row
     gives it (for ``distmat``, the rows of ``_distmat``); ``load(path)``
     gives a CSV's rows.  ``args`` holds the parsed flags, unconverted, and
-    its coefficients are spelled as keys of ``_KERNELS``.
+    its coefficients are spelled as ``cli._list_p`` takes them, or "L".
 
     Raises DomainError where the list path declines: a tolerance
     ``TiePolicy`` refuses, a CSV ``load`` refuses, a plan above

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from typing import Callable, Iterable, NamedTuple
@@ -83,11 +84,34 @@ _TIES = ("--rel-tol", "--abs-tol")
 # 120 x 12 lattice near, distmat, corr, concord and rob-plus jobs (cost
 # 121 380 .. 249 900; 114-160 against 203-227 ms) and 40 x 16 rob-minus
 # (265 980; 125-149 against 175-208 ms) are admitted; its 300 x 16 jobs
-# (near: 941 850; 324 against 208 ms) are not.
+# (near: 941 850; 324 against 208 ms) are not.  General p, `near --c p3.5`
+# on the same shapes (its kernel takes libm's pow per term), in two
+# readings of 9 alternating runs per path, is faster on lists at every
+# admitted row, so it keeps p2's bound:
+#
+#      k   admitted n   list / array ms     declined n   list / array ms
+#      1   316          135-185 / 180-219   350          144-206 / 169-225
+#     16   169          125-128 / 181-184   220          171-240 / 190-212
+#    128    67          139-205 / 198-248    95          254-285 / 222-273
+#   2000    17          180-207 / 230-230    20          194-252 / 217-297
 _PAIR_COST = 5
 _MAX_TERMS = 300_000
-# the coefficient spellings the list path takes (the keys of _lists._KERNELS)
-_LIST_SPELLINGS = {"p1", "p2", "pinf", "L"}
+
+
+def _list_p(spelling: str) -> float | None:
+    """The p of a p-norm spelling the list path takes: one that
+    ``coefficient_name`` prints, for p = 1, 1 < p < inf (p2, p3.5, p7, ...)
+    or p = inf; else None.  With "L" these are the list path's spellings:
+    others, such as P3.5, p3.50, p2.0 and pinfinity, run on arrays."""
+    if spelling == "pinf":
+        return math.inf
+    try:
+        p = float(spelling[1:]) if spelling.startswith("p") else math.nan
+    except ValueError:
+        return None
+    if not 1 <= p < math.inf:
+        return None
+    return p if spelling == (f"p{int(p)}" if p == int(p) else f"p{p:g}") else None
 
 
 class _Command(NamedTuple):
@@ -323,12 +347,13 @@ def _print(lines: Iterable[str]) -> None:
 def _list_payload(args, load):
     """The list path's payload of ``args``' job (``_lists.payload``);
     ``load(path)`` gives a CSV's rows.  Raises DomainError where the list
-    path declines.  A coefficient spelling outside ``_LIST_SPELLINGS``, and
-    a job whose one build of X costs more than ``_MAX_TERMS``, a lower bound
-    of its plan, decline before ``_lists`` loads."""
+    path declines.  A coefficient spelling other than "L" and those of
+    ``_list_p``, and a job whose one build of X costs more than
+    ``_MAX_TERMS``, a lower bound of its plan, decline before ``_lists``
+    loads."""
     spellings = [getattr(args, a) for a in ("c", "m", "n") if hasattr(args, a)]
-    if not _LIST_SPELLINGS.issuperset(spellings):
-        raise DomainError("the list path covers p1, p2, pinf and L")
+    if not all(s == "L" or _list_p(s) for s in spellings):
+        raise DomainError("the list path covers L and the p-norms as coefficient_name spells them")
     x = load(args.x)
     if len(x) * (len(x) - 1) // 2 * (len(x[0]) + _PAIR_COST) > _MAX_TERMS:
         raise DomainError("job above the list path's size")

@@ -138,13 +138,16 @@ def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
     A float value that overflows, or an L value that underflows to 0 from a
     nonzero term, raises DomainError.
     """
-    a = np.sort(a, axis=1)
     exact = a.dtype == object
+    pinf = is_true_norm(coefficient) and math.isinf(coefficient.p)
+    if exact or not pinf:
+        a = np.sort(a, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf / inf -> NaN, raised below
         if not is_true_norm(coefficient):
             out = _left_sum(a * a)
-        elif math.isinf(coefficient.p):
-            out = a[:, -1]
+        elif pinf:  # a selection: on floats one reduction gives the sort's bits, but
+            # np.maximum may pick the other of two equal objects (Fraction(1), 1)
+            out = a[:, -1] if exact else np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)
         elif coefficient.p == 1.0:
             out = _left_sum(a)
         elif exact:
@@ -153,7 +156,11 @@ def row_values(coefficient: Coefficient, a: np.ndarray) -> np.ndarray:
             p = coefficient.p
             m = a[:, -1]
             scale = np.where(m > 0, m, 1.0)  # an all-zero row stays 0, not 0/0
-            out = m * _left_sum((a / scale[:, None]) ** p) ** (1.0 / p)
+            q = a / scale[:, None]
+            if p == 2.0:  # numpy's ** takes 2 as square and 1/2 as sqrt
+                out = m * _left_sum(q**p) ** (1.0 / p)
+            else:  # libm's pow, with no SIMD dispatch, as Python's float ** calls it
+                out = m * np.float_power(_left_sum(np.float_power(q, p)), 1.0 / p)
     if not exact and not np.isfinite(out).all():
         raise DomainError("coefficient value overflows the float range")
     if not exact and not is_true_norm(coefficient) and ((out == 0) & (a[:, -1] > 0)).any():
@@ -174,10 +181,11 @@ def evaluate(coefficient: Coefficient, v) -> float:
     independent of entry order and of zero entries, and bitwise equal to the
     matching ``build`` entry.  p = inf is exact; for k entries, p = 1, 2 and L
     are within 2k + 4 ulp of scipy's cdist, p = 3.5 within 2k + 16 (tested).
-    General p goes through numpy's vectorized ``**``, whose last bits depend
-    on the SIMD level numpy dispatches to (p = 3.5 differs under
-    ``NPY_DISABLE_CPU_FEATURES``): its bits are reproducible on one host,
-    not across hosts.  p = 1, 2, inf and L do not depend on it.
+    General p (other than 1, 2 and inf) takes both powers, (t/m)^p and the
+    root, from libm's ``pow`` through ``np.float_power``, a plain loop with
+    no SIMD dispatch, as Python's float ``**`` does.  So no value depends
+    on the SIMD level numpy dispatches to (tested under
+    ``NPY_DISABLE_CPU_FEATURES``); general p's last bits are libm's.
     An overflowing value, or an L value whose nonzero terms all underflow
     to 0, raises DomainError.
     """

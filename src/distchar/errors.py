@@ -49,8 +49,11 @@ def update_bound(name: str, columns) -> tuple[float, float, float, float] | None
     n x k matrix is within e = a + b / m of the rebuilt value, a = c1 * t
     and b = c2 * t * t, m being the row's least off-diagonal update, unless
     m - e <= lo; then, or where t >= hi, the row is at risk.  Beyond k =
-    2^33 every row is at risk.
+    2^33 every row is at risk.  Any other name raises DomainError: general
+    p has no one-column update.
     """
+    if name not in ("p1", "p2", "pinf", "L"):
+        raise DomainError(f"no one-column update under {name!r}")
     if name == "pinf":
         return None
     columns = list(columns)

@@ -25,6 +25,7 @@ from distchar import (
 )
 from distchar import _lists
 from distchar.cli import run
+from distchar.coefficients import row_values
 from distchar.distance import build_many
 
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -285,10 +286,10 @@ def test_a_thousand_tenths_sum_sequentially():
 
 
 def test_builds_do_not_depend_on_the_simd_level(tmp_path):
-    # README, evaluate and the list path's byte equality rest on p1, p2, pinf
-    # and L giving the same bits whichever dispatch targets numpy uses: a
-    # child with every enabled target disabled must build the same bytes.
-    # General p (p3.5) is documented to depend on them and is left out.
+    # README, evaluate and the list path's byte equality rest on p1, p2,
+    # pinf, L and general p (p3.5, p7: libm's pow through np.float_power)
+    # giving the same bits whichever dispatch targets numpy uses: a child
+    # with every enabled target disabled must build the same bytes.
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
@@ -296,7 +297,7 @@ def test_builds_do_not_depend_on_the_simd_level(tmp_path):
     enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not enabled:
         pytest.skip("numpy dispatches to no target above its baseline on this host")
-    names = ["p1", "p2", "pinf", "L"]
+    names = ["p1", "p2", "pinf", "L", "p3.5", "p7"]
     x = np.random.default_rng(3).standard_normal((200, 16))
     np.save(tmp_path / "x.npy", x)
     probe = ("import sys; import numpy as np; from distchar import build, parse_coefficient\n"
@@ -308,3 +309,39 @@ def test_builds_do_not_depend_on_the_simd_level(tmp_path):
                            check=True, capture_output=True, env=env)
     assert child.stderr == b""
     assert child.stdout == b"".join(build(parse_coefficient(c), x).tobytes() for c in names)
+
+
+# data entries for the general-p kernel: zeros of both signs, repeated
+# levels, and magnitudes whose quotients t/m underflow to subnormals or to 0
+LEVELS = [0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 1e-10, 1e-20, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
+
+
+@given(p=st.sampled_from([1.01, 1.5, 3.0, 3.5, 7.0, 100.0]) | st.floats(1, 300).filter(
+           lambda p: p not in (1.0, 2.0)),
+       rows=st.integers(1, 8).flatmap(lambda k: st.lists(
+           st.lists(st.sampled_from(LEVELS) | st.floats(-1e6, 1e6), min_size=k, max_size=k),
+           min_size=2, max_size=6)))
+@settings(max_examples=400, deadline=None)
+def test_general_p_list_kernel_is_row_values_bit_for_bit(p, rows):
+    # _lists._power on each pair's terms |u - v| against row_values' float_power
+    # route, one row at a time (R = 1) and all pairs in one array
+    kernel = _lists._power(p)
+    terms = [[abs(u - v) for u, v in zip(a, b)] for a in rows for b in rows]
+    listed = [kernel(t).hex() for t in terms]
+    assert listed == [row_values(PNorm(p), np.array([t])).item().hex() for t in terms]
+    assert listed == [v.hex() for v in row_values(PNorm(p), np.array(terms)).tolist()]
+
+
+def test_pinf_reduction_is_the_sorts_last_term():
+    # pinf on float tiles selects each row's largest term by np.maximum,
+    # bitwise the sorted row's last term, on ties, zeros and 1e+-300
+    rng = np.random.default_rng(38)
+    levels = np.array([0.0, 1.0, 2.0, 1e-300, 1e300, 5e-324, 0.5])
+    for shape in [(1, 1), (1, 16), (7, 1), (1024, 16), (300, 3)]:
+        a = np.abs(rng.choice(levels, shape) * rng.choice([1.0, -1.0], shape))
+        assert row_values(PNorm(math.inf), a).tobytes() == np.sort(a, axis=1)[:, -1].tobytes()
+    # ints and Fractions keep the stable sort's pick of two equal objects
+    for pair in ([Fraction(1), 1], [1, Fraction(1)]):
+        assert type(row_values(PNorm(math.inf), np.array([pair], dtype=object))[0]) is type(pair[1])
+    with pytest.raises(DomainError, match="overflows"):
+        row_values(PNorm(math.inf), np.array([[1.0, math.inf]]))

@@ -59,12 +59,23 @@ def test_runs_without_numpy(argv):
 
 
 def test_near_loads_only_its_own_modules():
-    # p3.5 is not on the list path
-    modules = loaded_modules("near", "--c", "p3.5", "--x", str(fixture_path("ex4")))
+    # P3.5 is not on the list path, which takes p3.5 as coefficient_name spells it
+    modules = loaded_modules("near", "--c", "P3.5", "--x", str(fixture_path("ex4")))
     assert {"numpy", "distchar.neighbors", "distchar.distance"} <= modules
     unused = {f"distchar.{m}" for m in ("association", "asymptotics", "robustness",
                                         "verification")}
     assert not unused & modules
+
+
+@pytest.mark.parametrize("command", ["near", "rob-plus"])
+def test_general_p_list_jobs_load_only_the_list_modules(tmp_path, command):
+    # general p takes the list path as p2 does: p3.5 on ex8 imports no numpy
+    xp = tmp_path / "xp.csv"
+    xp.write_text("1,1,0\n2,0,1\n3,0,2\n")
+    flags = ["--xp", str(xp)] if command == "rob-plus" else []
+    loaded = loaded_modules(command, "--c", "p3.5", "--x", str(fixture_path("ex8")), *flags)
+    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in LISTS}
+    assert "numpy" not in loaded
 
 
 def test_mc_nn_loads_only_its_own_modules():
@@ -120,7 +131,7 @@ ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus
                  "concord": ASSOCIATION, "corr": ASSOCIATION, "adversarial": SCORES}
 
 
-@pytest.mark.parametrize("declined", ["large", "p3.5"])
+@pytest.mark.parametrize("declined", ["large", "P3.5"])
 @pytest.mark.parametrize("command", ARRAY_MODULES)
 def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
     # the fewest rows n of an n x 2 job whose one build of X is above the
@@ -131,7 +142,7 @@ def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
     rows = [f"{i},{i % 3}" for i in range(n)] if declined == "large" else ["0,0", "1,2", "3,1"]
     x.write_text("".join(f"{row}\n" for row in rows))
     xp.write_text("".join(f"{row},1\n" for row in rows))
-    c = "p3.5" if declined == "p3.5" else "p1"
+    c = "P3.5" if declined == "P3.5" else "p1"
     flags = {"concord": ["--m", c, "--n", "p2"], "corr": ["--m", c, "--n", "p2"],
              "rob-plus": ["--c", c, "--xp", str(xp)]}
     loaded = loaded_modules(command, *flags.get(command, ["--c", c]), "--x", str(x))

@@ -18,12 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distchar import _lists, cli, coefficient_name, parse_coefficient, robustness
+from distchar import PNorm, _lists, cli, coefficient_name, parse_coefficient, robustness
 from distchar import io as dcio
 from distchar.errors import DomainError, ladder, update_bound
 from distchar.neighbors import EXACT_TIES, TiePolicy, near_mask
 
 COEFFICIENTS = ("p1", "p2", "pinf", "L")
+# general p: p-norms other than p1, p2 and pinf, which take the list path's
+# libm-power kernel (_lists._power)
+GENERAL = ("p1.5", "p3.5", "p7")
 TIES = {
     "default": [],
     "exact": ["--rel-tol", "0", "--abs-tol", "0"],
@@ -95,7 +98,7 @@ def jobs(draw, command, c):
     pool = draw(st.lists(st.lists(token, min_size=k, max_size=k), min_size=1, max_size=n))
     rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     column = draw(st.lists(token, min_size=n, max_size=n))
-    coefficients = ["--m", c, "--n", draw(st.sampled_from(COEFFICIENTS))] \
+    coefficients = ["--m", c, "--n", draw(st.sampled_from(COEFFICIENTS + GENERAL))] \
         if command in ("concord", "corr") else ["--c", c]
     conv = ["--conv", draw(st.sampled_from(["grid", "upper"]))] if command == "corr" else []
     flags = [*coefficients, *conv, *TIES[draw(st.sampled_from(SETTINGS[command]))],
@@ -104,7 +107,7 @@ def jobs(draw, command, c):
 
 
 @pytest.mark.parametrize("command, c", [(command, c) for command in SETTINGS
-                                        for c in FIRST[command]])
+                                        for c in FIRST[command] + GENERAL])
 def test_list_path_prints_what_the_array_path_prints(tmp_path, command, c):
     @given(job=jobs(command, c))
     @settings(max_examples=60, deadline=None)
@@ -132,11 +135,11 @@ DISAGREEING_XP = rows("0,0,1 2,1,0 2,2,0 -1,3,2")
 # (argv without --x, the rows of --x, exit status, stderr); {xp} stands for
 # an --xp file that disagrees with --x
 DECLINED = [
-    (["near", "--c", "p3.5"], EX, 0, ""),
+    (["near", "--c", "P3.5"], EX, 0, ""),
     (["near", "--c", "P2"], EX, 0, ""),
     (["near", "--c", "p2.0"], EX, 0, ""),
     (["near", "--c", "pinfinity"], EX, 0, ""),
-    (["concord", "--m", "p1", "--n", "p3.5"], EX, 0, ""),
+    (["concord", "--m", "p1", "--n", "P3.5"], EX, 0, ""),
     (["near", "--c", "p2", "--rel-tol", "nan"], EX, 1,
      "error: tie tolerances must be finite and nonnegative\n"),
     (["rob-minus", "--c", "p1", "--abs-tol", "-1"], EX, 1,
@@ -153,14 +156,14 @@ DECLINED = [
     # for the integer route's p1 and pinf, which leave it to the sorted kernel
     *((["distmat", "--c", c], rows("1e308,0 -1e308,0" + " 0,0" * 10), 1,
        "error: coefficient value overflows the float range\n") for c in ("p1", "pinf")),
-    (["corr", "--m", "p3.5", "--n", "p1"], EX, 0, ""),
+    (["corr", "--m", "P3.5", "--n", "p1"], EX, 0, ""),
     (["corr", "--m", "p1", "--n", "p2", "--conv", "upper"], rows("1,2"), 1,
      "error: upper-triangle expectation needs n >= 2\n"),
     (["corr", "--m", "p1", "--n", "p2"], rows("0 1e200 -1e200"), 1,
      "error: distance-matrix moments overflow; rescale the data\n"),
     (["corr", "--m", "p1", "--n", "p2"], rows("0 1e-170 3e-170"), 1,
      "error: distance-matrix moments underflow; rescale the data\n"),
-    (["adversarial", "--c", "p3.5"], EX, 0, ""),
+    (["adversarial", "--c", "P3.5"], EX, 0, ""),
     (["adversarial", "--c", "L"], EX, 1,
      "error: the tie-breaking augmentation is defined for p-norms only\n"),
     (["adversarial", "--c", "p2"], rows("1,2"), 1,
@@ -368,7 +371,7 @@ def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
     assert distances.call_count == 0
 
 
-@pytest.mark.parametrize("spelling", sorted(_lists._KERNELS))
+@pytest.mark.parametrize("spelling", sorted(_lists._KERNELS) + list(GENERAL))
 def test_each_list_spelling_parses_to_the_coefficient_its_kernel_computes(spelling):
     assert coefficient_name(parse_coefficient(spelling)) == spelling
 
@@ -378,8 +381,21 @@ def test_every_subcommand_taking_x_has_a_list_job():
             if "--x" in command.options} == set(_lists._JOBS)
 
 
-def test_cli_gates_on_exactly_the_list_spellings():
-    assert cli._LIST_SPELLINGS == set(_lists._KERNELS)
+@given(p=st.floats(1, 1e300) | st.sampled_from([1.5, 2.0, 3.5, 7.0, 2.0**53 + 2]),
+       text=st.text("pP0123456789.e+-_ Linfty", max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_cli_gates_on_exactly_the_list_spellings(p, text):
+    # the list path takes L and every p-norm as coefficient_name spells it;
+    # every other spelling (P3.5, p3.50, p2.0, pinfinity, ...) runs on arrays
+    name = coefficient_name(PNorm(p))
+    assert cli._list_p(name) == parse_coefficient(name).p
+    for spelling in (text, "p" + text, name + text, text + name):
+        try:
+            printed = coefficient_name(parse_coefficient(spelling)) == spelling
+        except DomainError:
+            printed = False
+        assert (spelling == "L" or cli._list_p(spelling) is not None) == printed, spelling
+    assert all(s == "L" or cli._list_p(s) for s in _lists._KERNELS)
 
 
 # (rows, whether rho is defined on the grid); under upper each matrix here

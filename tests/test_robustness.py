@@ -406,6 +406,48 @@ class TestRobMinusByUpdates:
         assert answers[robustness] == answers[_lists]
 
 
+@pytest.mark.parametrize("name", ["p3.5", "p1.5", "p7", "P2", "l", "p2.0", "pinfinity"])
+def test_update_bound_refuses_a_name_without_updates(name):
+    # only p1, p2, pinf and L have one-column updates; any other name used
+    # to get p1's answer
+    with pytest.raises(DomainError, match="no one-column update"):
+        update_bound(name, [[0.0, 1.0], [2.0, 3.0]])
+
+
+@st.composite
+def general_p_cases(draw):
+    """(coefficient, x): general p (p1.5, p3.5 or p7) on an n x k matrix, n
+    <= 7 and k <= 5, of lattice entries in -3..3 with some -0.0, standard
+    normal entries, or either with copies of rows planted."""
+    c = draw(st.sampled_from([PNorm(1.5), PNorm(3.5), PNorm(7)]))
+    n, k = draw(st.integers(2, 7)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-3, 4, (n, k)).astype(float)
+        x[(x == 0) & (rng.random((n, k)) < 0.5)] = -0.0
+    else:
+        x = rng.standard_normal((n, k))
+    for i in rng.integers(0, n, draw(st.integers(0, n // 2))):
+        x[i] = x[rng.integers(n)]
+    return c, x
+
+
+@given(case=general_p_cases(), rule=st.sampled_from(TIE_RULES))
+@settings(max_examples=200, deadline=None)
+def test_list_rob_minus_under_general_p_builds_each_leave_one_out_matrix(case, rule):
+    # no update is asked for: X and each of its k leave-one-out matrices
+    # are built, as on arrays, and the score is one build per column's
+    c, x = case
+    expected = outcome(reference_rob_minus, c, x, *rule)
+    assert outcome(rob_minus, c, x, *rule) == expected
+    with mock.patch.object(_lists, "update_bound") as asked, \
+            mock.patch.object(_lists, "_distances", wraps=_lists._distances) as builds:
+        assert list_outcome(c, x, *rule) == (expected if isinstance(expected, tuple)
+                                             else "error")
+    asked.assert_not_called()
+    assert builds.call_count == (x.shape[1] + 1 if isinstance(expected, tuple) else 0)
+
+
 WALK_RULES = [*TIE_RULES, (TiePolicy(relative_tolerance=0.0, absolute_tolerance=1.0), False),
               (TiePolicy(relative_tolerance=5.0), True), (EXACT_TIES, True)]
 
