@@ -5,10 +5,12 @@ Every other subcommand is one row of ``_COMMANDS`` whose payload is what
 ``--format json`` prints (a dict; for ``distmat``, the distance matrix); the
 text output is the lines rendered from that same payload.  Its flags become
 library values, checked in flag order, before anything is computed.
-``run()`` takes that array path for every job.  ``main()``, the process
-entry, first offers each job that takes ``--x`` to the list path
-(``_lists``, whose docstring gives what a job costs there), which prints
-the same bytes without importing numpy.
+``run()`` takes that array path for every job, and computes ``verify``'s
+checks on arrays.  ``main()``, the process entry, first offers each job
+that takes ``--x`` to the list path (``_lists``, whose docstring gives what
+a job costs there), and computes ``verify``'s checks on lists
+(``verification.Lists``): each prints ``run()``'s bytes without importing
+numpy.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -252,16 +254,11 @@ _COMMANDS = {
 }
 
 
-def _verify() -> int:
-    from .verification import run_golden_checks
+def _verify(ops: str) -> int:
+    """The golden checks computed by ``verification``'s ops class ``ops``, printed."""
+    from . import verification
 
-    checks = run_golden_checks()
-    for check in checks:
-        suffix = f"  ({check.detail})" if check.detail and not check.passed else ""
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}{suffix}")
-    passed = sum(check.passed for check in checks)
-    print(f"{passed}/{len(checks)} checks passed")
-    return 0 if passed == len(checks) else 1
+    return verification.report(getattr(verification, ops))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,7 +318,7 @@ def _run(args, parsed=None) -> int:
     status.  ``parsed`` maps a CSV path to its rows, read already."""
     try:
         if args.command == "verify":
-            return _verify()
+            return _verify("Arrays")
         _library_values(args, parsed or {})
         payload = _COMMANDS[args.command].payload(args)
     except DomainError as exc:
@@ -389,8 +386,8 @@ def _lists_first(args) -> int:
 
 def main() -> None:
     """The ``distchar`` process: the job (the list path first for a job that
-    takes ``--x``, else the array path of ``run()``), then stdout flushed,
-    then exit.
+    takes ``--x``, ``verify`` on lists, else the array path of ``run()``),
+    then stdout flushed, then exit.
 
     A write to stdout that fails (a closed pipe, a full disk) exits 1 with
     one ``error: cannot write output`` line; stdout is pointed at the null
@@ -402,8 +399,11 @@ def main() -> None:
     try:
         try:
             args = build_parser().parse_args()
-            command = _COMMANDS.get(args.command)  # None for verify
-            status = (_lists_first if command and "--x" in command.options else _run)(args)
+            command = _COMMANDS.get(args.command)
+            if command is None:  # verify, computed on lists
+                status = _verify("Lists")
+            else:
+                status = (_lists_first if "--x" in command.options else _run)(args)
         finally:  # argparse's SystemExit (--help, usage errors) included
             sys.stdout.flush()
     except OSError as exc:  # _run() reports every other failure as a DomainError

@@ -4,11 +4,13 @@ demos are self-contained.  Access by short name ("ex4" .. "ex9")."""
 from __future__ import annotations
 
 from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import DomainError
 from ..io import parse_data_matrix
+
+if TYPE_CHECKING:  # numpy loads where an example is parsed
+    import numpy as np
 
 __all__ = ["example_names", "fixture_path", "load_example"]
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import errno
 import functools
 import gc
@@ -340,6 +339,14 @@ EXACT_DISTANCE_CHECKS = {
     "ex6-distance-max-norm", "ex7-distance-matrices", "ex8-hadamard-square", "ex8-expectation"}
 
 
+@pytest.fixture(params=["Arrays", "Lists"])
+def verify_ops(request, monkeypatch):
+    """An ops class of the golden checks and the entry that prints them:
+    run() computes on arrays, the process's main() on lists."""
+    entry = run if request.param == "Arrays" else functools.partial(run_main, monkeypatch)
+    return getattr(verification, request.param), entry
+
+
 class TestVerify:
     def test_all_golden_checks_pass(self, capsys):
         assert run(["verify"]) == 0
@@ -347,12 +354,22 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.strip().endswith("checks passed")
 
-    def test_raising_check_fails_alone(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("thunk", [row[2] for row in verification.CHECKS],
+                             ids=[row[0] for row in verification.CHECKS])
+    def test_list_ops_compute_the_array_ops_values_bitwise(self, thunk):
+        # every computed and expected value; repr tells -0.0 from 0.0 and
+        # prints every bit of a float
+        arrays, lists = ([[verification._plain(v) for v in pair] for pair in thunk(ops())]
+                         for ops in (verification.Arrays, verification.Lists))
+        assert repr(lists) == repr(arrays)
+
+    def test_raising_check_fails_alone(self, capsys, monkeypatch, verify_ops):
         def boom(*args, **kwargs):
             raise DomainError("boom")
 
-        monkeypatch.setattr(verification, "correlation", boom)
-        assert run(["verify"]) == 1
+        ops, entry = verify_ops
+        monkeypatch.setattr(ops, "rho", boom)
+        assert entry(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 23
         failed = [line for line in lines if line.startswith("FAIL")]
@@ -362,9 +379,10 @@ class TestVerify:
         assert sum(line.startswith("PASS ") for line in lines) == 19
         assert lines[-1] == "19/22 checks passed"
 
-    def test_wrong_value_shows_got_and_want(self, capsys, monkeypatch):
-        monkeypatch.setattr(verification, "delta_constant", lambda digits: "0.5")
-        assert run(["verify"]) == 1
+    def test_wrong_value_shows_got_and_want(self, capsys, monkeypatch, verify_ops):
+        ops, entry = verify_ops
+        monkeypatch.setattr(ops, "delta_constant", lambda self, digits: "0.5")
+        assert entry(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [
             "FAIL delta-constant-15-digits  (got 0.5, want 0.570376001675023)"]
@@ -374,27 +392,28 @@ class TestVerify:
         (1 + 1e-14, EXACT_DISTANCE_CHECKS), (1 + 1e-9, EXACT_DISTANCE_CHECKS | {
             "ex1-two-row-matrix", "ex3-rank-one-scaling", "ex4-distance-euclidean",
             "ex5-distance-euclidean", "ex9-expectation"})])
-    def test_distance_tolerances(self, monkeypatch, scale, failing):
+    def test_distance_tolerances(self, monkeypatch, verify_ops, scale, failing):
         # exact checks see a 1e-14 relative error, the 1e-12 relative ones only 1e-9
-        real = verification.build
-        monkeypatch.setattr(verification, "build", lambda c, x: real(c, x) * scale)
-        assert {c.name for c in verification.run_golden_checks() if not c.passed} == failing
+        ops, _ = verify_ops
+        real = ops.build
+        monkeypatch.setattr(ops, "build", lambda self, c, x: [
+            [d * scale for d in row] for row in real(self, c, x)])
+        assert {c.name for c in verification.run_golden_checks(ops) if not c.passed} == failing
 
     @pytest.mark.parametrize("shift, failing", [
         (5e-7, set()), (2e-6, {"ex8-column-correlation", "ex8-matrix-correlations"}),
         (2e-5, {"ex8-column-correlation", "ex8-matrix-correlations", "ex9-correlations"})])
-    def test_correlation_tolerances(self, monkeypatch, shift, failing):
+    def test_correlation_tolerances(self, monkeypatch, verify_ops, shift, failing):
         # ex8 compares rho at 1e-6 absolute, ex9 at 1e-5 absolute
-        real = verification.correlation
-        monkeypatch.setattr(verification, "correlation", lambda *args: dataclasses.replace(
-            real(*args), rho=real(*args).rho + shift))
-        assert {c.name for c in verification.run_golden_checks() if not c.passed} == failing
+        ops, _ = verify_ops
+        real = ops.rho
+        monkeypatch.setattr(ops, "rho", lambda self, *args: real(self, *args) + shift)
+        assert {c.name for c in verification.run_golden_checks(ops) if not c.passed} == failing
 
-    def test_undefined_rho_is_a_fail(self, capsys, monkeypatch):
-        real = verification.correlation
-        monkeypatch.setattr(verification, "correlation",
-                            lambda *args: dataclasses.replace(real(*args), rho=None))
-        assert run(["verify"]) == 1
+    def test_undefined_rho_is_a_fail(self, capsys, monkeypatch, verify_ops):
+        ops, entry = verify_ops
+        monkeypatch.setattr(ops, "rho", lambda self, *args: None)
+        assert entry(["verify"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]
         assert failed[0].startswith("FAIL ex8-column-correlation  (got None, want 0.94387")

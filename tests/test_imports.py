@@ -3,9 +3,10 @@
 Process start and exit decide the time of a short ``distchar`` run.  Exit
 is kept short by ``main()`` freezing the collector (tested in
 ``test_cli.py``); start is kept short here: ``--help`` and ``delta-cf``
-must not import numpy, a small ``near``, ``distmat``, ``rob-plus``,
-``rob-minus``, ``concord``, ``corr`` or ``adversarial`` job runs on the list
-path and must not import numpy either, a job the list path declines by its
+must not import numpy, ``verify`` computes its checks on the list path and
+must not import numpy either, nor must a small ``near``, ``distmat``,
+``rob-plus``, ``rob-minus``, ``concord``, ``corr`` or ``adversarial`` job,
+which runs on the list path; a job the list path declines by its
 coefficient or by one build of X must not import the list module, a
 ``near`` job on the array path must not import the score,
 asymptotics or verification modules, and ``mc-nn`` must import none of the
@@ -51,11 +52,13 @@ def loaded_modules(*argv: str) -> set[str]:
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["delta-cf", "--format", "json"]])
+@pytest.mark.parametrize("argv", [["--help"], ["delta-cf", "--format", "json"], ["verify"]])
 def test_runs_without_numpy(argv):
     modules = loaded_modules(*argv)
     assert "distchar.cli" in modules
-    assert not {"numpy", "distchar._lists"} & modules
+    assert "numpy" not in modules
+    # verify computes its checks on lists
+    assert ("distchar._lists" in modules) == (argv == ["verify"])
 
 
 def test_near_loads_only_its_own_modules():
@@ -94,7 +97,7 @@ ASSOCIATION = SCORES | {"association"}
 ASYMPTOTICS = {"asymptotics", "cli", "errors", "io"}
 # each subcommand's arguments ({ex4}, {ex6}: fixtures; {x}: ex6's first
 # column) and the distchar modules it loads; the first seven run small jobs
-# on the list path
+# on the list path, and so does verify
 SUBCOMMAND_MODULES = {
     "distmat": (["--c", "p1", "--x", "{ex4}"], LISTS),
     "near": (["--c", "p2", "--x", "{ex4}"], LISTS),
@@ -106,7 +109,7 @@ SUBCOMMAND_MODULES = {
     "explore-near": (["--rows", "3", "--c", "p1", "--random-samples", "2"], NEAR),
     "mc-nn": (["--points", "2", "--samples", "10"], ASYMPTOTICS),
     "delta-cf": ([], ASYMPTOTICS),
-    "verify": ([], ASSOCIATION | ASYMPTOTICS | {"fixtures", "verification"}),
+    "verify": ([], LISTS | {"asymptotics", "fixtures", "verification"}),
 }
 
 
