@@ -48,12 +48,12 @@ Each job charges its plan before it builds anything (``_Job.charge``), in
 pair-terms per pair of rows: a build of k columns costs k + c, c being
 ``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
 ``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
-(k and k + 1 columns); ``rob-minus`` one (with pinf's second largest terms)
-and k updates where they are exact or the tie slack can be nonzero, else
-one and k builds of k - 1 columns (under general p, and under zero slack
-where an inexact row is decided only where one candidate is certainly its
-least); ``adversarial`` rungs of k + 1 one-column builds while they sum to
-at most ``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
+(k and k + 1 columns); ``rob-minus`` one and k updates where they are
+exact or the tie slack can be nonzero, else one and k builds of k - 1
+columns (under general p, and under zero slack where an inexact row is
+decided only where one candidate is certainly its least); ``adversarial``
+rungs of k + 1 one-column builds while they sum to at most
+``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
 checks the coefficient spellings and one build of X, a lower bound of every
 plan, before this module loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
@@ -145,12 +145,6 @@ def _squared(terms: list[float]) -> float:
     if total == 0 and any(terms):
         raise DomainError("coefficient value underflows the float range")
     return total
-
-
-def _second(terms: list[float]) -> float:
-    """A pair's second largest term (k >= 2), as ``robustness._second``
-    selects it: pinf's update where the column's term is its largest."""
-    return sorted(terms)[-2]
 
 
 def _power(p: float):
@@ -385,20 +379,21 @@ def _drops(x, D) -> list[dict[int, dict[int, float]]]:
     ``_codes`` where the integer route takes the build: the run loop's last
     nonzero value holds one bit per column that attains the largest term,
     and the longest run without that column's bits is the second.  Else
-    from ``_second`` and the pair's terms."""
+    from the pair's terms, read once: j holds the first equal to D's value
+    and no later one is, and the largest of the others is the second."""
     n, k = len(x), len(x[0])
     drops = [{} for _ in range(n)]
     codes = _codes(max, x)
-    if codes is None:
-        S = _distances(_second, x)
-    else:  # column j's bits in the (at most 3) planes of a code
+    if codes is not None:  # column j's bits in the (at most 3) planes of a code
         other = [~int(("0" * j + "1" + "0" * (k - 1 - j)) * 3, 2) for j in range(k)]
     for i in range(n):
         for l in range(i + 1, n):
             if codes is None:
-                if (s := S[i][l]) == (d := D[i][l]):
+                terms = [abs(u - v) for u, v in zip(x[i], x[l])]
+                j = terms.index(d := D[i][l])
+                if d in terms[j + 1:]:  # a repeated largest term, or all zero
                     continue
-                j = [abs(u - v) for u, v in zip(x[i], x[l])].index(d)
+                s = max(terms[:j] + terms[j + 1:])
             else:
                 v = last = codes[i] ^ codes[l]
                 while v:

@@ -81,7 +81,8 @@ class _Ops:
         default flags, else ``flags``: as its process computes it on
         ``Lists``, as ``cli.run()`` does on ``Arrays``."""
         rows = {"x": x, "xp": flags.pop("xp", None)}
-        args = {"positive_only": False, "rel_tol": 1e-9, "abs_tol": 0.0, "conv": "grid", **flags}
+        args = {flag[2:].replace("-", "_"): cli._OPTIONS[flag].get("default", False)
+                for flag in ("--positive-only", *cli._TIES, "--conv")} | flags
         return self._payload(SimpleNamespace(command=command, x="x", xp="xp", **args), rows)
 
     def near(self, c, x) -> dict:

@@ -306,7 +306,7 @@ def test_list_rob_minus_builds_pinf_by_the_integer_route(tmp_path):
     # X's matrix is built through _distances under every coefficient, as
     # rob_minus builds it: under pinf on the 120 x 12 {0..3} lattice by the
     # exact integer route, and each pair's second largest term (_drops) from
-    # the same route's codes, not by _second's sorted kernel
+    # the same route's codes
     argv = ["rob-minus", "--c", "pinf", "--format", "json",
             "--x", scale_inputs(tmp_path)["lattice"][0]]
     route, taken = _lists._codes, []
@@ -316,12 +316,21 @@ def test_list_rob_minus_builds_pinf_by_the_integer_route(tmp_path):
         taken.append((kernel, codes is not None))
         return codes
 
-    with mock.patch.object(_lists, "_codes", recorded), \
-            mock.patch.object(_lists, "_second", wraps=_lists._second) as second:
+    with mock.patch.object(_lists, "_codes", recorded):
         assert covered(argv)
         assert both_entries(argv)[1:] == ("", 0)
     assert taken == [(max, True)] * 4  # the build, then _drops, in covered() and in main()
-    second.assert_not_called()
+
+
+def test_list_rob_minus_reads_pinf_second_terms_from_each_pair(tmp_path):
+    # on the 40 x 16 Gaussian the integer route declines: X's matrix is the
+    # one build, and _drops reads each pair's second largest term from its
+    # own terms, building no matrix of them
+    argv = ["rob-minus", "--c", "pinf", "--format", "json",
+            "--x", scale_inputs(tmp_path)["gauss"][0]]
+    with mock.patch.object(_lists, "_distances", wraps=_lists._distances) as distances:
+        assert covered(argv)
+    assert distances.call_args_list == [mock.call(max, mock.ANY)]
 
 
 @pytest.mark.parametrize("c", ["p1", "pinf", "L"])

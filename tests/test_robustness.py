@@ -273,12 +273,18 @@ class TestRobMinusInStacks:
     @settings(max_examples=200, deadline=None)
     def test_second_terms_are_the_list_paths(self, rows):
         # the array path's row function over its tiles selects the bits the
-        # list path's _second selects over its pair loop; the few drawn
-        # levels repeat a pair's largest term and sign its zeros
+        # list path's _drops reads from each pair's terms (n <= 8: the
+        # integer route never applies); where a pair's largest term repeats,
+        # its second is its distance.  The few drawn levels repeat a pair's
+        # largest term and sign its zeros
         X = as_data_matrix(rows)
         got = distance._tiled(robustness._second, X[None])[0]
-        expected = np.array(_lists._distances(_lists._second, rows))
-        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        expected = _lists._distances(max, rows)
+        for i, columns in enumerate(_lists._drops(rows, expected)):
+            for drops in columns.values():
+                for l, s in drops.items():
+                    expected[i][l] = s
+        assert got.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
 
 
 def list_outcome(c, x, tie, positive_only, x_aug=None):
@@ -458,13 +464,22 @@ def walk_cases(draw):
     pinf's integer-route span cap of 3 and p1's of n - 5), n on both sides of
     ``_lists._ROUTE_ROWS``' edges, with planted copies of rows, some changed
     in one column, and for some draws only the levels 0 and S, so that most
-    pairs repeat their largest term."""
+    pairs repeat their largest term.  Under pinf, whose updates are exact on
+    any data, half the draws are not integer-valued, so that ``_drops``
+    reads each pair's terms: the levels are scaled by 0.1, 1e-150 or 1e150
+    (integer-valued, but with spans past the route's), and for half of those
+    the entries are standard normal, the scaled levels only planted in
+    changed rows."""
     c = draw(st.sampled_from([P1, PINF, SquaredEuclidean()]))
     n, k, S = draw(st.sampled_from([2, 3, 7, 8, 11, 12, 13])), draw(st.integers(2, 6)), \
         draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = [0, S] if draw(st.booleans()) else range(S + 1)
-    x = rng.choice(np.array(levels, dtype=float), (n, k))
+    levels = np.array([0, S] if draw(st.booleans()) else range(S + 1), dtype=float)
+    gauss = False
+    if c == PINF and draw(st.booleans()):
+        levels *= draw(st.sampled_from([0.1, 1e-150, 1e150]))
+        gauss = draw(st.booleans())
+    x = rng.standard_normal((n, k)) if gauss else rng.choice(levels, (n, k))
     for i in rng.integers(0, n, draw(st.integers(0, n // 2))):
         x[i] = x[rng.integers(n)]
         if rng.random() < 0.5:
