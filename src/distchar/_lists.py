@@ -4,12 +4,12 @@ Python lists, so that the process never imports numpy.
 
 Every value is bitwise the array path's.  ``_KERNELS`` gives
 ``coefficients.row_values``' bits for p1, p2, pinf and L, and ``_power``
-for every other p that ``cli._list_p`` takes: terms sorted ascending and
-added one after another (never ``sum()``, which compensates from Python
-3.12), p2 as m * sqrt(sum((t/m) * (t/m))) and general p as m * sum((t/m)
-** p) ** (1/p).  General p's powers are libm's ``pow``, which Python's
-float ``**`` calls and ``np.float_power`` loops over, so its bits do not
-depend on the SIMD level numpy dispatches to.  ``_near_sets`` is
+for every other p that ``cli._list_p`` takes (p1.0000001 too): terms sorted
+ascending and added one after another (never ``sum()``, which compensates
+from Python 3.12), p2 as m * sqrt(sum((t/m) * (t/m))) and general p as m *
+sum((t/m) ** p) ** (1/p).  General p's powers are libm's ``pow``, which
+Python's float ``**`` calls and ``np.float_power`` loops over, so its bits
+do not depend on the SIMD level numpy dispatches to.  ``_near_sets`` is
 ``neighbors.near_mask``'s rule.  ``_sum`` is numpy's ``x.sum()`` of a
 float64 vector, which ``matrix_correlation`` takes of every moment.  An L
 value whose nonzero terms all underflow to 0 raises, as ``row_values``
@@ -26,12 +26,13 @@ sum of the sorted kernel is an exact integer, so the sort changes no bit
 and the route gives the sorted kernel's values.  p2, L, general p and other
 data keep the sorted kernels.
 
-``rob-minus`` builds X's matrix through ``_distances`` under every
-coefficient, as ``robustness.rob_minus`` does through ``build``.  Under
-general p it then builds each leave-one-out matrix, as ``build_many`` does
-on arrays.  Elsewhere ``errors.update_bound`` says whether one-column
-updates of it are exact (pinf; p1 and L on integer-valued data whose column
-spans, or their squares, sum to at most 2^53) or gives their error bound.
+``rob-minus`` builds X's matrix through ``_distances`` under every coefficient,
+as ``robustness.rob_minus`` does through ``build``.  Under a name outside
+``errors.UPDATED`` (general p) it then builds each leave-one-out matrix, as
+``build_many`` does on arrays.  Under those in it ``errors.update_bound`` says
+whether one-column updates of X's matrix are exact (pinf; p1 and L on
+integer-valued data whose column spans, or their squares, sum to at most 2^53)
+or gives their error bound.
 Exact updates form no leave-one-out matrix: ``_changes`` sorts each row's
 candidates by X's distances once and decides the row without each column by
 a pruned walk, which stops where no value left can reach the tie bound;
@@ -68,7 +69,7 @@ from functools import reduce
 from itertools import chain
 
 from .cli import _MAX_TERMS, _PAIR_COST, _list_p
-from .errors import DomainError, ladder, update_bound
+from .errors import UPDATED, DomainError, ladder, update_bound
 
 # _UPDATE_COST is one column's update of an n x n matrix and its neighbor
 # scan, per pair, in terms.  It is fitted as cli's bound is (the table above
@@ -166,12 +167,11 @@ def _power(p: float):
     return kernel
 
 
-# the list path's own kernels, by coefficient_name; other p take _power
 _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
 
 
 def _kernel(spelling: str):
-    """The kernel of a coefficient spelling that ``cli._list_p`` takes, or of L."""
+    """The kernel of L or of a ``cli._list_p`` spelling; general p's is ``_power``."""
     return _KERNELS.get(spelling) or _power(_list_p(spelling))
 
 
@@ -523,7 +523,7 @@ def _rob_minus(job) -> dict:
     n, k = len(x), len(x[0])
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
-    if job.args.c not in _KERNELS:
+    if job.args.c not in UPDATED:
         job.charge(_build(k) + k * _build(k - 1))
         base = job.sets(kernel, x)
         changed = sum(s != b for j in range(k)
@@ -620,7 +620,7 @@ def payload(args, load):
     """The payload of ``args``' job, as the array path's ``cli._COMMANDS`` row
     gives it (for ``distmat``, the rows of ``_distmat``); ``load(path)``
     gives a CSV's rows.  ``args`` holds the parsed flags, unconverted, and
-    its coefficients are spelled as ``cli._list_p`` takes them, or "L".
+    its coefficients are "L" or ``errors.p_norm_name``'s exact names.
 
     Raises DomainError where the list path declines: a tolerance
     ``TiePolicy`` refuses, a CSV ``load`` refuses, a plan above

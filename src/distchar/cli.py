@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 import distchar as dc
 
 from . import io as dcio
-from .errors import DomainError
+from .errors import DomainError, p_norm_name
 
 __all__ = ["main", "run"]
 
@@ -101,19 +101,15 @@ _MAX_TERMS = 300_000
 
 
 def _list_p(spelling: str) -> float | None:
-    """The p of a p-norm spelling the list path takes: one that
-    ``coefficient_name`` prints, for p = 1, 1 < p < inf (p2, p3.5, p7, ...)
-    or p = inf; else None.  With "L" these are the list path's spellings:
-    others, such as P3.5, p3.50, p2.0 and pinfinity, run on arrays."""
-    if spelling == "pinf":
-        return math.inf
+    """The p of a p-norm spelling the list path takes, one that
+    ``errors.p_norm_name`` prints (p1, p3.5, p999999.5, pinf, ...), else
+    None.  With "L" these are the list path's spellings: others, such as
+    P3.5, p3.50, p2.0 and pinfinity, run on arrays."""
     try:
         p = float(spelling[1:]) if spelling.startswith("p") else math.nan
     except ValueError:
         return None
-    if not 1 <= p < math.inf:
-        return None
-    return p if spelling == (f"p{int(p)}" if p == int(p) else f"p{p:g}") else None
+    return p if p >= 1 and p_norm_name(p) == spelling else None
 
 
 class _Command(NamedTuple):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DomainError
+from .errors import DomainError, p_norm_name
 
 __all__ = list(_EXPORTS["coefficients"])
 
@@ -59,34 +59,28 @@ def is_true_norm(coefficient: Coefficient) -> bool:
 
 
 def parse_coefficient(text: str) -> Coefficient:
-    """Parse the textual coefficient syntax: "p1", "p2", "p3.5", "pinf", "L".
+    """Parse the textual coefficient syntax: "L", or "p" and a float ("p3.5", "pinf").
 
     Case-insensitive.  Raises DomainError on anything else.
     """
     s = text.strip().lower()
     if s == "l":
         return SquaredEuclidean()
-    if s in ("pinf", "pinfinity"):
-        return PNorm(math.inf)
     try:
         p = float(s[1:]) if s.startswith("p") else math.nan
     except ValueError:
         p = math.nan
-    if not math.isfinite(p):
+    if math.isnan(p):
         raise DomainError(f"unrecognized coefficient syntax: {text!r}")
     return PNorm(p)
 
 
 def coefficient_name(coefficient: Coefficient) -> str:
-    """Inverse of parse_coefficient, for reports and JSON provenance."""
+    """Inverse of parse_coefficient, for reports and JSON provenance: "L" or
+    ``errors.p_norm_name(p)``, each of which parse_coefficient reads back."""
     if isinstance(coefficient, SquaredEuclidean):
         return "L"
-    p = coefficient.p
-    if math.isinf(p):
-        return "pinf"
-    if p == int(p):
-        return f"p{int(p)}"
-    return f"p{p:g}"
+    return p_norm_name(coefficient.p)
 
 
 def checked_entries(arr: np.ndarray, what: str) -> np.ndarray:

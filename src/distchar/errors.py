@@ -1,6 +1,6 @@
 """The exception type and the checks shared across the package: of integer
 arguments, and of leave-one-out updates, exact or within an error bound;
-and the scale ladder that both tie-breaking augmentations iterate."""
+p-norm names; and the scale ladder both tie-breaking augmentations iterate."""
 
 import math
 import numbers
@@ -26,10 +26,19 @@ def require_integers(**named) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def p_norm_name(p: float) -> str:
+    """N_p's one name: "pinf", "p" and the integer for an integer p, else "p"
+    and ``repr(p)``, the shortest decimal that ``float`` reads back as p."""
+    return "pinf" if p == math.inf else f"p{int(p) if p == int(p) else p!r}"
+
+
+UPDATED = ("p1", "p2", "pinf", "L")  # the names with one-column updates
+
+
 def update_bound(name: str, columns) -> tuple[float, float, float, float] | None:
     """The error bound of leave-one-out updates of a distance matrix under
-    the coefficient named ``name`` (``coefficient_name``'s spelling: "p1",
-    "p2", "pinf" or "L"), for the data matrix whose float ``columns`` are
+    the coefficient named ``name`` (``coefficient_name``'s exact spelling,
+    one of ``UPDATED``), for the data matrix whose float ``columns`` are
     given: None where the updates are bitwise the rebuild, else (c1, c2,
     lo, hi), proved in ``robustness.rob_minus``.
 
@@ -50,9 +59,9 @@ def update_bound(name: str, columns) -> tuple[float, float, float, float] | None
     and b = c2 * t * t, m being the row's least off-diagonal update, unless
     m - e <= lo; then, or where t >= hi, the row is at risk.  Beyond k =
     2^33 every row is at risk.  Any other name raises DomainError: general
-    p has no one-column update.
+    p (p1.0000001 too) has no one-column update.
     """
-    if name not in ("p1", "p2", "pinf", "L"):
+    if name not in UPDATED:
         raise DomainError(f"no one-column update under {name!r}")
     if name == "pinf":
         return None

@@ -28,7 +28,7 @@ from . import _EXPORTS
 from . import distance
 from .coefficients import Coefficient, PNorm, as_floats, coefficient_name, row_values
 from .distance import as_data_matrix, build, build_many
-from .errors import DomainError, ladder, require_integers, update_bound
+from .errors import UPDATED, DomainError, ladder, require_integers, update_bound
 from .neighbors import TiePolicy, near_mask
 
 __all__ = list(_EXPORTS["robustness"])
@@ -160,12 +160,12 @@ def rob_minus(
     if k < 2:
         raise DomainError("leave-one-column-out robustness needs k > 1")
     name = coefficient_name(coefficient)
-    updated = name in ("p1", "p2", "pinf", "L")
+    updated = name in UPDATED
     bound = update_bound(name, X.T.tolist()) if updated and X.dtype != object else None
     D = build(coefficient, X)
     base = near_mask(D, tie, positive_only)
     if updated:
-        masks = _leave_one_out_masks(coefficient, X, D, bound, tie, positive_only)
+        masks = _leave_one_out_masks(coefficient, name, X, D, bound, tie, positive_only)
     else:
         matrices = build_many(coefficient, (np.delete(X, j, axis=1) for j in range(k)))
         masks = (near_mask(M, tie, positive_only) for M in matrices)
@@ -173,15 +173,15 @@ def rob_minus(
     return RationalScore(n * k - changed, n * k)
 
 
-def _leave_one_out_masks(coefficient: Coefficient, X: np.ndarray, D: np.ndarray, bound,
-                         tie: TiePolicy, positive_only: bool):
-    """The near masks of X without column j, for each j, from X's matrix D,
-    in (b, n, n) blocks of at most ``distance._STACK_ENTRIES`` entries: each
-    block's updates (``_updates``) decided by ``near_mask`` within ``bound``
-    (``update_bound``'s, or None where they are exact), its undecided rows
-    recomputed or its matrix rebuilt as ``rob_minus`` says."""
+def _leave_one_out_masks(coefficient: Coefficient, name: str, X: np.ndarray, D: np.ndarray,
+                         bound, tie: TiePolicy, positive_only: bool):
+    """The near masks of X without column j, for each j, from X's matrix D
+    under ``name`` (in ``errors.UPDATED``), in (b, n, n) blocks of at most
+    ``distance._STACK_ENTRIES`` entries: each block's updates (``_updates``)
+    decided by ``near_mask`` within ``bound`` (``update_bound``'s, or None
+    where they are exact), its undecided rows recomputed or its matrix
+    rebuilt as ``rob_minus`` says."""
     n, k = X.shape
-    name = coefficient_name(coefficient)
     if bound is not None:
         c1, c2, lo, hi = bound
         top = D.max(axis=1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distchar import (
@@ -35,6 +35,13 @@ finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 vectors = st.lists(finite_floats, min_size=1, max_size=8)
+
+
+def ulps_from(p: float, steps: int) -> float:
+    """The float ``steps`` ulps above p (below it where ``steps`` < 0)."""
+    for _ in range(abs(steps)):
+        p = math.nextafter(p, math.copysign(math.inf, steps))
+    return p
 
 
 class TestConstruction:
@@ -69,9 +76,20 @@ class TestConstruction:
         with pytest.raises(DomainError):
             parse_coefficient(text)
 
-    @pytest.mark.parametrize("text", ["p1", "p2", "pinf", "p3.5", "L"])
+    @pytest.mark.parametrize("text", ["p1", "p2", "p1.5", "p3.5", "p7", "pinf", "L"])
     def test_name_round_trip(self, text):
         assert coefficient_name(parse_coefficient(text)) == text
+
+    @given(p=st.floats(1, 1e300) | st.just(math.inf)
+           | st.builds(ulps_from, st.just(1.0), st.integers(0, 4))
+           | st.builds(ulps_from, st.just(2.0), st.integers(-4, 4)))
+    # p whose six significant digits ({:g}) are p1e+06, p3.14159 and p1
+    @example(p=999999.5)
+    @example(p=3.14159265)
+    @example(p=1.0000001)
+    @settings(max_examples=300, deadline=None)
+    def test_every_p_norm_name_reads_back_as_its_coefficient(self, p):
+        assert parse_coefficient(coefficient_name(PNorm(p))) == PNorm(p)
 
 
 class TestEvaluate:

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distchar import PNorm, _lists, cli, coefficient_name, parse_coefficient, robustness
@@ -392,6 +392,9 @@ def test_every_subcommand_taking_x_has_a_list_job():
 
 @given(p=st.floats(1, 1e300) | st.sampled_from([1.5, 2.0, 3.5, 7.0, 2.0**53 + 2]),
        text=st.text("pP0123456789.e+-_ Linfty", max_size=8))
+# p whose six significant digits ({:g}) are p1e+06 and p1, not its name
+@example(p=999999.5, text="")
+@example(p=1.0000001, text="")
 @settings(max_examples=300, deadline=None)
 def test_cli_gates_on_exactly_the_list_spellings(p, text):
     # the list path takes L and every p-norm as coefficient_name spells it;

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -412,7 +413,8 @@ class TestRobMinusByUpdates:
         assert answers[robustness] == answers[_lists]
 
 
-@pytest.mark.parametrize("name", ["p3.5", "p1.5", "p7", "P2", "l", "p2.0", "pinfinity"])
+@pytest.mark.parametrize("name", ["p3.5", "p1.5", "p7", "P2", "l", "p2.0", "pinfinity",
+                                  "p1.0000001", "p2.0000000000000004"])
 def test_update_bound_refuses_a_name_without_updates(name):
     # only p1, p2, pinf and L have one-column updates; any other name used
     # to get p1's answer
@@ -420,12 +422,19 @@ def test_update_bound_refuses_a_name_without_updates(name):
         update_bound(name, [[0.0, 1.0], [2.0, 3.0]])
 
 
+# p beside p1 and p2, whose names once rounded to theirs, so that rob_minus
+# took their one-column updates on a matrix built at the true p
+BESIDE_UPDATED = (1.0000001, 1.999999, 2.0000001, math.nextafter(1, 2), math.nextafter(2, 1),
+                  math.nextafter(2, 3))
+
+
 @st.composite
 def general_p_cases(draw):
-    """(coefficient, x): general p (p1.5, p3.5 or p7) on an n x k matrix, n
-    <= 7 and k <= 5, of lattice entries in -3..3 with some -0.0, standard
-    normal entries, or either with copies of rows planted."""
-    c = draw(st.sampled_from([PNorm(1.5), PNorm(3.5), PNorm(7)]))
+    """(coefficient, x): general p (p1.5, p3.5, p7 or one of
+    ``BESIDE_UPDATED``) on an n x k matrix, n <= 7 and k <= 5, of lattice
+    entries in -3..3 with some -0.0, standard normal entries, or either
+    with copies of rows planted."""
+    c = PNorm(draw(st.sampled_from([1.5, 3.5, 7.0, *BESIDE_UPDATED])))
     n, k = draw(st.integers(2, 7)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -442,7 +451,8 @@ def general_p_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_list_rob_minus_under_general_p_builds_each_leave_one_out_matrix(case, rule):
     # no update is asked for: X and each of its k leave-one-out matrices
-    # are built, as on arrays, and the score is one build per column's
+    # are built, as on arrays, and the score is one build per column's, in
+    # the library, on the list path, and printed by main() and run()
     c, x = case
     expected = outcome(reference_rob_minus, c, x, *rule)
     assert outcome(rob_minus, c, x, *rule) == expected
@@ -452,6 +462,23 @@ def test_list_rob_minus_under_general_p_builds_each_leave_one_out_matrix(case, r
                                              else "error")
     asked.assert_not_called()
     assert builds.call_count == (x.shape[1] + 1 if isinstance(expected, tuple) else 0)
+    _, (run, main) = cli_outputs(c, x, *rule)
+    assert main == run
+    assert run[1:] == (("", 0) if isinstance(expected, tuple) else (f"error: {expected}\n", 1))
+    if isinstance(expected, tuple):
+        printed = json.loads(run[0])
+        assert (printed["num"], printed["den"]) == expected
+
+
+@pytest.mark.parametrize("p, num", [(1.0000001, 848), (1.999999, 892), (2.0000001, 915)])
+def test_rob_minus_beside_p1_and_p2_on_a_lattice(p, num):
+    # CI's 120 x 12 {0..3} lattice (random.Random(0)): rounded to p1 or p2,
+    # the names gave 718, 1014 and 901 of 1440
+    rng = random.Random(0)
+    x = np.array([[rng.randrange(4) for _ in range(12)] for _ in range(120)], dtype=float)
+    assert reference_rob_minus(PNorm(p), x) == rob_minus(PNorm(p), x) == RationalScore(num, 1440)
+    _, (run, main) = cli_outputs(PNorm(p), x, TiePolicy(), False)
+    assert main == run == (f'{{"den":1440,"num":{num},"value":{num / 1440!r}}}\n', "", 0)
 
 
 WALK_RULES = [*TIE_RULES, (TiePolicy(relative_tolerance=0.0, absolute_tolerance=1.0), False),
