@@ -1,6 +1,6 @@
 """The list path: the CLI's small ``near``, ``distmat``, ``rob-plus``,
-``rob-minus``, ``concord``, ``corr`` and ``adversarial`` jobs computed on
-Python lists, so that the process never imports numpy.
+``rob-minus``, ``concord``, ``corr``, ``adversarial`` and ``explore-near``
+jobs computed on Python lists, so that the process never imports numpy.
 
 Every value is bitwise the array path's.  ``_KERNELS`` gives
 ``coefficients.row_values``' bits for p1, p2, pinf and L, and ``_power``
@@ -57,6 +57,12 @@ rungs of k + 1 one-column builds while they sum to at most
 ``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
 checks the coefficient spellings and one build of X, a lower bound of every
 plan, before this module loads.
+``explore-near`` is ``achievable_near_totals`` on lists: the probes, the
+grid multisets and the random family, each matrix built by ``_distances``
+and decided by ``_near_sets``.  Its random family reads numpy's
+``default_rng(seed).random()`` doubles from ``_pcg64``, which only this job
+loads.  Its plan charges each matrix as a build and ``_MATRIX_COST``, and
+each draw ``_DRAW_COST``, before anything is drawn.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
 the array path, which computes the job or reports its error itself.
 """
@@ -66,7 +72,7 @@ import operator
 import sys
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain, combinations_with_replacement
 
 from .cli import _MAX_TERMS, _PAIR_COST, _list_p
 from .errors import UPDATED, DomainError, ladder, update_bound
@@ -113,6 +119,31 @@ _UPDATE_COST = 2
 # so its ladder holds at most this many pair-terms (50 000): a ladder given
 # up on, which the array path then repeats, wastes little
 _LADDER_TERMS = _MAX_TERMS // (1 + _PAIR_COST)
+# explore-near's draw of one double (``_pcg64``, about 0.55 us), and the
+# overhead of each matrix it builds and scans (about 10 us at 2 to 10 rows),
+# in pair-terms (about 0.23 us each), fitted in process (best of 5, 2000
+# matrices per shape).  The plan's bound is cli's, timed as its table is:
+# `explore-near --c p2` main() processes with cli._MAX_TERMS lifted against
+# run() processes, in two readings of 9 alternating runs per path, each
+# shape as rows n x --random-samples S x --random-cols k (* --grid-extent 0,
+# else the default 3):
+#
+#   admitted n x S x k: cost   list / array ms     declined n x S x k: cost   list / array ms
+#    4 x 3000 x 2: 296 888  133-158 / 147-174    4 x 5000 x 2: 492 888  176-208 / 155-181
+#    2 x 5800 x 1: 290 598  113-123 / 147-177    2 x 9000 x 1: 450 598  142-182 / 148-196
+#   3 x 160 x 200: 298 134  120-176 / 140-210   3 x 250 x 200: 465 084  158-179 / 144-176
+#    20 x 200 x 2: 293 540  114-131 / 144-164    25 x 200 x 2: 453 520  142-155 / 146-175
+#    6 x 200 x 46: 282 710  111-139 / 139-166    6 x 200 x 70: 412 310  136-259 / 142-263
+#   180 x 0 x 1 *: 290 100   98-113 / 137-167   200 x 0 x 1 *: 358 320  110-122 / 139-170
+#
+# Every admitted shape is faster on lists in both readings.  Without the
+# per-matrix charge 4 x 5000 x 2 was admitted at 291 368 and took 198
+# against 188 ms: numpy decides a stack of small matrices per call.  The
+# benchmark's jobs (4 to 6 rows at the default budget: 22 488 to 45 110)
+# and the default budget up to 20 rows are admitted; CI's 3 x 200 x 20 000
+# smoke case (12 M draws, 36 012 334) is not.
+_DRAW_COST = 2
+_MATRIX_COST = 40
 
 
 def _build(k: int) -> int:
@@ -462,10 +493,11 @@ class _Job:
     def __init__(self, args, load):
         self.args, self.load = args, load
         self.kernels = [_kernel(getattr(args, a)) for a in ("c", "m", "n") if hasattr(args, a)]
-        self.tie = (getattr(args, "rel_tol", 0.0), getattr(args, "abs_tol", 0.0))
+        # a job without tie flags decides at TiePolicy()'s
+        self.tie = (getattr(args, "rel_tol", 1e-9), getattr(args, "abs_tol", 0.0))
         if not all(math.isfinite(t) and t >= 0 for t in self.tie):
             raise DomainError("tie tolerances must be finite and nonnegative")
-        self.x = load(args.x)
+        self.x = load(args.x) if hasattr(args, "x") else None
 
     def charge(self, per_pair: int) -> None:
         """Decline the job if n(n-1)/2 * ``per_pair`` exceeds ``_MAX_TERMS``."""
@@ -612,8 +644,38 @@ def _adversarial(job) -> dict:
     raise DomainError("no scale t found within the list path's size")
 
 
+def _explore_near(job) -> dict:
+    """``achievable_near_totals`` at the flags' ``SearchBudget``: the three
+    probes, a column per grid multiset, then each ``--rows`` x
+    ``--random-cols`` matrix of ``_pcg64.doubles(seed)``, row by row, each
+    built by ``_distances`` and decided by ``_near_sets`` at ``TiePolicy()``.
+    Each matrix is charged as a build and ``_MATRIX_COST``, each draw as
+    ``_DRAW_COST``, before anything is drawn."""
+    a, (kernel,) = job.args, job.kernels
+    n, samples, k, extent = a.rows, a.random_samples, a.random_cols, a.grid_extent
+    if not (2 <= n <= (512 if kernel is _squared else 1024) and k >= 1
+            and min(a.seed, samples, extent) >= 0):
+        raise DomainError("a search the array path refuses")
+    grids = extent >= 1 and (extent + 1) ** n <= 20000  # SearchBudget's grid_limit
+    fixed = 3 + (math.comb(n + extent, n) if grids else 0)  # probes and grids
+    pairs = n * (n - 1) // 2
+    if (fixed * (pairs * _build(1) + _MATRIX_COST)
+            + samples * (pairs * _build(k) + _MATRIX_COST + n * k * _DRAW_COST) > _MAX_TERMS):
+        raise DomainError("job above the list path's size")
+    from ._pcg64 import doubles
+
+    gaps = list(accumulate([0.0] + [2.0**i for i in range(n - 1)]))  # np.cumsum's order
+    grid = combinations_with_replacement(map(float, range(extent + 1)), n) if grids else ()
+    columns = chain([[0.0] * n, list(map(float, range(n))), gaps], grid)
+    draws = doubles(a.seed)
+    xs = chain(([[v] for v in column] for column in columns),
+               ([[next(draws) for _ in range(k)] for _ in range(n)] for _ in range(samples)))
+    return {"rows": n, "totals": sorted({sum(map(len, job.sets(kernel, x))) for x in xs})}
+
+
 _JOBS = {"near": _near, "distmat": _distmat, "rob-plus": _rob_plus, "rob-minus": _rob_minus,
-         "concord": _concord, "corr": _corr, "adversarial": _adversarial}
+         "concord": _concord, "corr": _corr, "adversarial": _adversarial,
+         "explore-near": _explore_near}
 
 
 def payload(args, load):
@@ -623,7 +685,8 @@ def payload(args, load):
     its coefficients are "L" or ``errors.p_norm_name``'s exact names.
 
     Raises DomainError where the list path declines: a tolerance
-    ``TiePolicy`` refuses, a CSV ``load`` refuses, a plan above
+    ``TiePolicy`` refuses, a CSV ``load`` refuses, a search budget, seed or
+    row count the array path refuses, a plan above
     ``_MAX_TERMS`` or a ladder above ``_LADDER_TERMS`` pair-terms, a
     non-finite distance, or a shape, score or moment the array path refuses.
     """

@@ -7,10 +7,10 @@ text output is the lines rendered from that same payload.  Its flags become
 library values, checked in flag order, before anything is computed.
 ``run()`` takes that array path for every job, and computes ``verify``'s
 checks on arrays.  ``main()``, the process entry, first offers each job
-that takes ``--x`` to the list path (``_lists``, whose docstring gives what
-a job costs there), and computes ``verify``'s checks on lists
-(``verification.Lists``): each prints ``run()``'s bytes without importing
-numpy.
+that takes ``--x``, and ``explore-near``, to the list path (``_lists``,
+whose docstring gives what a job costs there), and computes ``verify``'s
+checks on lists (``verification.Lists``): each prints ``run()``'s bytes
+without importing numpy.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
 (one-line diagnostic, no traceback), 2 on a usage error.  With identical
@@ -343,13 +343,14 @@ def _list_payload(args, load):
     path declines.  A coefficient spelling other than "L" and those of
     ``_list_p``, and a job whose one build of X costs more than
     ``_MAX_TERMS``, a lower bound of its plan, decline before ``_lists``
-    loads."""
+    loads; ``explore-near`` has no X, and ``_lists`` charges its plan."""
     spellings = [getattr(args, a) for a in ("c", "m", "n") if hasattr(args, a)]
     if not all(s == "L" or _list_p(s) for s in spellings):
         raise DomainError("the list path covers L and the p-norms as coefficient_name spells them")
-    x = load(args.x)
-    if len(x) * (len(x) - 1) // 2 * (len(x[0]) + _PAIR_COST) > _MAX_TERMS:
-        raise DomainError("job above the list path's size")
+    if hasattr(args, "x"):
+        x = load(args.x)
+        if len(x) * (len(x) - 1) // 2 * (len(x[0]) + _PAIR_COST) > _MAX_TERMS:
+            raise DomainError("job above the list path's size")
     from . import _lists
 
     return _lists.payload(args, load)
@@ -382,7 +383,8 @@ def _lists_first(args) -> int:
 
 def main() -> None:
     """The ``distchar`` process: the job (the list path first for a job that
-    takes ``--x``, ``verify`` on lists, else the array path of ``run()``),
+    takes ``--x`` and for ``explore-near``, ``verify`` on lists, else the
+    array path of ``run()``),
     then stdout flushed, then exit.
 
     A write to stdout that fails (a closed pipe, a full disk) exits 1 with
@@ -399,7 +401,8 @@ def main() -> None:
             if command is None:  # verify, computed on lists
                 status = _verify("Lists")
             else:
-                status = (_lists_first if "--x" in command.options else _run)(args)
+                listed = "--x" in command.options or args.command == "explore-near"
+                status = (_lists_first if listed else _run)(args)
         finally:  # argparse's SystemExit (--help, usage errors) included
             sys.stdout.flush()
     except OSError as exc:  # _run() reports every other failure as a DomainError

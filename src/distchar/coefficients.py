@@ -61,13 +61,14 @@ def is_true_norm(coefficient: Coefficient) -> bool:
 def parse_coefficient(text: str) -> Coefficient:
     """Parse the textual coefficient syntax: "L", or "p" and a float ("p3.5", "pinf").
 
-    Case-insensitive.  Raises DomainError on anything else.
+    Case-insensitive, and blind to surrounding whitespace.  Raises DomainError
+    on anything else, such as "p1_0" and "p 2", which ``float`` would read.
     """
     s = text.strip().lower()
     if s == "l":
         return SquaredEuclidean()
     try:
-        p = float(s[1:]) if s.startswith("p") else math.nan
+        p = float(s[1:]) if s.startswith("p") and "_" not in s and s.split() == [s] else math.nan
     except ValueError:
         p = math.nan
     if math.isnan(p):

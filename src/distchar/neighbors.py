@@ -168,8 +168,12 @@ def achievable_near_totals(
     set of distinct totals seen across random matrices, small 1-D integer
     grids, and structured probes (duplicate rows, evenly spaced points, and
     points with strictly growing gaps).  Probes and grids, then one seeded
-    ``standard_normal`` draw per random matrix, go through ``build_many`` as
-    one stream: the result depends only on the arguments.  Every observed
+    draw of uniform doubles in [0, 1) per random matrix,
+    ``default_rng(seed).random((n, random_cols))``, go through ``build_many``
+    as one stream: the result depends only on the arguments.  The draws are
+    uniform rather than normal so that the CLI's list path reads the same
+    doubles without numpy (``_pcg64``): numpy's normals come from its own
+    ziggurat tables.  Every observed
     value lies in {n, ..., n(n-1)}.  With probes, n is at most 1024 (512 under L): the
     growing-gaps probe ends at 2^(n-1) - 1, and its distances must be finite.
     """
@@ -182,7 +186,7 @@ def achievable_near_totals(
     if budget.include_probes and n > rows:
         raise DomainError(f"the search's probes need n <= {rows} rows, got {n}")
     rng = np.random.default_rng(seed)
-    columns = []  # zeros, arange, integer grids, normal draws: all finite
+    columns = []  # zeros, arange, integer grids, uniform draws: all finite
     if budget.include_probes:
         # all rows equal (total n(n-1)), evenly spaced, strictly growing gaps (total n)
         columns = [np.zeros(n), np.arange(n), np.cumsum([0.0] + [2.0**i for i in range(n - 1)])]
@@ -191,6 +195,6 @@ def achievable_near_totals(
         columns = itertools.chain(columns, itertools.combinations_with_replacement(
             range(budget.grid_extent + 1), n))
     columns = (np.array(c, dtype=float).reshape(n, 1) for c in columns)
-    draws = (rng.standard_normal((n, budget.random_cols)) for _ in range(budget.random_samples))
+    draws = (rng.random((n, budget.random_cols)) for _ in range(budget.random_samples))
     return {total for D in build_many(coefficient, itertools.chain(columns, draws))
             for total in near_mask(D).sum(axis=(1, 2)).tolist()}

@@ -71,7 +71,8 @@ class TestConstruction:
     def test_parse(self, text, expected):
         assert parse_coefficient(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "q2", "p", "p0.5", "pnan", "2", "pinfinity!"])
+    @pytest.mark.parametrize("text", ["", "q2", "p", "p0.5", "pnan", "2", "pinfinity!",
+                                      "p1_0", "p 2"])
     def test_parse_rejects(self, text):
         with pytest.raises(DomainError):
             parse_coefficient(text)

@@ -5,8 +5,9 @@ is kept short by ``main()`` freezing the collector (tested in
 ``test_cli.py``); start is kept short here: ``--help`` and ``delta-cf``
 must not import numpy, ``verify`` computes its checks on the list path and
 must not import numpy either, nor must a small ``near``, ``distmat``,
-``rob-plus``, ``rob-minus``, ``concord``, ``corr`` or ``adversarial`` job,
-which runs on the list path; a job the list path declines by its
+``rob-plus``, ``rob-minus``, ``concord``, ``corr``, ``adversarial`` or
+``explore-near`` job, which runs on the list path (``explore-near`` alone
+loads the stream module ``_pcg64``); a job the list path declines by its
 coefficient or by one build of X must not import the list module, a
 ``near`` job on the array path must not import the score,
 asymptotics or verification modules, and ``mc-nn`` must import none of the
@@ -96,7 +97,7 @@ SCORES = NEAR | {"robustness"}
 ASSOCIATION = SCORES | {"association"}
 ASYMPTOTICS = {"asymptotics", "cli", "errors", "io"}
 # each subcommand's arguments ({ex4}, {ex6}: fixtures; {x}: ex6's first
-# column) and the distchar modules it loads; the first seven run small jobs
+# column) and the distchar modules it loads; the first eight run small jobs
 # on the list path, and so does verify
 SUBCOMMAND_MODULES = {
     "distmat": (["--c", "p1", "--x", "{ex4}"], LISTS),
@@ -106,7 +107,7 @@ SUBCOMMAND_MODULES = {
     "concord": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], LISTS),
     "corr": (["--m", "p1", "--n", "p2", "--x", "{ex4}"], LISTS),
     "adversarial": (["--c", "p1", "--x", "{ex4}"], LISTS),
-    "explore-near": (["--rows", "3", "--c", "p1", "--random-samples", "2"], NEAR),
+    "explore-near": (["--rows", "3", "--c", "p1", "--random-samples", "2"], LISTS | {"_pcg64"}),
     "mc-nn": (["--points", "2", "--samples", "10"], ASYMPTOTICS),
     "delta-cf": ([], ASYMPTOTICS),
     "verify": ([], LISTS | {"asymptotics", "fixtures", "verification"}),
@@ -115,6 +116,23 @@ SUBCOMMAND_MODULES = {
 
 def test_the_table_has_every_subcommand():
     assert SUBCOMMAND_MODULES.keys() == {*cli._COMMANDS, "verify"}
+
+
+def test_only_explore_near_loads_the_stream_module():
+    assert [c for c, (_, modules) in SUBCOMMAND_MODULES.items() if "_pcg64" in modules] == [
+        "explore-near"]
+
+
+@pytest.mark.parametrize("declined", ["P2", "20000 columns"])
+def test_declined_explore_near_loads_its_array_modules(declined):
+    # by its spelling before the list module loads, or by its plan (1.2 M
+    # draws) before the stream module does
+    flags = ["--c", "P2"] if declined == "P2" else ["--c", "p1", "--random-cols", "20000",
+                                                     "--grid-extent", "0"]
+    loaded = loaded_modules("explore-near", "--rows", "3", "--random-samples", "20", *flags)
+    assert "numpy" in loaded
+    want = NEAR if declined == "P2" else NEAR | {"_lists"}
+    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_MODULES)

@@ -1,13 +1,14 @@
 """The list path against the array path: ``main()`` runs small ``near``,
-``distmat``, ``rob-plus``, ``rob-minus``, ``concord``, ``corr`` and
-``adversarial`` jobs on lists (``distchar._lists``), and ``run()`` on
-arrays; both print the same bytes, the same errors and the same exit
-status.  A job the list path does not cover goes to the array path, which
-then reports its error itself."""
+``distmat``, ``rob-plus``, ``rob-minus``, ``concord``, ``corr``,
+``adversarial`` and ``explore-near`` jobs on lists (``distchar._lists``),
+and ``run()`` on arrays; both print the same bytes, the same errors and the
+same exit status.  A job the list path does not cover goes to the array
+path, which then reports its error itself."""
 
 import contextlib
 import gc
 import io
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distchar import PNorm, _lists, cli, coefficient_name, parse_coefficient, robustness
+from distchar import PNorm, _lists, _pcg64, cli, coefficient_name, parse_coefficient, robustness
 from distchar import io as dcio
 from distchar.errors import DomainError, ladder, update_bound
 from distchar.neighbors import EXACT_TIES, TiePolicy, near_mask
@@ -385,9 +386,65 @@ def test_each_list_spelling_parses_to_the_coefficient_its_kernel_computes(spelli
     assert coefficient_name(parse_coefficient(spelling)) == spelling
 
 
-def test_every_subcommand_taking_x_has_a_list_job():
+def test_every_subcommand_taking_x_and_explore_near_have_a_list_job():
     assert {name for name, command in cli._COMMANDS.items()
-            if "--x" in command.options} == set(_lists._JOBS)
+            if "--x" in command.options} | {"explore-near"} == set(_lists._JOBS)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 5, 2**130, 2**200 + 12345])
+def test_the_stream_is_numpys_uniform_doubles_bit_for_bit(seed):
+    # 2^130 and 2^200 + 12345 have five and seven 32-bit words: SeedSequence
+    # mixes the words past its pool of four into it
+    want = np.random.default_rng(seed).random(3000)
+    got = np.array(list(itertools.islice(_pcg64.doubles(seed), 3000)))
+    assert got.tobytes() == want.tobytes()
+
+
+# the search budgets of test_neighbors.SEARCH_BUDGETS that the CLI spells
+# (it has no flag for include_probes=False)
+SEARCH_FLAGS = [[], ["--random-cols", "3"], ["--grid-extent", "0"], ["--grid-extent", "2"],
+                ["--random-samples", "0"], ["--random-cols", "1"]]
+
+
+@pytest.mark.parametrize("flags", SEARCH_FLAGS, ids=" ".join)
+@pytest.mark.parametrize("c", [*COEFFICIENTS, "p3.5", "p1.0000001"])
+def test_list_explore_near_prints_what_the_array_path_prints(c, flags):
+    for n, seed, form in itertools.product(range(2, 8), range(3), ("text", "json")):
+        argv = ["explore-near", "--rows", str(n), "--c", c, "--seed", str(seed), *flags,
+                "--format", form]
+        assert covered(argv)
+        out, err, status = both_entries(argv)
+        assert (err, status) == ("", 0)
+        assert out.startswith("observed totals: " if form == "text" else "{")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--rows", "3", "--c", "p1", "--seed", "-1"],
+     "error: seed must be a nonnegative integer, got -1\n"),
+    (["--rows", "3", "--c", "p1", "--random-samples", "-1"],
+     "error: search budget needs random_samples >= 0, random_cols >= 1, grid_extent >= 0 "
+     "and grid_limit >= 0\n"),
+    (["--rows", "3", "--c", "p0"], "error: p-norm requires p >= 1 or p = inf, got 0.0\n"),
+    (["--rows", "513", "--c", "L"], "error: the search's probes need n <= 512 rows, got 513\n"),
+    (["--rows", "1026", "--c", "p1"],
+     "error: the search's probes need n <= 1024 rows, got 1026\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_a_declined_explore_near_ends_in_the_array_path(argv, err):
+    argv = ["explore-near", *argv]
+    assert not covered(argv)
+    assert captured(cli.run, argv) == ("", err, 1)
+    with mock.patch.object(cli, "_run", wraps=cli._run) as array_path:
+        assert captured(main, argv) == ("", err, 1)
+    array_path.assert_called_once()
+
+
+def test_explore_near_above_its_plan_draws_nothing_on_lists():
+    # CI's smoke case: 200 draws of 3 x 20000 doubles are 12 M draws
+    argv = ["explore-near", "--rows", "3", "--c", "p1", "--random-cols", "20000",
+            "--grid-extent", "0"]
+    with mock.patch.object(_pcg64, "doubles") as doubles:
+        assert not covered(argv)
+    doubles.assert_not_called()
 
 
 @given(p=st.floats(1, 1e300) | st.sampled_from([1.5, 2.0, 3.5, 7.0, 2.0**53 + 2]),

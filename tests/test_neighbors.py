@@ -373,7 +373,8 @@ def test_near_mask_is_invariant_under_power_of_two_scaling(x, c, tie, data):
 def reference_matrices(n, budget=SearchBudget(), seed=0):
     """The matrices of the search, one at a time, in the order and from the
     seeded stream that ``achievable_near_totals`` used before it evaluated
-    each family in stacks."""
+    each family in stacks: its random family is uniform doubles of
+    ``default_rng(seed).random``."""
     rng = np.random.default_rng(seed)
     if budget.include_probes:
         yield np.zeros((n, 1))
@@ -384,7 +385,7 @@ def reference_matrices(n, budget=SearchBudget(), seed=0):
                 range(budget.grid_extent + 1), n):
             yield np.array(values, dtype=float).reshape(n, 1)
     for _ in range(budget.random_samples):
-        yield rng.standard_normal((n, budget.random_cols))
+        yield rng.random((n, budget.random_cols))
 
 
 def reference_totals(n, coefficient, budget=SearchBudget(), seed=0):
