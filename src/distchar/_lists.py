@@ -45,24 +45,15 @@ e = a + b / m of the rebuilt values, and ``_near_sets`` decides each row
 from those intervals as ``neighbors.near_mask`` does; ``_row`` recomputes a
 row it cannot decide, and a matrix where most rows are is rebuilt.
 
-Each job charges its plan before it builds anything (``_Job.charge``), in
-pair-terms per pair of rows: a build of k columns costs k + c, c being
-``cli._PAIR_COST``, and a one-column update ``_UPDATE_COST``.  ``near`` and
-``distmat`` make one build, ``concord`` and ``corr`` two, ``rob-plus`` two
-(k and k + 1 columns); ``rob-minus`` one and k updates where they are
-exact or the tie slack can be nonzero, else one and k builds of k - 1
-columns (under general p, and under zero slack where an inexact row is
-decided only where one candidate is certainly its least); ``adversarial``
-rungs of k + 1 one-column builds while they sum to at most
-``_LADDER_TERMS``.  A plan above ``cli._MAX_TERMS`` declines.  ``cli``
-checks the coefficient spellings and one build of X, a lower bound of every
-plan, before this module loads.
+Which jobs come here, and what each costs, is ``cli._plan``'s: it declines
+a job above the list path's bound before this module loads, so this module
+only computes.  ``adversarial`` alone gives up on its own, after rungs
+that sum to ``_LADDER_TERMS`` pair-terms.
 ``explore-near`` is ``achievable_near_totals`` on lists: the probes, the
 grid multisets and the random family, each matrix built by ``_distances``
 and decided by ``_near_sets``.  Its random family reads numpy's
 ``default_rng(seed).random()`` doubles from ``_pcg64``, which only this job
-loads.  Its plan charges each matrix as a build and ``_MATRIX_COST``, and
-each draw ``_DRAW_COST``, before anything is drawn.
+loads.
 ``payload`` covers the job or raises ``DomainError``: then the caller runs
 the array path, which computes the job or reports its error itself.
 """
@@ -74,81 +65,13 @@ from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate, chain, combinations_with_replacement
 
-from .cli import _MAX_TERMS, _PAIR_COST, _list_p
-from .errors import UPDATED, DomainError, ladder, update_bound
+from .errors import GRID_LIMIT, UPDATED, DomainError, ladder, update_bound
 
-# _UPDATE_COST is one column's update of an n x n matrix and its neighbor
-# scan, per pair, in terms.  It is fitted as cli's bound is (the table above
-# cli._MAX_TERMS), to `rob-minus` against the array path, which updates a
-# block of columns per numpy call: p1 and pinf on {0..3} lattices (exact
-# updates, walked by ``_changes``) and p2 on Gaussian rows (guarded), median
-# of 9 alternating processes (a declined row's list column with
-# cli._MAX_TERMS lifted):
-#
-#      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
-#  p1  2   234: 299 871        96 / 185         300: 493 350       130 / 204
-#      4   188: 298 826        99 / 212         240: 487 560        85 / 178
-#     12   121: 297 660        70 / 160         180: 660 510        85 / 200
-#     32    77: 295 526       103 / 254         100: 499 950        97 / 209
-#    128    39: 288 249        94 / 219          50: 476 525        88 / 192
-#   2000    10: 270 225       171 / 265          13: 468 390       128 / 170
-#  20000     3: 180 015       256 / 227           5: 600 050       381 / 232
-#  p2  2   234: 299 871       215 / 270         300: 493 350       197 / 246
-#     12   121: 297 660       214 / 283         180: 660 510       241 / 272
-#    500    20: 285 950       171 / 190          28: 568 890       186 / 196
-#   2000    10: 270 225       264 / 207          13: 468 390       281 / 292
-#  20000     3: 180 015       400 / 214           5: 600 050       384 / 404
-#  pinf 2  234: 299 871       100 / 173         300: 493 350       125 / 163
-#     12   121: 297 660        76 / 155         180: 660 510        82 / 166
-#    128    39: 288 249        59 / 185          50: 476 525        63 / 162
-#   2000    10: 270 225       103 / 178          13: 468 390        97 / 161
-#
-# The host's speed drifts by up to 1.5x (p2's rows were timed earlier, on
-# a slower spell).  Every admitted row up to 2000 columns is faster on
-# lists, and so is every declined p1 and pinf row up to 2000 columns: the
-# walk costs less than k updates, but the charge is kept so that no job
-# changes path.  p2's declined rows are at or below the break-even.  From
-# 2000 columns a guarded update pays about 4 us per row and column, and at
-# 20 000 the walk 2-3 us, which no per-pair charge sees.  The benchmark's
-# 120 x 12 lattice rob-minus (292 740) is admitted under every coefficient,
-# and so are its 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's
-# 8 x 2000 lattice and Gaussian (168 140).  Under zero tie slack on data
-# whose updates are not exact a job is charged as k rebuilds instead.
-_UPDATE_COST = 2
-# an adversarial rung of k + 1 columns is charged as k + 1 one-column builds,
-# so its ladder holds at most this many pair-terms (50 000): a ladder given
-# up on, which the array path then repeats, wastes little
-_LADDER_TERMS = _MAX_TERMS // (1 + _PAIR_COST)
-# explore-near's draw of one double (``_pcg64``, about 0.55 us), and the
-# overhead of each matrix it builds and scans (about 10 us at 2 to 10 rows),
-# in pair-terms (about 0.23 us each), fitted in process (best of 5, 2000
-# matrices per shape).  The plan's bound is cli's, timed as its table is:
-# `explore-near --c p2` main() processes with cli._MAX_TERMS lifted against
-# run() processes, in two readings of 9 alternating runs per path, each
-# shape as rows n x --random-samples S x --random-cols k (* --grid-extent 0,
-# else the default 3):
-#
-#   admitted n x S x k: cost   list / array ms     declined n x S x k: cost   list / array ms
-#    4 x 3000 x 2: 296 888  133-158 / 147-174    4 x 5000 x 2: 492 888  176-208 / 155-181
-#    2 x 5800 x 1: 290 598  113-123 / 147-177    2 x 9000 x 1: 450 598  142-182 / 148-196
-#   3 x 160 x 200: 298 134  120-176 / 140-210   3 x 250 x 200: 465 084  158-179 / 144-176
-#    20 x 200 x 2: 293 540  114-131 / 144-164    25 x 200 x 2: 453 520  142-155 / 146-175
-#    6 x 200 x 46: 282 710  111-139 / 139-166    6 x 200 x 70: 412 310  136-259 / 142-263
-#   180 x 0 x 1 *: 290 100   98-113 / 137-167   200 x 0 x 1 *: 358 320  110-122 / 139-170
-#
-# Every admitted shape is faster on lists in both readings.  Without the
-# per-matrix charge 4 x 5000 x 2 was admitted at 291 368 and took 198
-# against 188 ms: numpy decides a stack of small matrices per call.  The
-# benchmark's jobs (4 to 6 rows at the default budget: 22 488 to 45 110)
-# and the default budget up to 20 rows are admitted; CI's 3 x 200 x 20 000
-# smoke case (12 M draws, 36 012 334) is not.
-_DRAW_COST = 2
-_MATRIX_COST = 40
-
-
-def _build(k: int) -> int:
-    """A build's cost per pair of rows at k columns."""
-    return k + _PAIR_COST
+# adversarial's own give-up rule: its rungs, each n(n-1)/2 * (k + 1) terms,
+# run while they sum to at most this many, the list path's bound of 300 000
+# pair-terms with each term charged as a one-column build (1 + 5): a ladder
+# given up on, which the array path then repeats, wastes little
+_LADDER_TERMS = 50_000
 
 
 def _p1(terms: list[float]) -> float:
@@ -202,8 +125,9 @@ _KERNELS = {"p1": _p1, "p2": _p2, "pinf": max, "L": _squared}
 
 
 def _kernel(spelling: str):
-    """The kernel of L or of a ``cli._list_p`` spelling; general p's is ``_power``."""
-    return _KERNELS.get(spelling) or _power(_list_p(spelling))
+    """The kernel of L or of a p-norm as ``errors.p_norm_name`` spells it;
+    general p's is ``_power``."""
+    return _KERNELS.get(spelling) or _power(float(spelling[1:]))
 
 
 # The integer route (``_integer_tails``) takes a build of n rows whose
@@ -495,15 +419,7 @@ class _Job:
         self.kernels = [_kernel(getattr(args, a)) for a in ("c", "m", "n") if hasattr(args, a)]
         # a job without tie flags decides at TiePolicy()'s
         self.tie = (getattr(args, "rel_tol", 1e-9), getattr(args, "abs_tol", 0.0))
-        if not all(math.isfinite(t) and t >= 0 for t in self.tie):
-            raise DomainError("tie tolerances must be finite and nonnegative")
         self.x = load(args.x) if hasattr(args, "x") else None
-
-    def charge(self, per_pair: int) -> None:
-        """Decline the job if n(n-1)/2 * ``per_pair`` exceeds ``_MAX_TERMS``."""
-        n = len(self.x)
-        if n * (n - 1) // 2 * per_pair > _MAX_TERMS:
-            raise DomainError("job above the list path's size")
 
     def sets(self, kernel, rows: list[list[float]]) -> list[list[int]]:
         return self.near(_distances(kernel, rows))
@@ -517,14 +433,12 @@ def _score(num: int, den: int) -> dict:
 
 
 def _near(job) -> dict:
-    job.charge(_build(len(job.x[0])))
     near = job.sets(*job.kernels, job.x)
     return {"sets": [[j + 1 for j in s] for s in near], "total": sum(map(len, near))}
 
 
 def _distmat(job) -> list[list[float]]:
     """Row i's entries i..n-1, as ``io._rows`` walks them."""
-    job.charge(_build(len(job.x[0])))
     return [row[i:] for i, row in enumerate(_distances(*job.kernels, job.x))]
 
 
@@ -536,7 +450,6 @@ def _rob_plus(job) -> dict:
         raise DomainError("not a one-column extension of at least two rows")
     if any(row[:k] != base for row, base in zip(xp, x)):
         raise DomainError("extension disagrees with x")
-    job.charge(_build(k) + _build(k + 1))
     base, aug = job.sets(kernel, x), job.sets(kernel, xp)
     den = sum(map(len, base))
     if den == 0:
@@ -556,13 +469,11 @@ def _rob_minus(job) -> dict:
     if n < 2 or k < 2:
         raise DomainError("leave-one-column-out robustness needs n > 1 and k > 1")
     if job.args.c not in UPDATED:
-        job.charge(_build(k) + k * _build(k - 1))
         base = job.sets(kernel, x)
         changed = sum(s != b for j in range(k)
                       for s, b in zip(job.sets(kernel, [row[:j] + row[j + 1:] for row in x]), base))
         return _score(n * k - changed, n * k)
     bound = update_bound(job.args.c, zip(*x))
-    job.charge(_build(k) + k * (_UPDATE_COST if bound is None or any(job.tie) else _build(k - 1)))
     D = _distances(kernel, x)
     if bound is None:
         return _score(n * k - _changes(job, D), n * k)
@@ -588,7 +499,6 @@ def _rob_minus(job) -> dict:
 
 
 def _concord(job) -> dict:
-    job.charge(2 * _build(len(job.x[0])))
     near_m, near_n = (job.sets(c, job.x) for c in job.kernels)
     return _score(sum(a == b for a, b in zip(near_m, near_n)), len(job.x))
 
@@ -601,7 +511,6 @@ def _corr(job) -> dict:
     n, conv = len(job.x), job.args.conv
     if conv == "upper" and n < 2:
         raise DomainError("upper-triangle expectation needs n >= 2")
-    job.charge(2 * _build(len(job.x[0])))
     a, b = ([d for i, row in enumerate(_distances(c, job.x)) for d in row[i + 1:]]
             for c in job.kernels)
     if conv == "upper":
@@ -649,23 +558,14 @@ def _explore_near(job) -> dict:
     probes, a column per grid multiset, then each ``--rows`` x
     ``--random-cols`` matrix of ``_pcg64.doubles(seed)``, row by row, each
     built by ``_distances`` and decided by ``_near_sets`` at ``TiePolicy()``.
-    Each matrix is charged as a build and ``_MATRIX_COST``, each draw as
-    ``_DRAW_COST``, before anything is drawn."""
+    The flags are a search the array path takes (``cli._plan`` checks them)."""
     a, (kernel,) = job.args, job.kernels
     n, samples, k, extent = a.rows, a.random_samples, a.random_cols, a.grid_extent
-    if not (2 <= n <= (512 if kernel is _squared else 1024) and k >= 1
-            and min(a.seed, samples, extent) >= 0):
-        raise DomainError("a search the array path refuses")
-    grids = extent >= 1 and (extent + 1) ** n <= 20000  # SearchBudget's grid_limit
-    fixed = 3 + (math.comb(n + extent, n) if grids else 0)  # probes and grids
-    pairs = n * (n - 1) // 2
-    if (fixed * (pairs * _build(1) + _MATRIX_COST)
-            + samples * (pairs * _build(k) + _MATRIX_COST + n * k * _DRAW_COST) > _MAX_TERMS):
-        raise DomainError("job above the list path's size")
     from ._pcg64 import doubles
 
     gaps = list(accumulate([0.0] + [2.0**i for i in range(n - 1)]))  # np.cumsum's order
-    grid = combinations_with_replacement(map(float, range(extent + 1)), n) if grids else ()
+    grid = (combinations_with_replacement(map(float, range(extent + 1)), n)
+            if extent >= 1 and (extent + 1) ** n <= GRID_LIMIT else ())
     columns = chain([[0.0] * n, list(map(float, range(n))), gaps], grid)
     draws = doubles(a.seed)
     xs = chain(([[v] for v in column] for column in columns),
@@ -682,12 +582,12 @@ def payload(args, load):
     """The payload of ``args``' job, as the array path's ``cli._COMMANDS`` row
     gives it (for ``distmat``, the rows of ``_distmat``); ``load(path)``
     gives a CSV's rows.  ``args`` holds the parsed flags, unconverted, and
-    its coefficients are "L" or ``errors.p_norm_name``'s exact names.
+    its coefficients are "L" or ``errors.p_norm_name``'s exact names; its
+    tie tolerances and search flags are ones ``cli._plan`` takes.
 
-    Raises DomainError where the list path declines: a tolerance
-    ``TiePolicy`` refuses, a CSV ``load`` refuses, a search budget, seed or
-    row count the array path refuses, a plan above
-    ``_MAX_TERMS`` or a ladder above ``_LADDER_TERMS`` pair-terms, a
-    non-finite distance, or a shape, score or moment the array path refuses.
+    Raises DomainError where computing declines: a CSV ``load`` refuses, an
+    ``--xp`` that is not a one-column extension, a non-finite distance or
+    moment, a zero score denominator, a ladder above ``_LADDER_TERMS``
+    pair-terms, or another shape or moment the array path refuses.
     """
     return _JOBS[args.command](_Job(args, load))

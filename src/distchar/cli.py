@@ -6,10 +6,10 @@ Every other subcommand is one row of ``_COMMANDS`` whose payload is what
 text output is the lines rendered from that same payload.  Its flags become
 library values, checked in flag order, before anything is computed.
 ``run()`` takes that array path for every job, and computes ``verify``'s
-checks on arrays.  ``main()``, the process entry, first offers each job
-that takes ``--x``, and ``explore-near``, to the list path (``_lists``,
-whose docstring gives what a job costs there), and computes ``verify``'s
-checks on lists (``verification.Lists``): each prints ``run()``'s bytes
+checks on arrays.  ``main()``, the process entry, computes ``verify``'s
+checks on lists (``verification.Lists``), and runs every other job on the
+list path (``_lists``) where ``_plan``, the one record of what a job costs
+there, admits it before that module loads: each prints ``run()``'s bytes
 without importing numpy.
 
 Exit status: 0 on success, 1 on a domain error or a failed write to stdout
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 import distchar as dc
 
 from . import io as dcio
-from .errors import DomainError, p_norm_name
+from .errors import GRID_LIMIT, UPDATED, DomainError, p_norm_name, update_bound
 
 __all__ = ["main", "run"]
 
@@ -62,7 +62,7 @@ _ALIASES = {"--n": ("--n", "--l")}
 _TIES = ("--rel-tol", "--abs-tol")
 # The list path's bound.  A build of k columns costs n(n-1)/2 * (k +
 # _PAIR_COST) pair-terms there, _PAIR_COST being a pair's overhead (the
-# kernel call, its sort, the neighbor scan).  A job whose plan (``_lists``)
+# kernel call, its sort, the neighbor scan).  A job whose plan (``_plan``)
 # costs more than _MAX_TERMS runs on arrays: there the list path's loops
 # take longer than the numpy import they spare.  Both numbers are fitted to
 # `near --c p2`, one build, on Gaussian n x k matrices timed as main()
@@ -98,6 +98,69 @@ _TIES = ("--rel-tol", "--abs-tol")
 #   2000    17          180-207 / 230-230    20          194-252 / 217-297
 _PAIR_COST = 5
 _MAX_TERMS = 300_000
+# _UPDATE_COST is one column's update of an n x n matrix and its neighbor
+# scan, per pair, in terms.  It is fitted as the bound is (the table above
+# _MAX_TERMS), to `rob-minus` against the array path, which updates a
+# block of columns per numpy call: p1 and pinf on {0..3} lattices (exact
+# updates, walked by ``_lists._changes``) and p2 on Gaussian rows (guarded),
+# median of 9 alternating processes (a declined row's list column with
+# _MAX_TERMS lifted):
+#
+#      k   admitted n: cost   list / array ms   declined n: cost   list / array ms
+#  p1  2   234: 299 871        96 / 185         300: 493 350       130 / 204
+#      4   188: 298 826        99 / 212         240: 487 560        85 / 178
+#     12   121: 297 660        70 / 160         180: 660 510        85 / 200
+#     32    77: 295 526       103 / 254         100: 499 950        97 / 209
+#    128    39: 288 249        94 / 219          50: 476 525        88 / 192
+#   2000    10: 270 225       171 / 265          13: 468 390       128 / 170
+#  20000     3: 180 015       256 / 227           5: 600 050       381 / 232
+#  p2  2   234: 299 871       215 / 270         300: 493 350       197 / 246
+#     12   121: 297 660       214 / 283         180: 660 510       241 / 272
+#    500    20: 285 950       171 / 190          28: 568 890       186 / 196
+#   2000    10: 270 225       264 / 207          13: 468 390       281 / 292
+#  20000     3: 180 015       400 / 214           5: 600 050       384 / 404
+#  pinf 2  234: 299 871       100 / 173         300: 493 350       125 / 163
+#     12   121: 297 660        76 / 155         180: 660 510        82 / 166
+#    128    39: 288 249        59 / 185          50: 476 525        63 / 162
+#   2000    10: 270 225       103 / 178          13: 468 390        97 / 161
+#
+# The host's speed drifts by up to 1.5x (p2's rows were timed earlier, on
+# a slower spell).  Every admitted row up to 2000 columns is faster on
+# lists, and so is every declined p1 and pinf row up to 2000 columns: the
+# walk costs less than k updates, but the charge is kept so that no job
+# changes path.  p2's declined rows are at or below the break-even.  From
+# 2000 columns a guarded update pays about 4 us per row and column, and at
+# 20 000 the walk 2-3 us, which no per-pair charge sees.  The benchmark's
+# 120 x 12 lattice rob-minus (292 740) is admitted under every coefficient,
+# and so are its 40 x 16 Gaussian ones (41 340; p2 81 / 178 ms) and CI's
+# 8 x 2000 lattice and Gaussian (168 140).  Under zero tie slack on data
+# whose updates are not exact a job is charged as k rebuilds instead.
+_UPDATE_COST = 2
+# explore-near's draw of one double (``_pcg64``, about 0.55 us), and the
+# overhead of each matrix it builds and scans (about 10 us at 2 to 10 rows),
+# in pair-terms (about 0.23 us each), fitted in process (best of 5, 2000
+# matrices per shape).  The plan's bound is _MAX_TERMS, timed as its table
+# is: `explore-near --c p2` main() processes with _MAX_TERMS lifted against
+# run() processes, in two readings of 9 alternating runs per path, each
+# shape as rows n x --random-samples S x --random-cols k (* --grid-extent 0,
+# else the default 3):
+#
+#   admitted n x S x k: cost   list / array ms     declined n x S x k: cost   list / array ms
+#    4 x 3000 x 2: 296 888  133-158 / 147-174    4 x 5000 x 2: 492 888  176-208 / 155-181
+#    2 x 5800 x 1: 290 598  113-123 / 147-177    2 x 9000 x 1: 450 598  142-182 / 148-196
+#   3 x 160 x 200: 298 134  120-176 / 140-210   3 x 250 x 200: 465 084  158-179 / 144-176
+#    20 x 200 x 2: 293 540  114-131 / 144-164    25 x 200 x 2: 453 520  142-155 / 146-175
+#    6 x 200 x 46: 282 710  111-139 / 139-166    6 x 200 x 70: 412 310  136-259 / 142-263
+#   180 x 0 x 1 *: 290 100   98-113 / 137-167   200 x 0 x 1 *: 358 320  110-122 / 139-170
+#
+# Every admitted shape is faster on lists in both readings.  Without the
+# per-matrix charge 4 x 5000 x 2 was admitted at 291 368 and took 198
+# against 188 ms: numpy decides a stack of small matrices per call.  The
+# benchmark's jobs (4 to 6 rows at the default budget: 22 488 to 45 110)
+# and the default budget up to 20 rows are admitted; CI's 3 x 200 x 20 000
+# smoke case (12 M draws, 36 012 334) is not.
+_DRAW_COST = 2
+_MATRIX_COST = 40
 
 
 def _list_p(spelling: str) -> float | None:
@@ -337,20 +400,59 @@ def _print(lines: Iterable[str]) -> None:
         print(line)
 
 
+def _plan(args, x) -> float:
+    """The pair-terms of ``args``' job on the list path, ``x`` being its
+    ``--x`` rows (None for a job without ``--x``); inf where the flags alone
+    decline it: tie tolerances ``TiePolicy`` refuses, a search the array path
+    refuses, and ``mc-nn`` and ``delta-cf``, which have no list job.
+
+    A build of k columns costs n(n-1)/2 * (k + _PAIR_COST), and a
+    one-column update n(n-1)/2 * _UPDATE_COST.  ``near``, ``distmat`` and
+    ``adversarial`` make one build (``_lists`` caps adversarial's ladder
+    itself), ``concord`` and ``corr`` two, ``rob-plus`` two of k and k + 1
+    columns.  ``rob-minus`` makes one build and k updates, exact or guarded;
+    under general p, which has no update, and under zero tie slack on data
+    whose updates ``update_bound`` does not call exact (there a row is
+    decided only where one candidate is certainly its least), one build and
+    k builds of k - 1 columns.  ``explore-near`` builds one-column matrices
+    (three probes and, within ``GRID_LIMIT``, one per grid multiset), then
+    its draws of n x k doubles, each matrix charged as a build and
+    _MATRIX_COST, and each double _DRAW_COST."""
+    tie = (getattr(args, "rel_tol", 1e-9), getattr(args, "abs_tol", 0.0))
+    if not all(math.isfinite(t) and t >= 0 for t in tie):
+        return math.inf
+    if args.command == "explore-near":
+        n, samples, k, extent = args.rows, args.random_samples, args.random_cols, args.grid_extent
+        if not (2 <= n <= (512 if args.c == "L" else 1024) and k >= 1
+                and min(args.seed, samples, extent) >= 0):
+            return math.inf
+        grids = math.comb(n + extent, n) if extent >= 1 and (extent + 1) ** n <= GRID_LIMIT else 0
+        pairs = n * (n - 1) // 2
+        return ((3 + grids) * (pairs * (1 + _PAIR_COST) + _MATRIX_COST)
+                + samples * (pairs * (k + _PAIR_COST) + _MATRIX_COST + n * k * _DRAW_COST))
+    if x is None:
+        return math.inf
+    k, c = len(x[0]), _PAIR_COST
+    per_pair = {"concord": 2 * (k + c), "corr": 2 * (k + c),
+                "rob-plus": 2 * (k + c) + 1}.get(args.command, k + c)
+    if args.command == "rob-minus":
+        rebuilt = (args.c not in UPDATED
+                   or not any(tie) and update_bound(args.c, zip(*x)) is not None)
+        per_pair += k * (k - 1 + c if rebuilt else _UPDATE_COST)
+    return len(x) * (len(x) - 1) // 2 * per_pair
+
+
 def _list_payload(args, load):
     """The list path's payload of ``args``' job (``_lists.payload``);
     ``load(path)`` gives a CSV's rows.  Raises DomainError where the list
     path declines.  A coefficient spelling other than "L" and those of
-    ``_list_p``, and a job whose one build of X costs more than
-    ``_MAX_TERMS``, a lower bound of its plan, decline before ``_lists``
-    loads; ``explore-near`` has no X, and ``_lists`` charges its plan."""
+    ``_list_p``, and a job whose plan (``_plan``) costs more than
+    ``_MAX_TERMS``, decline before ``_lists`` loads."""
     spellings = [getattr(args, a) for a in ("c", "m", "n") if hasattr(args, a)]
     if not all(s == "L" or _list_p(s) for s in spellings):
         raise DomainError("the list path covers L and the p-norms as coefficient_name spells them")
-    if hasattr(args, "x"):
-        x = load(args.x)
-        if len(x) * (len(x) - 1) // 2 * (len(x[0]) + _PAIR_COST) > _MAX_TERMS:
-            raise DomainError("job above the list path's size")
+    if _plan(args, load(args.x) if hasattr(args, "x") else None) > _MAX_TERMS:
+        raise DomainError("job above the list path's size")
     from . import _lists
 
     return _lists.payload(args, load)
@@ -382,10 +484,8 @@ def _lists_first(args) -> int:
 
 
 def main() -> None:
-    """The ``distchar`` process: the job (the list path first for a job that
-    takes ``--x`` and for ``explore-near``, ``verify`` on lists, else the
-    array path of ``run()``),
-    then stdout flushed, then exit.
+    """The ``distchar`` process: the job (``verify`` on lists, every other
+    job by ``_lists_first``), then stdout flushed, then exit.
 
     A write to stdout that fails (a closed pipe, a full disk) exits 1 with
     one ``error: cannot write output`` line; stdout is pointed at the null
@@ -397,12 +497,7 @@ def main() -> None:
     try:
         try:
             args = build_parser().parse_args()
-            command = _COMMANDS.get(args.command)
-            if command is None:  # verify, computed on lists
-                status = _verify("Lists")
-            else:
-                listed = "--x" in command.options or args.command == "explore-near"
-                status = (_lists_first if listed else _run)(args)
+            status = _verify("Lists") if args.command == "verify" else _lists_first(args)
         finally:  # argparse's SystemExit (--help, usage errors) included
             sys.stdout.flush()
     except OSError as exc:  # _run() reports every other failure as a DomainError
@@ -415,5 +510,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.modules["distchar.cli"] = sys.modules[__name__]  # _lists reads the bound here
+    # verification imports distchar.cli (for _OPTIONS): without this line,
+    # `python -m distchar.cli verify` would load a second copy of this module
+    sys.modules["distchar.cli"] = sys.modules[__name__]
     main()

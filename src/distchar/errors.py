@@ -1,6 +1,7 @@
 """The exception type and the checks shared across the package: of integer
 arguments, and of leave-one-out updates, exact or within an error bound;
-p-norm names; and the scale ladder both tie-breaking augmentations iterate."""
+p-norm names; the scale ladder both tie-breaking augmentations iterate; and
+the default limit on the integer grids the neighbor-total search enumerates."""
 
 import math
 import numbers
@@ -33,6 +34,7 @@ def p_norm_name(p: float) -> str:
 
 
 UPDATED = ("p1", "p2", "pinf", "L")  # the names with one-column updates
+GRID_LIMIT = 20000  # SearchBudget's default grid_limit, read by the list path too
 
 
 def update_bound(name: str, columns) -> tuple[float, float, float, float] | None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import _EXPORTS
 from .coefficients import Coefficient, SquaredEuclidean
 from .distance import build_many, validate_distance_matrix
-from .errors import DomainError, require_integers
+from .errors import GRID_LIMIT, DomainError, require_integers
 
 __all__ = [*_EXPORTS["neighbors"], "EXACT_TIES"]
 
@@ -144,7 +144,7 @@ class SearchBudget:
     random_samples: int = 200
     random_cols: int = 2
     grid_extent: int = 3
-    grid_limit: int = 20000
+    grid_limit: int = GRID_LIMIT
     include_probes: bool = True
 
     def __post_init__(self) -> None:

@@ -8,7 +8,7 @@ must not import numpy either, nor must a small ``near``, ``distmat``,
 ``rob-plus``, ``rob-minus``, ``concord``, ``corr``, ``adversarial`` or
 ``explore-near`` job, which runs on the list path (``explore-near`` alone
 loads the stream module ``_pcg64``); a job the list path declines by its
-coefficient or by one build of X must not import the list module, a
+coefficient or by its plan (``cli._plan``) must not import the list module, a
 ``near`` job on the array path must not import the score,
 asymptotics or verification modules, and ``mc-nn`` must import none of the
 matrix modules.  A table pins the ``distchar`` modules of every
@@ -125,14 +125,13 @@ def test_only_explore_near_loads_the_stream_module():
 
 @pytest.mark.parametrize("declined", ["P2", "20000 columns"])
 def test_declined_explore_near_loads_its_array_modules(declined):
-    # by its spelling before the list module loads, or by its plan (1.2 M
-    # draws) before the stream module does
+    # by its spelling or by its plan (1.2 M draws), before the list module
+    # loads
     flags = ["--c", "P2"] if declined == "P2" else ["--c", "p1", "--random-cols", "20000",
                                                      "--grid-extent", "0"]
     loaded = loaded_modules("explore-near", "--rows", "3", "--random-samples", "20", *flags)
     assert "numpy" in loaded
-    want = NEAR if declined == "P2" else NEAR | {"_lists"}
-    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
+    assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in NEAR}
 
 
 @pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
@@ -146,8 +145,8 @@ def test_subcommand_loads_exactly_its_modules(tmp_path, command):
 
 
 # the modules of the seven list-path subcommands' jobs on the array path:
-# those of a job the list path declines by its coefficient or by one build of
-# X, which never loads the list module
+# those of a job the list path declines by its coefficient or by its plan,
+# which never loads the list module
 ARRAY_MODULES = {"distmat": MATRIX, "near": NEAR, "rob-plus": SCORES, "rob-minus": SCORES,
                  "concord": ASSOCIATION, "corr": ASSOCIATION, "adversarial": SCORES}
 
@@ -172,14 +171,15 @@ def test_declined_job_loads_its_array_modules(tmp_path, command, declined):
     assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
 
 
-def test_job_its_plan_declines_loads_the_list_module_and_its_array_modules(tmp_path):
-    # one build of this 200 x 8 matrix is within the bound, corr's two are not
+def test_job_its_plan_declines_loads_only_its_array_modules(tmp_path):
+    # one build of this 200 x 8 matrix is within the bound, corr's two are
+    # not: the plan declines it before the list module loads
     x = tmp_path / "x.csv"
     x.write_text("".join(",".join(str((i * j) % 11) for j in range(1, 9)) + "\n"
                          for i in range(200)))
     loaded = loaded_modules("corr", "--m", "p1", "--n", "p2", "--x", str(x))
     assert "numpy" in loaded
-    want = ARRAY_MODULES["corr"] | {"_lists"}
+    want = ARRAY_MODULES["corr"]
     assert {m for m in loaded if m.startswith("distchar.")} == {f"distchar.{m}" for m in want}
 
 

@@ -201,7 +201,8 @@ EDGES = {
     "rob-plus": {"p1": {1: 215, 2: 200, 12: 131, 500: 24},
                  "pinf": {1: 215, 2: 200, 12: 131, 500: 24},
                  "p2": {1: 215, 2: 200, 12: 131, 500: 24}},
-    "rob-minus": {"p1": {2: 234, 12: 121, 500: 20}, "p2": {2: 234, 12: 121, 500: 20}},
+    "rob-minus": {"p1": {2: 234, 12: 121, 500: 20}, "p2": {2: 234, 12: 121, 500: 20},
+                  "p1.5": {2: 178, 12: 54}},
     "concord": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
     "corr": {"p1": {1: 224, 2: 207, 12: 133, 500: 24}},
     "adversarial": {"p2": {1: 224, 2: 183, 12: 88, 500: 14}},
@@ -228,19 +229,41 @@ def test_the_size_threshold_changes_speed_only(tmp_path, command):
                 assert both_entries(argv)[1:] == ("", 0)
 
 
-@pytest.mark.parametrize("command", SETTINGS)
-def test_the_one_build_precheck_declines_only_what_the_plan_declines(tmp_path, command):
-    # the fewest rows whose one build of X is above the bound: the plan, given
-    # them without cli's pre-check, declines before it builds anything
-    for c in EDGES[command]:
-        for k in (1, 2, 12, 500):
-            n = next(n for n in range(2, 1000)
-                     if n * (n - 1) // 2 * (k + cli._PAIR_COST) > cli._MAX_TERMS)
-            args = cli.build_parser().parse_args(threshold_job(tmp_path, command, c, n, k))
-            with mock.patch.object(_lists, "_distances") as distances:
-                with pytest.raises(DomainError):
-                    _lists.payload(args, dcio._load_rows)
-            assert distances.call_count == 0, (c, k)
+# rob-minus's largest n x k jobs its plan admits under zero tie slack
+# (--rel-tol 0), by coefficient and data: p1's updates on integer rows are
+# exact and charged as updates, p2's never are and are charged as rebuilds
+ZERO_SLACK_EDGES = [("p2", "gauss", {2: 178, 12: 54}), ("p2", "integer", {2: 178, 12: 54}),
+                    ("p1", "integer", {2: 234, 12: 121})]
+
+
+@pytest.mark.parametrize("c, data, edges", ZERO_SLACK_EDGES,
+                         ids=[f"{c} {data}" for c, data, _ in ZERO_SLACK_EDGES])
+def test_zero_slack_rob_minus_is_charged_by_its_updates(tmp_path, c, data, edges):
+    for k, n in edges.items():
+        for size, expected in [(n, True), (n + 1, False)]:
+            if data == "gauss":
+                gauss = np.random.default_rng(size * k).standard_normal((size, k)).tolist()
+                argv = ["rob-minus", "--c", c, "--rel-tol", "0",
+                        "--x", write(tmp_path / "x.csv", [[repr(v) for v in row] for row in gauss])]
+            else:
+                argv = [*threshold_job(tmp_path, "rob-minus", c, size, k), "--rel-tol", "0"]
+            with mock.patch.object(_lists, "_distances"):  # an admitted job builds nothing
+                assert covered(argv) is expected, (k, size)
+
+
+# explore-near's largest --random-samples its plan admits, by --rows and
+# --random-cols (--c p2 at the default --grid-extent)
+SEARCH_EDGES = {(4, 2): 3031, (3, 200): 161, (20, 2): 204, (2, 1): 5988, (6, 46): 212}
+
+
+@pytest.mark.parametrize("n, k", SEARCH_EDGES)
+def test_explore_near_admits_up_to_its_largest_sample_count(n, k):
+    for samples, expected in [(SEARCH_EDGES[n, k], True), (SEARCH_EDGES[n, k] + 1, False)]:
+        argv = ["explore-near", "--rows", str(n), "--c", "p2", "--random-cols", str(k),
+                "--random-samples", str(samples)]
+        with mock.patch.object(_lists, "_distances"), \
+                mock.patch.object(_pcg64, "doubles", return_value=itertools.repeat(0.0)):
+            assert covered(argv) is expected, samples
 
 
 def test_a_declined_ladder_is_no_longer_than_under_the_flat_cap(tmp_path):
@@ -362,10 +385,10 @@ def test_both_adversarial_paths_iterate_one_ladder(tmp_path, c, finite):
 
 @pytest.mark.parametrize("job", ["rob-minus p2 lattice exact ties", "corr 200x8"])
 def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
-    # one build of X is within the bound, so the list module is asked, but
-    # the plan is not: k rebuilds (under zero slack p2's guarded updates
-    # decide few rows, so they are charged as rebuilds), or corr's two
-    # builds of a 200 x 8 matrix (2 * 258 700 pair-terms)
+    # one build of X is within the bound, but the plan is not: k rebuilds
+    # (under zero slack p2's guarded updates decide few rows, so they are
+    # charged as rebuilds), or corr's two builds of a 200 x 8 matrix (2 *
+    # 258 700 pair-terms); the list module is not asked
     if job == "corr 200x8":
         gauss = np.random.default_rng(30).standard_normal((200, 8)).tolist()
         argv = ["corr", "--m", "p1", "--n", "p2", "--format", "json",
@@ -377,8 +400,41 @@ def test_a_job_its_plan_declines_builds_nothing_on_lists(tmp_path, job):
             mock.patch.object(_lists, "_distances") as distances:
         assert both_entries(argv)[1:] == ("", 0)
         assert not covered(argv)
-    assert payload.call_count == 2
+    assert payload.call_count == 0
     assert distances.call_count == 0
+
+
+# admitted jobs on the 40 x 16 Gaussian of scale_inputs, and an explore-near
+# search at the default budget: rob-minus under p1.5 builds each
+# leave-one-out matrix, under p2 it updates X's, guarded
+PLANNED = {"near": ["--c", "p2"], "distmat": ["--c", "p2"], "rob-plus": ["--c", "p2"],
+           "concord": ["--m", "p2", "--n", "L"], "corr": ["--m", "p2", "--n", "p1"],
+           "rob-minus p1.5": ["--c", "p1.5"], "rob-minus p2": ["--c", "p2"],
+           "explore-near": ["--rows", "5", "--c", "p2", "--seed", "1"]}
+
+
+@pytest.mark.parametrize("job", PLANNED)
+def test_the_plan_charges_what_the_job_builds(tmp_path, job):
+    # cli._plan and the jobs of _lists live in two modules: each n x k matrix
+    # built costs n(n-1)/2 * (k + _PAIR_COST), and each explore-near matrix
+    # _MATRIX_COST more, which must sum to the plan less its updates and draws
+    command = job.split()[0]
+    x, xp = scale_inputs(tmp_path)["gauss"]
+    files = [] if command == "explore-near" else ["--x", x]
+    argv = [command, *PLANNED[job], *files, *(["--xp", xp] if command == "rob-plus" else [])]
+    args = cli.build_parser().parse_args(argv)
+    rows = dcio._load_rows(x) if files else None
+    planned = cli._plan(args, rows)
+    if job == "rob-minus p2":
+        planned -= len(rows) * (len(rows) - 1) // 2 * len(rows[0]) * cli._UPDATE_COST
+    elif command == "explore-near":
+        planned -= args.random_samples * args.rows * args.random_cols * cli._DRAW_COST
+    with mock.patch.object(_lists, "_distances", wraps=_lists._distances) as distances:
+        assert covered(argv)
+    built = [call.args[1] for call in distances.call_args_list]
+    overhead = cli._MATRIX_COST if command == "explore-near" else 0
+    assert sum(len(m) * (len(m) - 1) // 2 * (len(m[0]) + cli._PAIR_COST) + overhead
+               for m in built) == planned
 
 
 @pytest.mark.parametrize("spelling", sorted(_lists._KERNELS) + list(GENERAL))
