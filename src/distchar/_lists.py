@@ -17,14 +17,17 @@ does.
 
 ``_distances`` is the one entry for a build, and ``_row`` the one
 sorted-kernel loop over pairs: a build's rows come from it wherever the
-exact route declines, and so do rob-minus's recomputed rows.  Under p1 and pinf
-on integer-valued rows a build takes an exact route (``_integer_tails``)
-where that is the faster one (the table above ``_ROUTE_ROWS``): each row
-becomes one Python int, its thermometer code (``_unary``), and a pair's
-distance is read from the XOR of two codes.  There every term and partial
-sum of the sorted kernel is an exact integer, so the sort changes no bit
-and the route gives the sorted kernel's values.  p2, L, general p and other
-data keep the sorted kernels.
+exact route declines, and so do rob-minus's recomputed rows.  On
+integer-valued rows a build takes an exact route (``_integer_tails``) where
+that is the faster one (the table above ``_ROUTE_ROWS``): each row becomes
+one Python int, its thermometer code (``_unary``), and a pair's distance is
+read from the XOR of two codes.  Under p1 and pinf it is an exact integer,
+and so is every term and partial sum of the sorted kernel, so the sort
+changes no bit.  Under p2, L and general p, with column spans of at most 3,
+three popcounts of the XOR fix the multiset of the pair's terms, and the
+kernel runs once per distinct multiset, on those terms
+(``_Multisets``).  Either way the route gives the sorted kernel's values.
+Other data keep the sorted kernels.
 
 ``rob-minus`` builds X's matrix through ``_distances`` under every coefficient,
 as ``robustness.rob_minus`` does through ``build``.  Under a name outside
@@ -131,17 +134,22 @@ def _kernel(spelling: str):
 
 
 # The integer route (``_integer_tails``) takes a build of n rows whose
-# largest column span is S where n >= _ROUTE_ROWS[kernel], and S <= n - 5
-# under p1 (a row's S planes are encoded once for its n - 1 pairs) or S <= 3
-# under pinf (a pair's loop takes up to S steps).  Fitted to in-process
-# builds of n x k {0..S} lattices, sorted kernel / route in ms, best of 3
-# alternating runs (2-vCPU VM, CPython 3.11):
+# largest column span is S where n >= _ROUTE_ROWS[kernel] (general p's
+# kernels, made by ``_power``, under its key), and S <= n - 5 under p1 (a
+# row's S planes are encoded once for its n - 1 pairs) or S <= 3 otherwise
+# (pinf's loop takes up to S steps; p2, L and general p read S counts per
+# pair).  Fitted to in-process builds of n x k {0..S} lattices, sorted
+# kernel / route in ms, best of 3 alternating runs (2-vCPU VM, CPython 3.11;
+# p2, L and p3.5 best of 7):
 #
 #         n, S    k = 1          k = 12         k = 128        k = 2000
 #  p1     8, 3    0.025 / 0.023  0.055 / 0.044  0.448 / 0.235  6.89 / 2.95
 #  p1    12, 7    0.054 / 0.035  0.116 / 0.074                 27.3 / 7.16
 #  p1    20, 15   0.149 / 0.085  0.332 / 0.130
 #  pinf  12, 3    0.045 / 0.042  0.098 / 0.078  0.591 / 0.316  8.25 / 4.73
+#  p2    18, 3    0.128 / 0.076  0.314 / 0.310  2.77 / 1.73
+#  L     18, 3    0.119 / 0.072  0.278 / 0.288  2.36 / 1.42
+#  p3.5  18, 3    0.124 / 0.070  0.348 / 0.333  2.97 / 1.97
 #
 # Wide spans, at the bound and within the list path's size: p1 at (n, S, k)
 # = (200, 195, 1) 17.2 / 6.28, (300, 255, 1) 39.6 / 13.7, (120, 115, 12)
@@ -150,12 +158,18 @@ def _kernel(spelling: str):
 # with S and k.  Just outside the bounds it is near or past the break-even
 # (runs spread by about 10 %): p1 at 6 rows, S = 3 (0.028 / 0.035, 0.058 /
 # 0.059); pinf at 8 rows (0.021 / 0.026, 0.040 / 0.045) and at 12 rows, S =
-# 7 (0.044 / 0.046, 0.095 / 0.099).  The benchmark's 120 x 12 {0..3}
-# lattice builds in 13.2 / 1.38 (p1) and 9.93 / 2.82 (pinf).  L keeps its
-# sorted kernel: an integer form, s_i + s_l - 2 * y_i . y_l, built the 120 x
-# 12 lattice in 4.89 ms against 13.6, but no benchmark job builds such a
-# matrix under L, and no end-to-end time showed a gain.
-_ROUTE_ROWS = {_p1: 8, max: 12}
+# 7 (0.044 / 0.046, 0.095 / 0.099).  p2, L and general p run their kernel
+# once per distinct multiset of terms, of which k 0..3 terms have C(k + 3,
+# 3): the route wins once the pairs repeat them, and the row count is the
+# break-even at the worst k, about 12 to 16 (at 16 rows and k = 12: 0.250 /
+# 0.284, 0.217 / 0.261 and 0.271 / 0.305; with 12 rows it won from k = 128
+# and lost up to 1.2x at k = 12).  18 rows of 2000 columns are above the
+# list path's size; at 16 they built in 32.6 / 18.9 (p2).  A key of 7
+# counts for S = 7 lost to the sorted kernel (p2: 19.4 / 22.0 at 120 x 12,
+# 1.73 / 3.16 at 40 x 12).  The benchmark's 120 x 12 {0..3} lattice builds
+# in 13.2 / 1.38 (p1), 9.93 / 2.82 (pinf), 15.0 / 3.06 (p2), 13.0 / 2.88
+# (L) and 16.7 / 3.27 (p3.5).
+_ROUTE_ROWS = {_p1: 8, max: 12, _p2: 18, _squared: 18, _power: 18}
 
 
 def _sum(values: list[float]) -> float:
@@ -199,35 +213,69 @@ def _row(kernel, a: list[float], rows: list[list[float]]) -> list[float]:
     """``kernel``'s values of the row ``a`` against each of ``rows``: the list
     path's one sorted-kernel loop over pairs.  Raises DomainError where a
     value overflows."""
-    values = [kernel([abs(u - v) for u, v in zip(a, b)]) for b in rows]
+    return _finite([kernel([abs(u - v) for u, v in zip(a, b)]) for b in rows])
+
+
+def _finite(values: list[float]) -> list[float]:
+    """``values``, where each is finite; else raises DomainError."""
     if not all(map(math.isfinite, values)):
         raise DomainError("coefficient value overflows the float range")
     return values
 
 
 def _integer_tails(kernel, x: list[list[float]]) -> list[list[float]] | None:
-    """Each row's p1 or pinf distances to the rows after it, computed on
-    Python ints, where ``x`` is integer-valued and the route's bounds hold
-    (see the table above ``_ROUTE_ROWS``); else None.  Each value is the
-    exact integer distance, which is the sorted kernel's: there every term
-    and partial sum is an integer below 2^53.
+    """Each row's distances to the rows after it, read from Python ints,
+    where ``x`` is integer-valued and the route's bounds hold (see the table
+    above ``_ROUTE_ROWS``); else None.  Each value is the sorted kernel's.
 
-    Both read the thermometer codes U of ``_unary``: p1 is the number of set
-    bits of U_i ^ U_l, and pinf the longest run of them one plane (k bits)
-    apart (``_longest_run``)."""
+    All read the thermometer codes U of ``_unary``, where V = U_i ^ U_l
+    sets bit j in |x_ij - x_lj| consecutive planes.  p1 is the number of set
+    bits of V, and pinf the longest run of them one plane (k bits) apart
+    (``_longest_run``): there every term and partial sum of the sorted
+    kernel is an integer below 2^53, so the exact integer distance is its
+    value.  Under p2, L and general p the spans are at most 3, and the
+    counts T1 = pop(V), T2 = pop(W) and T3 = pop(W & W >> k), W = V & V >> k,
+    fix the multiset of the pair's terms (``_Multisets``): the kernel runs
+    once per distinct multiset, on its terms, and every other pair with it
+    takes that value."""
     codes = _codes(kernel, x)
     if codes is None:
         return None
+    k = len(x[0])
     if kernel is _p1:
         return [[float((a ^ b).bit_count()) for b in codes[i + 1:]] for i, a in enumerate(codes)]
-    k = len(x[0])
-    return [[float(_longest_run(a ^ b, k)) for b in codes[i + 1:]] for i, a in enumerate(codes)]
+    if kernel is max:
+        return [[float(_longest_run(a ^ b, k)) for b in codes[i + 1:]] for i, a in enumerate(codes)]
+    memo = _Multisets(kernel, k)
+    return [[memo[(v := a ^ b).bit_count(), (w := v & v >> k).bit_count(), (w & w >> k).bit_count()]
+             for b in codes[i + 1:]] for i, a in enumerate(codes)]
+
+
+class _Multisets(dict):
+    """``kernel``'s values of k terms in 0..3 by their multiset, each computed
+    on first use.  A key (T1, T2, T3) holds the sums of t, max(t - 1, 0) and
+    max(t - 2, 0) over the terms t, which ``_integer_tails`` reads as
+    popcounts of a pair's XOR code; it fixes c3 = T3 terms of 3, c2 = T2 - 2
+    * T3 of 2, c1 = T1 - 2 * T2 + T3 of 1 and the rest 0.  The kernel sorts
+    its terms first, and these are the pair's terms, exact small integers:
+    the value is bitwise the sorted kernel's, and is checked as ``_row``
+    checks it."""
+
+    def __init__(self, kernel, k: int):
+        self.kernel, self.k = kernel, k
+
+    def __missing__(self, key: tuple[int, int, int]) -> float:
+        t1, t2, t3 = key
+        c1, c2 = t1 - 2 * t2 + t3, t2 - 2 * t3
+        terms = [0.0] * (self.k - c1 - c2 - t3) + [1.0] * c1 + [2.0] * c2 + [3.0] * t3
+        self[key], = _finite([self.kernel(terms)])
+        return self[key]
 
 
 def _codes(kernel, x: list[list[float]]) -> list[int] | None:
     """``x``'s codes where the route takes ``kernel``'s build of it, else None."""
     n = len(x)
-    if n < _ROUTE_ROWS.get(kernel, math.inf):  # p2 and L have no integer route
+    if n < _ROUTE_ROWS.get(kernel, _ROUTE_ROWS[_power]):
         return None
     return _unary(x, n - 5 if kernel is _p1 else 3)
 

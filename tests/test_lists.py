@@ -360,16 +360,15 @@ def test_list_rob_minus_reads_pinf_second_terms_from_each_pair(tmp_path):
 @pytest.mark.parametrize("c", ["p1", "pinf", "L"])
 def test_exact_list_rob_minus_forms_no_leave_one_out_matrix(tmp_path, c):
     # the updates on the 120 x 12 lattice are exact, so each row is walked:
-    # no leave-one-out matrix (_without) and no recomputed row (_row); L's
-    # sorted kernel runs for X's own rows only
+    # no leave-one-out matrix (_without) and no recomputed row (_row); X's
+    # own matrix comes from the integer route under each coefficient
     argv = ["rob-minus", "--c", c, "--format", "json",
             "--x", scale_inputs(tmp_path)["lattice"][0]]
     with mock.patch.object(_lists, "_without") as without, \
             mock.patch.object(_lists, "_row", wraps=_lists._row) as row:
         assert covered(argv)
     without.assert_not_called()
-    assert row.call_count == (120 if c == "L" else 0)
-    assert all(len(call.args[1]) == 12 for call in row.call_args_list)
+    row.assert_not_called()
 
 
 @pytest.mark.parametrize("c, finite", [("p2", True), ("pinf", False)])
@@ -578,7 +577,12 @@ def test_an_underflowing_L_is_refused_on_both_paths(tmp_path, argv):
     assert both_entries(argv)[1:] == ("error: coefficient value underflows the float range\n", 1)
 
 
-INTEGER_KERNELS = {"p1": _lists._p1, "pinf": max}
+INTEGER_KERNELS = {c: _lists._kernel(c) for c in ("p1", "pinf", "p2", "L", *GENERAL)}
+
+
+def route_rows(kernel) -> int:
+    """The fewest rows from which the integer route takes ``kernel``'s builds."""
+    return _lists._ROUTE_ROWS.get(kernel, _lists._ROUTE_ROWS[_lists._power])
 
 
 def sorted_kernel(kernel, x) -> list[list[float]]:
@@ -589,13 +593,13 @@ def sorted_kernel(kernel, x) -> list[list[float]]:
 
 @st.composite
 def integer_lattices(draw, c):
-    """(rows, spans): n integer-valued rows, n from the route's fewest rows to
-    six more, of k <= 5 columns, each column an offset (0, -7, or +-2^52)
-    plus entries 0..span, the span reached; some zeros as -0.0.  The spans
-    are small, or put one column at the unary bound (p1: n - 5, pinf: 3) or
-    one above it."""
-    kernel = INTEGER_KERNELS[c]
-    n = draw(st.integers(_lists._ROUTE_ROWS[kernel], _lists._ROUTE_ROWS[kernel] + 6))
+    """(rows, spans): n integer-valued rows, n from three below the route's
+    fewest rows to six above them, of k <= 5 columns, each column an offset
+    (0, -7, or +-2^52) plus entries 0..span, the span reached (span 0 among
+    them); some zeros as -0.0.  The spans are small, or put one column at
+    the unary bound (p1: n - 5, else 3) or one above it."""
+    rows = route_rows(INTEGER_KERNELS[c])
+    n = draw(st.integers(rows - 3, rows + 6))
     k = draw(st.integers(1, 5))
     spans = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
     kind = draw(st.sampled_from(["small", "at bound", "above bound"]))
@@ -624,8 +628,8 @@ def test_integer_route_is_the_sorted_kernel(c):
     def check(lattice, data):
         x, spans = lattice
         D, tails = _lists._distances(kernel, x), _lists._integer_tails(kernel, x)
-        bound = {"p1": len(x) - 5, "pinf": 3}[c]
-        assert (tails is not None) == (max(spans) <= bound)
+        bound = len(x) - 5 if c == "p1" else 3
+        assert (tails is not None) == (len(x) >= route_rows(kernel) and max(spans) <= bound)
         assert repr(D) == repr(sorted_kernel(kernel, x))
         # one integer vector added to every row, or the columns permuted,
         # give the same bits, on the route and off it
@@ -638,9 +642,9 @@ def test_integer_route_is_the_sorted_kernel(c):
     check()
 
 
-@pytest.mark.parametrize("c", [*INTEGER_KERNELS, "p2", "L"])
+@pytest.mark.parametrize("c", ["p1", "pinf", "p2", "L", "p3.5"])
 def test_the_lattice_takes_the_integer_route_and_the_gaussian_does_not(tmp_path, c):
-    for matrix, taken in [("lattice", c in INTEGER_KERNELS), ("gauss", False)]:
+    for matrix, taken in [("lattice", True), ("gauss", False)]:
         argv = ["near", "--c", c, "--format", "json", "--x", scale_inputs(tmp_path)[matrix][0]]
         real, results = _lists._integer_tails, []
 
@@ -651,6 +655,17 @@ def test_the_lattice_takes_the_integer_route_and_the_gaussian_does_not(tmp_path,
         with mock.patch.object(_lists, "_integer_tails", side_effect=route):
             assert covered(argv)
         assert len(results) == 1 and (results[0] is not None) == taken, matrix
+
+
+def test_the_route_runs_p2_once_per_multiset_of_terms(tmp_path):
+    # the 120 x 12 {0..3} lattice's 7140 pairs hold at most C(15, 3) = 455
+    # multisets of 12 terms in 0..3, and the p2 kernel runs once for each
+    argv = ["near", "--c", "p2", "--format", "json", "--x", scale_inputs(tmp_path)["lattice"][0]]
+    kernel = mock.Mock(wraps=_lists._p2)
+    with mock.patch.dict(_lists._KERNELS, {"p2": kernel}), \
+            mock.patch.dict(_lists._ROUTE_ROWS, {kernel: _lists._ROUTE_ROWS[_lists._p2]}):
+        assert covered(argv)
+    assert 0 < kernel.call_count <= math.comb(15, 3)
 
 
 GUARD_TIES = [(TiePolicy(), False), (EXACT_TIES, False), (TiePolicy(relative_tolerance=1.0), False),
